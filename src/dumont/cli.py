@@ -2,8 +2,8 @@
 
 Subcommands: enumerate, avoid, map, series, verify, conjecture, diagram.
 Output formats: lines (default), json, csv.  Exit code 0 when every hard
-assertion passes, 1 on a verification mismatch, 3 when a budgeted run stops
-early (state is kept in the checkpoint file).
+assertion passes, 1 on a verification mismatch, 2 on bad input, 3 when a
+budgeted run stops early (state is kept in the checkpoint file).
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from . import bijections, harness
 from .gfseries import (SequenceId, closed_form, d4_1423_series, solve_prst_system,
                        validity_range)
 from .kinds import DumontKind, generate
-from .patterns import (AvoidanceQuery, ClassicalPattern, count_avoiders,
-                       count_exact_occurrences, count_occurrences,
-                       generate_avoiders)
+from .patterns import AvoidanceQuery, ClassicalPattern, count_avoiders, generate_avoiders
 from .permcore import Permutation
 
 
@@ -60,27 +58,15 @@ def _cmd_enumerate(args, out) -> int:
 
 def _cmd_avoid(args, out) -> int:
     pats = [s for s in args.pattern.split(",") if s]
-    if not pats:
-        raise SystemExit("at least one pattern is required")
-    if args.exactly is not None:
-        if len(pats) != 1:
-            raise SystemExit("--exactly takes a single pattern")
-        count = count_exact_occurrences(args.kind, args.size,
-                                        ClassicalPattern.parse(pats[0]), args.exactly)
-        elements = None
-        if args.list:
-            q = ClassicalPattern.parse(pats[0])
-            elements = [p.to_text() for p in generate(args.kind, args.size)
-                        if count_occurrences(p, q) == args.exactly]
+    query = AvoidanceQuery(args.kind, args.size,
+                           frozenset(ClassicalPattern.parse(s) for s in pats),
+                           occurrence_target=args.exactly)
+    if args.list:
+        elements = [p.to_text() for p in generate_avoiders(query)]
+        count = len(elements)
     else:
-        query = AvoidanceQuery(args.kind, args.size,
-                               frozenset(ClassicalPattern.parse(s) for s in pats))
-        if args.list:
-            elements = [p.to_text() for p in generate_avoiders(query)]
-            count = len(elements)
-        else:
-            elements = None
-            count = count_avoiders(query)
+        elements = None
+        count = count_avoiders(query)
     payload = {"kind": args.kind.value, "size": args.size, "patterns": pats,
                "exactly": args.exactly, "count": count}
     if elements is not None:
@@ -89,7 +75,7 @@ def _cmd_avoid(args, out) -> int:
         json.dump(payload, out)
         out.write("\n")
     elif args.list:
-        _emit_rows(args.format, ["permutation"], [[e] for e in elements or []], out)
+        _emit_rows(args.format, ["permutation"], [[e] for e in elements], out)
     else:
         _emit_rows(args.format, ["count"], [[count]], out)
     return 0
@@ -136,7 +122,7 @@ def _cmd_series(args, out) -> int:
     if args.cross_check:
         order = args.order if args.order is not None else 24
         if seq is not SequenceId.A343795_D4_312:
-            raise SystemExit("--cross-check applies to a343795_d4_312")
+            raise ValueError("--cross-check applies to a343795_d4_312")
         direct = d4_1423_series(order)
         swept = solve_prst_system(order).series()
         ok = direct == swept

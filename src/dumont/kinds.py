@@ -15,18 +15,26 @@ even-size one with the fixed point 2n+1 appended, so odd sizes are rejected.
 All four kinds of size 2n are counted by the Genocchi number G(2n+2)
 (see :mod:`dumont.gfseries`).
 
-Generation is a position-by-position backtracking search that emits
-permutations in lexicographic order.  Prefix pruning applies each kind's
-constraints as soon as they become checkable, so the walk never descends into
-a subtree that cannot contain a member.  The search tree can be split by its
-first few entries (:func:`split_prefixes`) so independent workers can
-enumerate disjoint subtrees.
+All generation and counting runs through one walk, :func:`_walk`: a
+position-by-position backtracking search that emits prefixes in
+lexicographic order.  Prefix pruning applies each kind's constraints as soon
+as they become checkable, so the walk never descends into a subtree that
+cannot contain a member.  The walk can start from a given prefix (checked
+against the kind's rules, then replayed) and stop at a given depth, which is
+how :func:`split_prefixes` cuts the search tree into disjoint subtrees for
+independent workers.
+
+Extra pruning plugs in through the :class:`Guard` protocol: ``push(w)``
+places a value or rejects it leaving the guard unchanged, ``pop()`` undoes
+the last accepted placement, and ``leaf_ok()`` accepts or drops the prefix
+where the walk stops.  :func:`generate`, :func:`count` and the pruned
+queries of :mod:`dumont.patterns` are all thin loops over the walk.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .permcore import Permutation
 
@@ -79,7 +87,7 @@ def is_dumont(kind: DumontKind, p: Permutation) -> bool:
     return True
 
 
-# In the walkers below, ``h`` is the list of already placed values (the prefix,
+# In the walk below, ``h`` is the list of already placed values (the prefix,
 # positions 1..len(h)) and ``used`` a bitmask with bit v set when value v is
 # placed.  Candidates for the next position are produced in increasing order,
 # which makes the depth-first emission order lexicographic.
@@ -154,18 +162,16 @@ def _odd_below(pos: int) -> int:
 
 
 class Guard:
-    """Hook protocol for composing extra pruning with the Dumont walk.
+    """Extra pruning composed with the Dumont walk.
 
-    ``rejects(w)`` is consulted before a placement; ``push``/``pop`` keep the
-    guard state in sync with the prefix; ``leaf_ok()`` accepts or drops a
-    fully placed permutation.
+    ``push(w)`` places value w after the current prefix and returns True, or
+    returns False and leaves the state unchanged when the placement is
+    rejected; ``pop()`` undoes the last accepted ``push``; ``leaf_ok()``
+    accepts or drops the prefix where the walk stops.
     """
 
-    def rejects(self, w: int) -> bool:
-        return False
-
-    def push(self, w: int) -> None:  # pragma: no cover - trivial default
-        pass
+    def push(self, w: int) -> bool:  # pragma: no cover - trivial default
+        return True
 
     def pop(self) -> None:  # pragma: no cover - trivial default
         pass
@@ -174,64 +180,61 @@ class Guard:
         return True
 
 
-def _walk_iter(kind_id: int, size: int, h: list[int], used: int,
-               guard: Optional[Guard]) -> Iterator[tuple[int, ...]]:
-    pos = len(h) + 1
-    if pos > size:
-        if guard is None or guard.leaf_ok():
-            yield tuple(h)
-        return
-    prev = h[-1] if h else 0
-    for w in _candidates(kind_id, pos, size, prev, used):
-        if guard is not None and guard.rejects(w):
-            continue
-        h.append(w)
-        if guard is not None:
-            guard.push(w)
-        yield from _walk_iter(kind_id, size, h, used | (1 << w), guard)
-        if guard is not None:
-            guard.pop()
-        h.pop()
+def _walk(kind: DumontKind, size: int, prefix: Sequence[int] = (),
+          guard: Optional[Guard] = None,
+          depth: Optional[int] = None) -> Iterator[list[int]]:
+    """Yield every live prefix of length ``depth`` (default ``size``), in
+    lexicographic order, that extends ``prefix``.
 
-
-def _walk_count(kind_id: int, size: int, h: list[int], used: int,
-                guard: Optional[Guard],
-                on_leaf: Optional[Callable[[list[int]], None]]) -> int:
-    """Callback-based walk; returns the number of accepted leaves."""
-    pos = len(h) + 1
-    if pos > size:
-        if guard is None or guard.leaf_ok():
-            if on_leaf is not None:
-                on_leaf(h)
-            return 1
-        return 0
-    total = 0
-    prev = h[-1] if h else 0
-    for w in _candidates(kind_id, pos, size, prev, used):
-        if guard is not None and guard.rejects(w):
-            continue
-        h.append(w)
-        if guard is not None:
-            guard.push(w)
-        total += _walk_count(kind_id, size, h, used | (1 << w), guard, on_leaf)
-        if guard is not None:
-            guard.pop()
-        h.pop()
-    return total
-
-
-def _check_prefix(kind_id: int, size: int, prefix: Sequence[int]) -> tuple[list[int], int]:
-    """Validate a prefix against the kind's local rules; return (h, used)."""
+    The prefix is checked against the kind's rules (``ValueError`` when it
+    breaks them) and then replayed into the guard; a rejected prefix yields
+    nothing.  The yielded list is the walk's own state: read or copy it
+    before advancing the iterator.
+    """
+    _require_even(size)
+    kind_id = kind.value
+    stop = size if depth is None else min(depth, size)
     h: list[int] = []
     used = 0
     for w in prefix:
         pos = len(h) + 1
-        prev = h[-1] if h else 0
-        if w not in _candidates(kind_id, pos, size, prev, used):
+        if w not in _candidates(kind_id, pos, size, h[-1] if h else 0, used):
             raise ValueError(f"prefix {list(prefix)} is not feasible at position {pos}")
         h.append(w)
         used |= 1 << w
-    return h, used
+    if guard is not None and not all(map(guard.push, h)):
+        return
+    if len(h) >= stop:
+        if guard is None or guard.leaf_ok():
+            yield h
+        return
+    # ``it`` iterates the candidates for position len(h) + 1; ``stack`` holds
+    # the suspended iterators of the shallower positions.
+    it = iter(_candidates(kind_id, len(h) + 1, size, h[-1] if h else 0, used))
+    stack: list[Iterator[int]] = []
+    while True:
+        for w in it:
+            if guard is not None and not guard.push(w):
+                continue
+            h.append(w)
+            if len(h) == stop:
+                if guard is None or guard.leaf_ok():
+                    yield h
+                h.pop()
+                if guard is not None:
+                    guard.pop()
+                continue
+            used |= 1 << w
+            stack.append(it)
+            it = iter(_candidates(kind_id, len(h) + 1, size, w, used))
+            break
+        else:
+            if not stack:
+                return
+            it = stack.pop()
+            used &= ~(1 << h.pop())
+            if guard is not None:
+                guard.pop()
 
 
 def generate(kind: DumontKind, size: int,
@@ -241,16 +244,13 @@ def generate(kind: DumontKind, size: int,
     ``prefix`` restricts the walk to completions of the given first entries,
     which is the worker-side half of the prefix-splitting contract.
     """
-    _require_even(size)
-    h, used = _check_prefix(kind.value, size, prefix)
-    for vals in _walk_iter(kind.value, size, h, used, None):
-        yield Permutation._wrap(vals)
+    for h in _walk(kind, size, prefix):
+        yield Permutation._wrap(tuple(h))
 
 
 def count(kind: DumontKind, size: int) -> int:
     """Number of Dumont permutations of the kind and size (a Genocchi number)."""
-    _require_even(size)
-    return _walk_count(kind.value, size, [], 0, None, None)
+    return sum(1 for _ in _walk(kind, size))
 
 
 def split_prefixes(kind: DumontKind, size: int, depth: int) -> list[tuple[int, ...]]:
@@ -260,20 +260,4 @@ def split_prefixes(kind: DumontKind, size: int, depth: int) -> list[tuple[int, .
     independent workers can process disjoint subtrees and their results can
     be merged by plain addition.
     """
-    _require_even(size)
-    depth = min(depth, size)
-    out: list[tuple[int, ...]] = []
-
-    def rec(h: list[int], used: int) -> None:
-        if len(h) == depth:
-            out.append(tuple(h))
-            return
-        pos = len(h) + 1
-        prev = h[-1] if h else 0
-        for w in _candidates(kind.value, pos, size, prev, used):
-            h.append(w)
-            rec(h, used | (1 << w))
-            h.pop()
-
-    rec([], 0)
-    return out
+    return [tuple(h) for h in _walk(kind, size, depth=depth)]

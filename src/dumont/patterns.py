@@ -6,13 +6,18 @@ separated by a dash must occupy consecutive positions in the host, so in
 ``2-31`` the letters 3 and 1 must be adjacent while 2 may sit anywhere
 earlier.
 
-Pruned generation composes with the Dumont backtracking in
-:mod:`dumont.kinds` through the guard protocol: a partial placement is
-abandoned as soon as the placed prefix already contains a forbidden pattern
-(or, in exact-occurrence mode, as soon as the occurrence count overshoots the
-target).  Two pattern-specific constant-time detectors cover the hot
-enumeration at sizes 14 and up; everything else uses a generic backtracking
-matcher.
+All counting goes through one backtracking matcher, ``_count(host, pat,
+adjacent, limit, last)``.  A classical pattern is a vincular pattern with no
+adjacency; ``limit=1`` turns the count into a containment test; ``last=w``
+counts only the occurrences that appending w to the host would complete.
+
+Pruned generation runs the single walk of :mod:`dumont.kinds` with a guard
+built from an :class:`AvoidanceQuery`: a partial placement is rejected as
+soon as the placed prefix contains a forbidden pattern (or, in
+exact-occurrence mode, as soon as the occurrence count overshoots the
+target).  The generic guards call the matcher anchored at the new value;
+constant-time detectors for 2143 and 3421 (avoidance) and 321 (exact count)
+cover the hot enumerations.
 """
 
 from __future__ import annotations
@@ -139,208 +144,99 @@ def _check_host_size(n: int, k: int) -> None:
         raise ValueError(f"host length {n} exceeds the supported envelope of {_MAX_HOST}")
 
 
-def _count_embeddings(host: Sequence[int], pat: Sequence[int]) -> int:
-    k = len(pat)
+_NO_ADJACENCY: frozenset[int] = frozenset()
+
+
+def _count(host: Sequence[int], pat: Sequence[int],
+           adjacent: frozenset[int] = _NO_ADJACENCY, limit: int = _INF,
+           last: Optional[int] = None) -> int:
+    """Occurrences of ``pat`` in ``host``, counting no further than ``limit``.
+
+    ``adjacent`` uses the convention of :class:`VincularPattern`; it is empty
+    for a classical pattern.  With ``last`` set, only the occurrences in
+    ``host + [last]`` that end at ``last`` are counted, i.e. the occurrences
+    that appending ``last`` to the host would complete.  ``limit`` must be at
+    least 1; ``limit=1`` answers containment.
+    """
     n = len(host)
+    k = len(pat)
+    last_lo = 0  # lowest host index the final matched letter may take
+    if last is None:
+        # Unanchored: every host value and pattern letter lies below this
+        # sentinel, so the anchor test below never skips a candidate.
+        last = top = _INF
+    else:
+        k -= 1  # the final pattern letter is ``last`` itself
+        if k == 0:
+            return 1
+        top = pat[k]
+        if k in adjacent:
+            last_lo = n - 1
     if k > n:
         return 0
+    kl = k - 1
+    chosen = [0] * k
     total = 0
-    chosen: list[int] = []
 
-    def rec(j: int, start: int) -> None:
+    def rec(j: int, start: int) -> bool:
         nonlocal total
-        end = n - (k - 1 - j)
-        for i in range(start, end):
+        pj = pat[j]
+        below = pj < top
+        # Letter j tied to letter j - 1 must sit right after it in the host.
+        hi = start + 1 if adjacent and j in adjacent else n - kl + j
+        if j == kl and start < last_lo:
+            start = last_lo
+        for i in range(start, hi):
             v = host[i]
-            ok = True
-            for t in range(j):
-                if (chosen[t] < v) != (pat[t] < pat[j]):
-                    ok = False
-                    break
-            if not ok:
+            if (v < last) != below:  # wrong side of the anchored last letter
                 continue
-            if j == k - 1:
-                total += 1
+            for t in range(j):
+                if (chosen[t] < v) != (pat[t] < pj):
+                    break
             else:
-                chosen.append(v)
-                rec(j + 1, i + 1)
-                chosen.pop()
+                if j == kl:
+                    total += 1
+                    if total >= limit:
+                        return True
+                else:
+                    chosen[j] = v
+                    if rec(j + 1, i + 1):
+                        return True
+        return False
 
     rec(0, 0)
     return total
 
 
-def _contains(host: Sequence[int], pat: Sequence[int]) -> bool:
-    k = len(pat)
-    n = len(host)
-    if k > n:
-        return False
-    chosen: list[int] = []
-
-    def rec(j: int, start: int) -> bool:
-        end = n - (k - 1 - j)
-        for i in range(start, end):
-            v = host[i]
-            ok = True
-            for t in range(j):
-                if (chosen[t] < v) != (pat[t] < pat[j]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if j == k - 1:
-                return True
-            chosen.append(v)
-            if rec(j + 1, i + 1):
-                return True
-            chosen.pop()
-        return False
-
-    return rec(0, 0)
-
-
 def count_occurrences(p: Permutation, q: ClassicalPattern) -> int:
     """Number of subsequences of ``p`` order-isomorphic to the pattern."""
     _check_host_size(len(p), len(q.perm))
-    return _count_embeddings(p.values, q.perm.values)
+    return _count(p.values, q.perm.values)
 
 
 def avoids(p: Permutation, q: ClassicalPattern) -> bool:
     """True when ``p`` has no occurrence of the pattern (early exit)."""
-    return not _contains(p.values, q.perm.values)
+    _check_host_size(len(p), len(q.perm))
+    return not _count(p.values, q.perm.values, limit=1)
 
 
 def avoids_all(p: Permutation, patterns: Iterable[ClassicalPattern]) -> bool:
     return all(avoids(p, q) for q in patterns)
 
 
-def _count_vincular(host: Sequence[int], pat: Sequence[int],
-                    runs: Sequence[tuple[int, int]]) -> int:
-    n = len(host)
-    k = len(pat)
-    if k > n:
-        return 0
-    total = 0
-    chosen: list[tuple[int, int]] = []  # (pattern index, host value)
-
-    tail = [0] * (len(runs) + 1)
-    for r in range(len(runs) - 1, -1, -1):
-        tail[r] = tail[r + 1] + runs[r][1]
-
-    def rec(r: int, start: int) -> None:
-        nonlocal total
-        if r == len(runs):
-            total += 1
-            return
-        s0, length = runs[r]
-        for t in range(start, n - tail[r] + 1):
-            ok = True
-            added = 0
-            for off in range(length):
-                pj = s0 + off
-                v = host[t + off]
-                for cj, cv in chosen:
-                    if (cv < v) != (pat[cj] < pat[pj]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-                chosen.append((pj, v))
-                added += 1
-            if ok:
-                rec(r + 1, t + length)
-            for _ in range(added):
-                chosen.pop()
-
-    rec(0, 0)
-    return total
-
-
 def count_vincular(p: Permutation, vq: VincularPattern) -> int:
     """Occurrences of a vincular pattern, honoring its adjacency runs."""
     _check_host_size(len(p), len(vq.perm))
-    return _count_vincular(p.values, vq.perm.values, vq.runs())
+    return _count(p.values, vq.perm.values, vq.adjacent)
 
 
 # ---------------------------------------------------------------------------
-# Incremental detectors for the pruned walk
+# Guards for the pruned walk
 #
-# Every guard below answers, in sync with the backtracking prefix h:
-#   rejects(w): would appending value w complete something forbidden?
-# The generic ones re-run a bounded matcher anchored at the new element; the
-# pattern-specific ones keep O(1) summaries of the prefix.
-
-
-def _completes(h: Sequence[int], w: int, pat: Sequence[int]) -> bool:
-    """Does appending w to h create an occurrence of pat ending at w?"""
-    k = len(pat)
-    if k == 1:
-        return True
-    m = len(h)
-    if m < k - 1:
-        return False
-    qk = pat[k - 1]
-    chosen: list[int] = []
-
-    def rec(j: int, start: int) -> bool:
-        end = m - (k - 2 - j)
-        for i in range(start, end):
-            v = h[i]
-            if (v < w) != (pat[j] < qk):
-                continue
-            ok = True
-            for t in range(j):
-                if (chosen[t] < v) != (pat[t] < pat[j]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if j == k - 2:
-                return True
-            chosen.append(v)
-            if rec(j + 1, i + 1):
-                return True
-            chosen.pop()
-        return False
-
-    return rec(0, 0)
-
-
-def _count_completions(h: Sequence[int], w: int, pat: Sequence[int]) -> int:
-    """Number of occurrences of pat that appending w would complete."""
-    k = len(pat)
-    if k == 1:
-        return 1
-    m = len(h)
-    if m < k - 1:
-        return 0
-    qk = pat[k - 1]
-    total = 0
-    chosen: list[int] = []
-
-    def rec(j: int, start: int) -> None:
-        nonlocal total
-        end = m - (k - 2 - j)
-        for i in range(start, end):
-            v = h[i]
-            if (v < w) != (pat[j] < qk):
-                continue
-            ok = True
-            for t in range(j):
-                if (chosen[t] < v) != (pat[t] < pat[j]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if j == k - 2:
-                total += 1
-            else:
-                chosen.append(v)
-                rec(j + 1, i + 1)
-                chosen.pop()
-
-    rec(0, 0)
-    return total
+# Every guard's push(w) decides, in sync with the walk's prefix h, whether
+# appending w keeps the prefix acceptable: no forbidden occurrence, or no
+# more occurrences than the target.  The generic guards run the matcher
+# anchored at w; the pattern-specific ones keep O(1) summaries of the prefix.
 
 
 class _AvoidGuard(Guard):
@@ -352,15 +248,13 @@ class _AvoidGuard(Guard):
         self.pats = pats
         self.h: list[int] = []
 
-    def rejects(self, w: int) -> bool:
+    def push(self, w: int) -> bool:
         h = self.h
         for pat in self.pats:
-            if _completes(h, w, pat):
-                return True
-        return False
-
-    def push(self, w: int) -> None:
-        self.h.append(w)
+            if _count(h, pat, _NO_ADJACENCY, 1, w):
+                return False
+        h.append(w)
+        return True
 
     def pop(self) -> None:
         self.h.pop()
@@ -391,21 +285,21 @@ class _Fast2143Guard(Guard):
         self.lpg = [-1] * (size + 1)
         self.undo: list[tuple[int, tuple[int, ...]]] = []
 
-    def rejects(self, w: int) -> bool:
-        j = self.lpg[w]
-        return j >= 1 and self.imt[j - 1] < w
-
-    def push(self, u: int) -> None:
+    def push(self, u: int) -> bool:
+        lpg = self.lpg
+        j = lpg[u]
+        if j >= 1 and self.imt[j - 1] < u:
+            return False
         above = self.placed >> (u + 1)
         top = u + 1 + _lsb_index(above) if above else _INF
         prev = self.imt[-1] if self.imt else _INF
         self.imt.append(top if top < prev else prev)
-        lpg = self.lpg
         self.undo.append((u, tuple(lpg[1:u])))
         for v in range(1, u):
             lpg[v] = self.m
         self.placed |= 1 << u
         self.m += 1
+        return True
 
     def pop(self) -> None:
         u, old = self.undo.pop()
@@ -433,20 +327,20 @@ class _Fast3421Guard(Guard):
         self.bpl = [0]
         self.mv3 = [0]
 
-    def rejects(self, w: int) -> bool:
-        return self.mv3[-1] > w
-
-    def push(self, u: int) -> None:
+    def push(self, u: int) -> bool:
+        mv3 = self.mv3[-1]
+        if mv3 > u:
+            return False
         below = self.placed & ((1 << u) - 1)
         pred = below.bit_length() - 1 if below else 0
         bpl = self.bpl[-1]
-        mv3 = self.mv3[-1]
-        if bpl > u and u > mv3:
+        if bpl > u:
             mv3 = u
         self.mv3.append(mv3)
         self.bpl.append(pred if pred > bpl else bpl)
         self.vals.append(u)
         self.placed |= 1 << u
+        return True
 
     def pop(self) -> None:
         self.bpl.pop()
@@ -457,7 +351,7 @@ class _Fast3421Guard(Guard):
 class _ExactCountGuard(Guard):
     """Track the total occurrence count of one pattern; prune past target."""
 
-    __slots__ = ("pat", "target", "h", "count", "adds", "_cache")
+    __slots__ = ("pat", "target", "h", "count", "adds")
 
     def __init__(self, pat: tuple[int, ...], target: int):
         self.pat = pat
@@ -465,22 +359,16 @@ class _ExactCountGuard(Guard):
         self.h: list[int] = []
         self.count = 0
         self.adds: list[int] = []
-        self._cache: tuple[int, int] | None = None
 
-    def rejects(self, w: int) -> bool:
-        add = _count_completions(self.h, w, self.pat)
-        if self.count + add > self.target:
-            return True
-        self._cache = (w, add)
-        return False
-
-    def push(self, w: int) -> None:
-        cache = self._cache
-        add = cache[1] if cache is not None and cache[0] == w \
-            else _count_completions(self.h, w, self.pat)
+    def push(self, w: int) -> bool:
+        room = self.target - self.count
+        add = _count(self.h, self.pat, _NO_ADJACENCY, room + 1, w)
+        if add > room:
+            return False
         self.count += add
         self.adds.append(add)
         self.h.append(w)
+        return True
 
     def pop(self) -> None:
         self.h.pop()
@@ -494,7 +382,7 @@ class _Exact321Guard(Guard):
     """Occurrence counting specialised to 321: new occurrences ending at w
     are inversions with both values above w, tallied per inversion bottom."""
 
-    __slots__ = ("size", "target", "placed", "pbb", "count", "trail", "_cache")
+    __slots__ = ("size", "target", "placed", "pbb", "count", "trail")
 
     def __init__(self, size: int, target: int):
         self.size = size
@@ -503,27 +391,18 @@ class _Exact321Guard(Guard):
         self.pbb = [0] * (size + 2)  # inversions with bottom value v
         self.count = 0
         self.trail: list[tuple[int, int, int]] = []
-        self._cache: tuple[int, int] | None = None
 
-    def _added_by(self, w: int) -> int:
+    def push(self, u: int) -> bool:
         pbb = self.pbb
-        return sum(pbb[v] for v in range(w + 1, self.size + 1))
-
-    def rejects(self, w: int) -> bool:
-        add = self._added_by(w)
+        add = sum(pbb[v] for v in range(u + 1, self.size + 1))
         if self.count + add > self.target:
-            return True
-        self._cache = (w, add)
-        return False
-
-    def push(self, u: int) -> None:
-        cache = self._cache
-        add = cache[1] if cache is not None and cache[0] == u else self._added_by(u)
+            return False
         new_pairs = (self.placed >> (u + 1)).bit_count()
-        self.pbb[u] += new_pairs
+        pbb[u] += new_pairs
         self.count += add
         self.trail.append((u, new_pairs, add))
         self.placed |= 1 << u
+        return True
 
     def pop(self) -> None:
         u, new_pairs, add = self.trail.pop()
@@ -541,29 +420,16 @@ _FAST_AVOID = {
 }
 
 
-def _make_avoid_guard(pats: tuple[tuple[int, ...], ...], size: int) -> Guard:
+def _make_guard(query: AvoidanceQuery) -> Guard:
+    pats = tuple(sorted(q.perm.values for q in query.forbidden))
+    target = query.occurrence_target
+    if target is not None:
+        if pats[0] == (3, 2, 1):
+            return _Exact321Guard(query.size, target)
+        return _ExactCountGuard(pats[0], target)
     if len(pats) == 1 and pats[0] in _FAST_AVOID:
-        return _FAST_AVOID[pats[0]](size)
+        return _FAST_AVOID[pats[0]](query.size)
     return _AvoidGuard(pats)
-
-
-def _make_exact_guard(pat: tuple[int, ...], target: int, size: int) -> Guard:
-    if pat == (3, 2, 1):
-        return _Exact321Guard(size, target)
-    return _ExactCountGuard(pat, target)
-
-
-def _init_guard(guard: Guard, prefix: Sequence[int]) -> bool:
-    """Replay a prefix into a fresh guard; False when already rejected."""
-    for w in prefix:
-        if guard.rejects(w):
-            return False
-        guard.push(w)
-    return True
-
-
-def _normalize_patterns(patterns: Iterable[ClassicalPattern]) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(q.perm.values for q in patterns))
 
 
 # ---------------------------------------------------------------------------
@@ -572,47 +438,21 @@ def _normalize_patterns(patterns: Iterable[ClassicalPattern]) -> tuple[tuple[int
 
 def generate_avoiders(query: AvoidanceQuery,
                       prefix: Sequence[int] = ()) -> Iterator[Permutation]:
-    """Members of the kind avoiding every forbidden pattern, lexicographically."""
-    if query.occurrence_target is not None:
-        raise ValueError("generate_avoiders takes a plain avoidance query")
-    _kinds._require_even(query.size)
-    pats = _normalize_patterns(query.forbidden)
-    h, used = _kinds._check_prefix(query.kind.value, query.size, prefix)
-    guard = _make_avoid_guard(pats, query.size)
-    if not _init_guard(guard, h):
-        return
-    for vals in _kinds._walk_iter(query.kind.value, query.size, h, used, guard):
-        yield Permutation._wrap(vals)
+    """Members of the query's set (avoiders, or exact-occurrence members),
+    lexicographically."""
+    for h in _kinds._walk(query.kind, query.size, prefix, _make_guard(query)):
+        yield Permutation._wrap(tuple(h))
 
 
 def count_avoiders(query: AvoidanceQuery, prefix: Sequence[int] = ()) -> int:
     """Cardinality of :func:`generate_avoiders` without materialising it."""
-    if query.occurrence_target is not None:
-        q = next(iter(query.forbidden))
-        return count_exact_occurrences(query.kind, query.size, q,
-                                       query.occurrence_target, prefix)
-    _kinds._require_even(query.size)
-    pats = _normalize_patterns(query.forbidden)
-    h, used = _kinds._check_prefix(query.kind.value, query.size, prefix)
-    guard = _make_avoid_guard(pats, query.size)
-    if not _init_guard(guard, h):
-        return 0
-    return _kinds._walk_count(query.kind.value, query.size, h, used, guard, None)
+    return sum(1 for _ in _kinds._walk(query.kind, query.size, prefix, _make_guard(query)))
 
 
 def count_exact_occurrences(kind: DumontKind, size: int, q: ClassicalPattern,
                             r: int, prefix: Sequence[int] = ()) -> int:
     """Members of the kind with exactly ``r`` occurrences of the pattern."""
-    if r < 0:
-        raise ValueError("occurrence count must be >= 0")
-    _kinds._require_even(size)
-    h, used = _kinds._check_prefix(kind.value, size, prefix)
-    guard = _make_exact_guard(q.perm.values, r, size)
-    for w in h:
-        if guard.rejects(w):
-            return 0
-        guard.push(w)
-    return _kinds._walk_count(kind.value, size, h, used, guard, None)
+    return count_avoiders(AvoidanceQuery(kind, size, frozenset([q]), r), prefix)
 
 
 def vincular_histogram(kind: DumontKind, size: int, forbidden: ClassicalPattern,
@@ -623,19 +463,11 @@ def vincular_histogram(kind: DumontKind, size: int, forbidden: ClassicalPattern,
     Returns {k: number of members of the kind avoiding ``forbidden`` whose
     occurrence count of ``stat`` equals k}.
     """
-    _kinds._require_even(size)
-    pats = (forbidden.perm.values,)
-    h, used = _kinds._check_prefix(kind.value, size, prefix)
-    guard = _make_avoid_guard(pats, size)
-    if not _init_guard(guard, h):
-        return {}
+    guard = _make_guard(AvoidanceQuery(kind, size, frozenset([forbidden])))
     svals = stat.perm.values
-    sruns = stat.runs()
+    sadj = stat.adjacent
     hist: dict[int, int] = {}
-
-    def on_leaf(full: list[int]) -> None:
-        k = _count_vincular(full, svals, sruns)
+    for h in _kinds._walk(kind, size, prefix, guard):
+        k = _count(h, svals, sadj)
         hist[k] = hist.get(k, 0) + 1
-
-    _kinds._walk_count(kind.value, size, h, used, guard, on_leaf)
     return hist

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -63,6 +64,27 @@ def test_avoid_exactly():
     payload = json.loads(out)
     assert payload["count"] == 7
     assert payload["exactly"] == 1
+
+
+def test_avoid_exactly_list_comes_from_the_pruned_walk():
+    # Only the identity has no inversion; a filter over all 28,820,619
+    # members of size 16 would not finish in time.
+    t0 = time.perf_counter()
+    code, out = run_cli("avoid", "--kind", "4", "--size", "16", "--pattern", "21",
+                        "--exactly", "0", "--list")
+    assert time.perf_counter() - t0 < 10
+    assert code == 0
+    assert out == ",".join(str(v) for v in range(1, 17)) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["avoid", "--kind", "1", "--size", "4", "--pattern", "12,21", "--exactly", "1"],
+    ["avoid", "--kind", "1", "--size", "4", "--pattern", ","],
+    ["series", "--id", "genocchi", "--cross-check"],
+])
+def test_bad_input_exits_2(argv):
+    code, _ = run_cli(*argv)
+    assert code == 2
 
 
 def test_map_subcommands():

@@ -41,8 +41,11 @@ def test_envelope_guard():
     big = Permutation(list(range(1, 26)))
     with pytest.raises(ValueError, match="envelope"):
         count_occurrences(big, cp("123"))
+    with pytest.raises(ValueError, match="envelope"):
+        avoids(big, cp("123"))
     # Short patterns stay allowed on long hosts.
     assert count_occurrences(big, cp("12")) == 25 * 24 // 2
+    assert not avoids(big, cp("12"))
 
 
 def test_vincular_parse_and_str():
@@ -217,9 +220,11 @@ def test_count_exact_occurrences_examples(small_dumont_sets):
 def test_exact_count_matches_filtering(kind, pattern, r, small_dumont_sets):
     pat = tuple(int(c) for c in pattern)
     for size in (0, 2, 4, 6, 8):
-        expected = sum(1 for vals in small_dumont_sets[(kind.value, size)]
-                       if naive_count(vals, pat) == r)
-        assert count_exact_occurrences(kind, size, cp(pattern), r) == expected
+        expected = [vals for vals in small_dumont_sets[(kind.value, size)]
+                    if naive_count(vals, pat) == r]
+        assert count_exact_occurrences(kind, size, cp(pattern), r) == len(expected)
+        listed = generate_avoiders(AvoidanceQuery(kind, size, frozenset({cp(pattern)}), r))
+        assert [p.values for p in listed] == expected
 
 
 def test_exact_count_rejects_negative_target():
