@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -393,26 +394,45 @@ class DistributionTable:
 
 def _workers_from_env(explicit: Optional[int]) -> int:
     env = os.environ.get("DUMONT_THREADS")
-    cap = int(env) if env else None
+    try:
+        cap = int(env) if env else None
+    except ValueError:
+        raise ValueError(f"DUMONT_THREADS must be a positive integer, got {env!r}") from None
     if explicit is None:
         return max(1, cap) if cap else 1
     return max(1, explicit if cap is None else min(explicit, cap))
 
 
 class _Checkpoint:
-    """Append-only shard journal: '<tag>\\t<json payload>' per completed shard."""
+    """Append-only shard journal: '<tag>\\t<json payload>' per completed shard.
+
+    A crash mid-append leaves a torn last line; it is dropped (and cut from
+    the file, so the next record starts on a line of its own) with a warning
+    on stderr.  A malformed line anywhere else raises ``ValueError``.
+    """
 
     def __init__(self, path: Optional[str]):
         self.path = path
         self.done: dict[str, object] = {}
         if path and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.rstrip("\n")
-                    if not line or line.startswith("#"):
-                        continue
-                    tag, payload = line.split("\t", 1)
-                    self.done[tag] = json.loads(payload)
+            with open(path, "rb") as fh:
+                lines = fh.read().split(b"\n")
+            good = 0  # bytes up to the end of the last parsed line
+            for number, raw in enumerate(lines, start=1):
+                line = raw.decode("utf-8", errors="replace")
+                if line and not line.startswith("#"):
+                    try:
+                        tag, payload = line.split("\t", 1)
+                        self.done[tag] = json.loads(payload)
+                    except ValueError as exc:
+                        if any(lines[number:]):
+                            raise ValueError(f"checkpoint {path}: line {number} is "
+                                             f"malformed ({exc})") from None
+                        print(f"warning: checkpoint {path}: dropped the torn last "
+                              f"line {number}", file=sys.stderr)
+                        os.truncate(path, good)
+                        break
+                good += len(raw) + 1
 
     def record(self, tag: str, payload) -> None:
         self.done[tag] = payload
@@ -441,7 +461,7 @@ def _c2_shard(args: tuple[int, tuple[int, ...]]) -> tuple[tuple[int, ...], list[
 
 
 def _run_shards(size: int, shard_fn, tag_prefix: str, checkpoint: _Checkpoint,
-                deadline: Optional[float], workers: int, depth: int = 3):
+                deadline: Optional[float], workers: int, depth: int = 1):
     """Yield (prefix, payload) for every shard, resuming and budgeting."""
     prefixes = split_prefixes(DumontKind.D1, size, depth)
     pending = []

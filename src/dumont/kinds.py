@@ -27,14 +27,26 @@ independent workers.
 Extra pruning plugs in through the :class:`Guard` protocol: ``push(w)``
 places a value or rejects it leaving the guard unchanged, ``pop()`` undoes
 the last accepted placement, and ``leaf_ok()`` accepts or drops the prefix
-where the walk stops.  :func:`generate`, :func:`count` and the pruned
-queries of :mod:`dumont.patterns` are all thin loops over the walk.
+where the walk stops.  :func:`generate`, :func:`split_prefixes` and the
+listing and exact-count queries of :mod:`dumont.patterns` are thin loops
+over the walk.
+
+Counting does not need the order of the walk, only how many leaves lie
+below each prefix, and that depends on the prefix only through a small
+state: the set of placed values, the last value (for kinds 1 and 3, whose
+rules read it) and whatever summary a pattern transition keeps.
+:func:`_count_layers` moves a dict from packed states to weights forward one
+position at a time, so prefixes with the same state are counted once; only
+two layers are ever held.  :func:`count` runs it with no transition; the
+avoider counts and vincular histograms of :mod:`dumont.patterns` plug a
+transition (and an occurrence statistic) into it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from math import factorial
+from typing import Callable, Iterator, Optional, Sequence
 
 from .permcore import Permutation
 
@@ -180,6 +192,16 @@ class Guard:
         return True
 
 
+def _check_prefix(kind_id: int, size: int, prefix: Sequence[int]) -> int:
+    """The used mask of ``prefix``; ``ValueError`` when it breaks the kind's rules."""
+    used = 0
+    for i, w in enumerate(prefix):
+        if w not in _candidates(kind_id, i + 1, size, prefix[i - 1] if i else 0, used):
+            raise ValueError(f"prefix {list(prefix)} is not feasible at position {i + 1}")
+        used |= 1 << w
+    return used
+
+
 def _walk(kind: DumontKind, size: int, prefix: Sequence[int] = (),
           guard: Optional[Guard] = None,
           depth: Optional[int] = None) -> Iterator[list[int]]:
@@ -194,14 +216,8 @@ def _walk(kind: DumontKind, size: int, prefix: Sequence[int] = (),
     _require_even(size)
     kind_id = kind.value
     stop = size if depth is None else min(depth, size)
-    h: list[int] = []
-    used = 0
-    for w in prefix:
-        pos = len(h) + 1
-        if w not in _candidates(kind_id, pos, size, h[-1] if h else 0, used):
-            raise ValueError(f"prefix {list(prefix)} is not feasible at position {pos}")
-        h.append(w)
-        used |= 1 << w
+    h = list(prefix)
+    used = _check_prefix(kind_id, size, h)
     if guard is not None and not all(map(guard.push, h)):
         return
     if len(h) >= stop:
@@ -250,7 +266,81 @@ def generate(kind: DumontKind, size: int,
 
 def count(kind: DumontKind, size: int) -> int:
     """Number of Dumont permutations of the kind and size (a Genocchi number)."""
-    return sum(1 for _ in _walk(kind, size))
+    return _count_layers(kind, size)
+
+
+# A transition ``step(state, w, used) -> state | None`` summarises a prefix
+# in a small non-negative int and rejects (None) a placement that the
+# summary rules out; ``used`` is the mask of the values placed before w.
+# An occurrence statistic ``add(used, prev, w) -> int`` gives the number of
+# occurrences that placing w right after prev adds to the final count.
+Step = Callable[[int, int, int], Optional[int]]
+Stat = Callable[[int, int, int], int]
+
+
+def _coefficient_bits(size: int) -> int:
+    """Bits per coefficient of a histogram packed into one int by
+    :func:`_count_layers`: no count over a set of size ``size`` reaches
+    ``2 ** _coefficient_bits(size)``."""
+    return factorial(size).bit_length()
+
+
+def _count_layers(kind: DumontKind, size: int, prefix: Sequence[int] = (),
+                  step: Optional[Step] = None, state: int = 0,
+                  stat: Optional[Stat] = None) -> int:
+    """Count the members that extend ``prefix`` by a layered forward DP.
+
+    Without ``stat`` the result is the number of members whose prefixes
+    ``step`` accepts throughout.  With ``stat`` it is their histogram,
+    packed: the number of members with k occurrences sits at bits
+    ``_coefficient_bits(size) * k``, so adding two histograms is ``+`` and
+    adding a occurrences to all of one is a shift.  ``state`` is the summary
+    of the empty prefix.  The prefix is checked as in :func:`_walk`.
+    """
+    _require_even(size)
+    kind_id = kind.value
+    _check_prefix(kind_id, size, prefix)
+    width = _coefficient_bits(size)
+    weight = 1
+    prev = used = 0
+    for w in prefix:
+        if step is not None:
+            state = step(state, w, used)
+            if state is None:
+                return 0
+        if stat is not None:
+            weight <<= width * stat(used, prev, w)
+        prev = w
+        used |= 1 << w
+    # Key layout: used mask in bits 0..size, the last value above it (kept
+    # only when the kind's rules or the statistic read it), then the state.
+    keep_prev = kind_id in (1, 3) or stat is not None
+    p_shift = size + 1
+    s_shift = p_shift + size.bit_length()
+    used_mask = (1 << p_shift) - 1
+    prev_mask = (1 << size.bit_length()) - 1
+    layer = {used | (prev << p_shift if keep_prev else 0) | state << s_shift: weight}
+    for pos in range(len(prefix) + 1, size + 1):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, weight in layer.items():
+            used = key & used_mask
+            prev = key >> p_shift & prev_mask
+            state = key >> s_shift
+            for w in _candidates(kind_id, pos, size, prev, used):
+                if step is None:
+                    new = 0
+                else:
+                    new = step(state, w, used)
+                    if new is None:
+                        continue
+                out = weight
+                if stat is not None:
+                    out <<= width * stat(used, prev, w)
+                k = used | 1 << w | (w << p_shift if keep_prev else 0) | new << s_shift
+                nxt[k] = get(k, 0) + out
+        layer = nxt
+    return sum(layer.values())
 
 
 def split_prefixes(kind: DumontKind, size: int, depth: int) -> list[tuple[int, ...]]:

@@ -15,9 +15,19 @@ Pruned generation runs the single walk of :mod:`dumont.kinds` with a guard
 built from an :class:`AvoidanceQuery`: a partial placement is rejected as
 soon as the placed prefix contains a forbidden pattern (or, in
 exact-occurrence mode, as soon as the occurrence count overshoots the
-target).  The generic guards call the matcher anchored at the new value;
-constant-time detectors for 2143 and 3421 (avoidance) and 321 (exact count)
-cover the hot enumerations.
+target).  The generic guards call the matcher anchored at the new value; a
+constant-time detector covers 321 in exact-count mode.
+
+Avoiding 2143 alone or 3421 alone is decided by a transition
+``step(state, w, used) -> state | None`` on a small int summary of the
+prefix.  :func:`count_avoiders` feeds the transition to the layered DP of
+:mod:`dumont.kinds`, which counts each summary once instead of each leaf,
+and so does :func:`vincular_histogram` when the statistic has length 3 and
+one adjacency (``2-31``, ``13-2``, ...): the occurrences that placing w
+adds then depend only on the used values, the previous value and w.  The
+walk runs the same transition through a stack of states.  Every other
+query, all listing and every exact-occurrence count walk the leaves, and
+the walk is the oracle the DP is tested against.
 """
 
 from __future__ import annotations
@@ -260,92 +270,86 @@ class _AvoidGuard(Guard):
         self.h.pop()
 
 
-def _lsb_index(x: int) -> int:
-    return (x & -x).bit_length() - 1
+class _StepGuard(Guard):
+    """The walk's view of a transition: a stack of states, one per placement."""
 
+    __slots__ = ("step", "states", "used")
 
-class _Fast2143Guard(Guard):
-    """Constant-time detector for new 2143 occurrences.
+    def __init__(self, step: _kinds.Step, state: int):
+        self.step = step
+        self.states = [state]
+        self.used = [0]
 
-    Appending w completes 2143 exactly when some earlier position j carries a
-    value above w with an inversion whose top is below w lying entirely
-    before j.  The guard tracks, per prefix length, the minimum inversion top
-    seen so far (``imt``) and, per value v, the last position holding
-    something larger than v (``lpg``); larger j can only improve the
-    inversion side, so checking the last qualifying position suffices.
-    """
-
-    __slots__ = ("size", "placed", "m", "imt", "lpg", "undo")
-
-    def __init__(self, size: int):
-        self.size = size
-        self.placed = 0
-        self.m = 0
-        self.imt: list[int] = []
-        self.lpg = [-1] * (size + 1)
-        self.undo: list[tuple[int, tuple[int, ...]]] = []
-
-    def push(self, u: int) -> bool:
-        lpg = self.lpg
-        j = lpg[u]
-        if j >= 1 and self.imt[j - 1] < u:
+    def push(self, w: int) -> bool:
+        used = self.used[-1]
+        state = self.step(self.states[-1], w, used)
+        if state is None:
             return False
-        above = self.placed >> (u + 1)
-        top = u + 1 + _lsb_index(above) if above else _INF
-        prev = self.imt[-1] if self.imt else _INF
-        self.imt.append(top if top < prev else prev)
-        self.undo.append((u, tuple(lpg[1:u])))
-        for v in range(1, u):
-            lpg[v] = self.m
-        self.placed |= 1 << u
-        self.m += 1
+        self.states.append(state)
+        self.used.append(used | 1 << w)
         return True
 
     def pop(self) -> None:
-        u, old = self.undo.pop()
-        self.lpg[1:u] = old
-        self.placed &= ~(1 << u)
-        self.imt.pop()
-        self.m -= 1
+        self.states.pop()
+        self.used.pop()
 
 
-class _Fast3421Guard(Guard):
-    """Constant-time detector for new 3421 occurrences.
+def _avoid_2143(size: int) -> tuple[_kinds.Step, int]:
+    """Transition that rejects the value completing a 2143.
+
+    Appending u completes 2143 exactly when an earlier value c > u follows an
+    inversion whose top lies below u.  So placing c forbids every unused
+    value strictly between c and the minimum inversion top seen before c,
+    and the state is that minimum top (``size + 1`` while there is no
+    inversion) beside the mask of the forbidden unused values.
+    """
+    shift = size + 1
+    mask = (1 << shift) - 1
+
+    def step(state: int, u: int, used: int) -> Optional[int]:
+        if state >> u & 1:
+            return None
+        forbid = state & mask
+        top = state >> shift
+        if top < u - 1:
+            forbid |= ((1 << u) - (2 << top)) & ~used
+        above = used >> (u + 1)
+        if above:
+            # The smallest placed value above u tops a new inversion.
+            low = u + (above & -above).bit_length()
+            if low < top:
+                top = low
+        return forbid | top << shift
+
+    return step, (size + 1) << shift
+
+
+def _avoid_3421(size: int) -> tuple[_kinds.Step, int]:
+    """Transition that rejects the value completing a 3421.
 
     The new element plays the final 1, so a completion needs an earlier 342
-    (pattern 231) whose smallest value is above w.  ``mv3`` is the maximum,
-    over 231 occurrences in the prefix, of that smallest value; ``bpl`` the
-    maximum over ascending pairs of the lower value, which is what a new 231
-    occurrence needs above its own bottom.
+    (pattern 231) whose smallest value is above it.  The state holds
+    ``mv3``, the maximum of that smallest value over the 231 occurrences so
+    far, and ``bpl``, the maximum lower value of an ascending pair, which is
+    what a new 231 occurrence needs above its own bottom.
     """
+    shift = size.bit_length()
+    mask = (1 << shift) - 1
 
-    __slots__ = ("placed", "vals", "bpl", "mv3")
-
-    def __init__(self, size: int):
-        self.placed = 0
-        self.vals: list[int] = []
-        self.bpl = [0]
-        self.mv3 = [0]
-
-    def push(self, u: int) -> bool:
-        mv3 = self.mv3[-1]
+    def step(state: int, u: int, used: int) -> Optional[int]:
+        mv3 = state & mask
         if mv3 > u:
-            return False
-        below = self.placed & ((1 << u) - 1)
-        pred = below.bit_length() - 1 if below else 0
-        bpl = self.bpl[-1]
+            return None
+        bpl = state >> shift
         if bpl > u:
             mv3 = u
-        self.mv3.append(mv3)
-        self.bpl.append(pred if pred > bpl else bpl)
-        self.vals.append(u)
-        self.placed |= 1 << u
-        return True
+        # The largest placed value below u is the lower end of a new ascent.
+        pred = (used & ((1 << u) - 1)).bit_length() - 1
+        if pred > bpl:
+            bpl = pred
+        return mv3 | bpl << shift
 
-    def pop(self) -> None:
-        self.bpl.pop()
-        self.mv3.pop()
-        self.placed &= ~(1 << self.vals.pop())
+    return step, 0
 
 
 class _ExactCountGuard(Guard):
@@ -414,10 +418,19 @@ class _Exact321Guard(Guard):
         return self.count == self.target
 
 
-_FAST_AVOID = {
-    (2, 1, 4, 3): _Fast2143Guard,
-    (3, 4, 2, 1): _Fast3421Guard,
+_TRANSITIONS = {
+    (2, 1, 4, 3): _avoid_2143,
+    (3, 4, 2, 1): _avoid_3421,
 }
+
+
+def _transition(query: AvoidanceQuery) -> Optional[tuple[_kinds.Step, int]]:
+    """(step, initial state) when the query's set is cut by a transition."""
+    if query.occurrence_target is not None or len(query.forbidden) != 1:
+        return None
+    (q,) = query.forbidden
+    make = _TRANSITIONS.get(q.perm.values)
+    return make(query.size) if make is not None else None
 
 
 def _make_guard(query: AvoidanceQuery) -> Guard:
@@ -427,9 +440,39 @@ def _make_guard(query: AvoidanceQuery) -> Guard:
         if pats[0] == (3, 2, 1):
             return _Exact321Guard(query.size, target)
         return _ExactCountGuard(pats[0], target)
-    if len(pats) == 1 and pats[0] in _FAST_AVOID:
-        return _FAST_AVOID[pats[0]](query.size)
+    transition = _transition(query)
+    if transition is not None:
+        return _StepGuard(*transition)
     return _AvoidGuard(pats)
+
+
+def _vincular_stat(stat: VincularPattern, size: int) -> Optional[_kinds.Stat]:
+    """``add(used, prev, w)`` for a length-3 statistic with one adjacency.
+
+    The adjacent pair is (prev, w).  For ``x-yz`` the free letter comes
+    earlier, so placing w completes one occurrence per placed value in the
+    free letter's range; for ``xy-z`` it comes later, and every unused value
+    in its range will complete one, so they are all counted when the pair
+    forms.  Other statistics return None.
+    """
+    if len(stat.perm) != 3 or len(stat.adjacent) != 1:
+        return None
+    a, b, c = stat.perm.values
+    if 2 in stat.adjacent:
+        free, x, y, flip = a, b, c, 0  # pool: the placed values
+    else:
+        free, x, y, flip = c, a, b, -1  # pool: the unused values (~used)
+    ascent = x < y
+    rank = (free > x) + (free > y)  # 0 below the pair, 1 between, 2 above
+    top = size + 1
+
+    def add(used: int, prev: int, w: int) -> int:
+        if not prev or (prev < w) != ascent:
+            return 0
+        bounds = (0, prev, w, top) if prev < w else (0, w, prev, top)
+        return ((used ^ flip) & ((1 << bounds[rank + 1]) - (2 << bounds[rank]))).bit_count()
+
+    return add
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +489,9 @@ def generate_avoiders(query: AvoidanceQuery,
 
 def count_avoiders(query: AvoidanceQuery, prefix: Sequence[int] = ()) -> int:
     """Cardinality of :func:`generate_avoiders` without materialising it."""
+    transition = _transition(query)
+    if transition is not None:
+        return _kinds._count_layers(query.kind, query.size, prefix, *transition)
     return sum(1 for _ in _kinds._walk(query.kind, query.size, prefix, _make_guard(query)))
 
 
@@ -463,7 +509,22 @@ def vincular_histogram(kind: DumontKind, size: int, forbidden: ClassicalPattern,
     Returns {k: number of members of the kind avoiding ``forbidden`` whose
     occurrence count of ``stat`` equals k}.
     """
-    guard = _make_guard(AvoidanceQuery(kind, size, frozenset([forbidden])))
+    query = AvoidanceQuery(kind, size, frozenset([forbidden]))
+    transition = _transition(query)
+    add = _vincular_stat(stat, size)
+    if transition is not None and add is not None:
+        packed = _kinds._count_layers(kind, size, prefix, *transition, add)
+        width = _kinds._coefficient_bits(size)
+        coeff = (1 << width) - 1
+        out: dict[int, int] = {}
+        k = 0
+        while packed:
+            if packed & coeff:
+                out[k] = packed & coeff
+            packed >>= width
+            k += 1
+        return out
+    guard = _make_guard(query)
     svals = stat.perm.values
     sadj = stat.adjacent
     hist: dict[int, int] = {}

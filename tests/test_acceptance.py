@@ -88,6 +88,18 @@ def test_criterion_2_slow_n8():
     assert elapsed < 3600
 
 
+@pytest.mark.skipif(not SLOW, reason="opt-in: set DUMONT_SLOW=1")
+def test_criterion_2_slow_n9():
+    t0 = time.perf_counter()
+    rows = conjecture1_counts(9)
+    expected = golden.d1_wilf_pair_counts()[:10]
+    ok = [r.count_2143 for r in rows] == [r.count_3421 for r in rows] == expected
+    elapsed = time.perf_counter() - t0
+    report(2, ok, f"n<=9 gives {expected}", elapsed)
+    assert [r.count_2143 for r in rows] == expected
+    assert [r.count_3421 for r in rows] == expected
+
+
 def test_criterion_3_distribution_tables():
     t0 = time.perf_counter()
     ok = True

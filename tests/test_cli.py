@@ -184,6 +184,19 @@ def test_conjecture_1():
                                   "reference": 7, "match": True}
 
 
+def test_conjecture_1_count_off_its_reference_exits_1(tmp_path):
+    journal = tmp_path / "c1"
+    code, _ = run_cli("conjecture", "--which", "1", "--n", "3", "--checkpoint", str(journal))
+    assert code == 0
+    text = journal.read_text()
+    assert "c1|n=3|6\t[2, 2]\n" in text
+    journal.write_text(text.replace("c1|n=3|6\t[2, 2]", "c1|n=3|6\t[1001, 1001]"))
+    code, out = run_cli("conjecture", "--which", "1", "--n", "3", "--checkpoint", str(journal))
+    assert code == 1
+    assert "3 1006 1006 7" in out
+    assert "verdict: equinumerous" in out  # reported, not asserted
+
+
 def test_conjecture_2():
     code, out = run_cli("conjecture", "--which", "2", "--n", "3",
                         "--format", "json")

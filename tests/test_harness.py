@@ -105,6 +105,34 @@ def test_checkpoint_resume(tmp_path):
     assert open(path).read() == before
 
 
+def test_torn_last_journal_line_is_dropped(tmp_path, capsys):
+    path = tmp_path / "c1.ckpt"
+    rows = conjecture1_counts(3, checkpoint_path=str(path))
+    whole = path.read_text()
+    last = whole.splitlines()[-1]
+    path.write_text(whole[:-len(last) // 2 - 1])  # a crash halfway through the last append
+    assert conjecture1_counts(3, checkpoint_path=str(path)) == rows
+    assert "dropped the torn last line" in capsys.readouterr().err
+    # The shard is recomputed and journaled again on a line of its own.
+    assert path.read_text() == whole
+
+
+def test_malformed_journal_line_is_refused(tmp_path):
+    path = tmp_path / "c1.ckpt"
+    conjecture1_counts(3, checkpoint_path=str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:-5] + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=rf"{path.name}: line 2 is malformed"):
+        conjecture1_counts(3, checkpoint_path=str(path))
+
+
+def test_malformed_thread_count_is_refused(monkeypatch):
+    monkeypatch.setenv("DUMONT_THREADS", "two")
+    with pytest.raises(ValueError, match="DUMONT_THREADS must be a positive integer"):
+        conjecture1_counts(2)
+
+
 def test_budget_exceeded_raises_and_resumes(tmp_path):
     path = str(tmp_path / "c1budget.ckpt")
     with pytest.raises(BudgetExceeded):

@@ -60,8 +60,10 @@ def test_lexicographic_emission_order(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_counts_equal_genocchi(kind):
-    for n in range(6):
+    for n in range(9):
         assert count(kind, 2 * n) == genocchi(n + 1)
+    for n in range(6):
+        assert sum(1 for _ in generate(kind, 2 * n)) == genocchi(n + 1)
 
 
 def test_count_d1_6_is_17():

@@ -1,16 +1,23 @@
-"""Property tests for the shared walk, the single matcher and the guards.
+"""Property tests for the shared walk, the layered DP, the single matcher
+and the guards.
 
 Each property compares the package against the brute-force oracles in
-``conftest`` (or against the unsplit walk) on random small inputs.
+``conftest`` (or against the unsplit walk, or the DP against the walk) on
+random small inputs.
 """
 
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_count, naive_count_vincular
 from dumont.kinds import DumontKind, generate, split_prefixes
-from dumont.patterns import (_INF, _AvoidGuard, _count, _Exact321Guard,
-                             _ExactCountGuard, _Fast2143Guard, _Fast3421Guard)
+from dumont.patterns import (_INF, AvoidanceQuery, ClassicalPattern, VincularPattern,
+                             _count, _make_guard, count_avoiders, count_vincular,
+                             generate_avoiders, vincular_histogram)
+from dumont.permcore import Permutation
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -47,20 +54,25 @@ def guard_cases(draw):
     size = draw(st.integers(0, 10))
     target = draw(st.integers(0, 3))
     which = draw(st.sampled_from(["avoid", "2143", "3421", "exact", "321"]))
+
+    def guard_for(pats, target=None):
+        return _make_guard(AvoidanceQuery(
+            DumontKind.D1, size, frozenset(ClassicalPattern(Permutation(p)) for p in pats),
+            target))
+
     if which == "avoid":
         pats = tuple(sorted({tuple(draw(perms(1, 4))) for _ in range(draw(st.integers(1, 2)))}))
-        guard = _AvoidGuard(pats)
+        guard = guard_for(pats)
         rejects = lambda h: any(naive_count(h, p) for p in pats)  # noqa: E731
         leaf = None
     elif which in ("2143", "3421"):
         pat = tuple(int(c) for c in which)
-        guard = (_Fast2143Guard if which == "2143" else _Fast3421Guard)(size)
+        guard = guard_for([pat])
         rejects = lambda h: naive_count(h, pat) > 0  # noqa: E731
         leaf = None
     else:
         pat = (3, 2, 1) if which == "321" else tuple(draw(perms(1, 4)))
-        guard = _Exact321Guard(size, target) if which == "321" \
-            else _ExactCountGuard(pat, target)
+        guard = guard_for([pat], target)
         rejects = lambda h: naive_count(h, pat) > target  # noqa: E731
         leaf = lambda h: naive_count(h, pat) == target  # noqa: E731
     values = draw(st.permutations(range(1, size + 1)))
@@ -95,3 +107,50 @@ def test_split_prefixes_partition_generate(kind, size, depth):
         assert len(prefix) == min(depth, size)
         merged.extend(p.values for p in generate(kind, size, prefix=prefix))
     assert merged == whole
+
+
+DP_PATTERNS = {"2143": VincularPattern.parse("2-31"), "3421": VincularPattern.parse("13-2")}
+# Every length-3 statistic with one adjacency has a DP form.
+DP_STATS = [VincularPattern.parse(f"{a}-{b}{c}" if split else f"{a}{b}-{c}")
+            for a, b, c in ("123", "132", "213", "231", "312", "321") for split in (0, 1)]
+
+
+@st.composite
+def dp_cases(draw):
+    """A kind, a size, one of the DP patterns, a statistic and a feasible prefix."""
+    kind = draw(st.sampled_from(list(DumontKind)))
+    size = draw(st.sampled_from([0, 2, 4, 6, 8, 10]))
+    pat = draw(st.sampled_from(sorted(DP_PATTERNS)))
+    stat = draw(st.sampled_from(DP_STATS))
+    prefixes = split_prefixes(kind, size, draw(st.integers(0, size)))
+    return kind, size, pat, stat, draw(st.sampled_from(prefixes))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=dp_cases())
+def test_dp_agrees_with_the_walk(case):
+    kind, size, pat, extra, prefix = case
+    forbidden = ClassicalPattern.parse(pat)
+    query = AvoidanceQuery(kind, size, frozenset([forbidden]))
+    members = list(generate_avoiders(query, prefix))
+    assert count_avoiders(query, prefix) == len(members)
+    for stat in [*DP_PATTERNS.values(), extra]:
+        walked = Counter(count_vincular(p, stat) for p in members)
+        assert vincular_histogram(kind, size, forbidden, stat, prefix) == dict(walked)
+    if naive_count(prefix, forbidden.perm.values):
+        assert members == []  # the guard rejects the prefix: 0 and {} above
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(list(DumontKind)), size=st.sampled_from([2, 4, 6, 8]),
+       pat=st.sampled_from(sorted(DP_PATTERNS)), data=st.data())
+def test_dp_rejects_an_infeasible_prefix(kind, size, pat, data):
+    prefix = tuple(data.draw(st.permutations(range(1, size + 1)))[:data.draw(
+        st.integers(1, size))])
+    if prefix in split_prefixes(kind, size, len(prefix)):
+        return
+    forbidden = ClassicalPattern.parse(pat)
+    with pytest.raises(ValueError, match="not feasible"):
+        count_avoiders(AvoidanceQuery(kind, size, frozenset([forbidden])), prefix)
+    with pytest.raises(ValueError, match="not feasible"):
+        vincular_histogram(kind, size, forbidden, DP_PATTERNS[pat], prefix)
