@@ -212,7 +212,12 @@ def _cmd_conjecture(args, out) -> int:
                         enumerate(zip(table.a_row, table.b_row,
                                       table.pointwise_relation()))], out)
             out.write(f"verdict: {json.dumps(verdict, sort_keys=True)}\n")
-        return 0
+        # As for conjecture 1: the verdict is reported, a table off the
+        # vendored data fails.
+        mismatches = harness.distribution_mismatches(table)
+        for reason in mismatches:
+            print(f"mismatch: {reason}", file=sys.stderr)
+        return 1 if mismatches else 0
     except harness.BudgetExceeded:
         out.write("budget exhausted; rerun with the same --checkpoint to resume\n")
         return 3

@@ -392,6 +392,22 @@ class DistributionTable:
         }
 
 
+def distribution_mismatches(table: DistributionTable) -> list[str]:
+    """Why the table disagrees with the vendored data ([] when it agrees):
+    each row must sum to the avoider count of ``d1_wilf_pair`` and, where
+    ``vincular_distributions`` has the n, equal its row."""
+    out = []
+    counts = golden.d1_wilf_pair_counts()
+    tables = golden.vincular_distribution_sizes()
+    for name, row in (("a", table.a_row), ("b", table.b_row)):
+        if table.n < len(counts) and sum(row) != counts[table.n]:
+            out.append(f"row {name} at n={table.n} sums to {sum(row)}, but "
+                       f"d1_wilf_pair gives {counts[table.n]} avoiders")
+        if table.n in tables and list(row) != golden.vincular_distribution(table.n)[name]:
+            out.append(f"row {name} at n={table.n} differs from vincular_distributions")
+    return out
+
+
 def _workers_from_env(explicit: Optional[int]) -> int:
     env = os.environ.get("DUMONT_THREADS")
     try:
@@ -403,36 +419,60 @@ def _workers_from_env(explicit: Optional[int]) -> int:
     return max(1, explicit if cap is None else min(explicit, cap))
 
 
-class _Checkpoint:
-    """Append-only shard journal: '<tag>\\t<json payload>' per completed shard.
+_JOURNAL_SCHEMA = 1  # raise when the journal's lines change meaning
+_SHARD_DEPTH = 1  # one shard per first value
 
+
+class _Checkpoint:
+    """Append-only shard journal: a header line, then '<tag>\\t<json payload>'
+    per completed shard.
+
+    The header ``# dumont-journal schema=S experiment=E shard-depth=D`` is
+    written when the journal is created; a non-empty journal whose first
+    line differs (another experiment, another sharding, another version)
+    raises ``ValueError`` rather than being mixed with this run's shards.
     A crash mid-append leaves a torn last line; it is dropped (and cut from
     the file, so the next record starts on a line of its own) with a warning
     on stderr.  A malformed line anywhere else raises ``ValueError``.
     """
 
-    def __init__(self, path: Optional[str]):
+    def __init__(self, path: Optional[str], experiment: str):
         self.path = path
         self.done: dict[str, object] = {}
-        if path and os.path.exists(path):
+        if not path:
+            return
+        header = (f"# dumont-journal schema={_JOURNAL_SCHEMA} experiment={experiment} "
+                  f"shard-depth={_SHARD_DEPTH}")
+        lines = [b""]
+        if os.path.exists(path):
             with open(path, "rb") as fh:
                 lines = fh.read().split(b"\n")
-            good = 0  # bytes up to the end of the last parsed line
-            for number, raw in enumerate(lines, start=1):
-                line = raw.decode("utf-8", errors="replace")
-                if line and not line.startswith("#"):
-                    try:
-                        tag, payload = line.split("\t", 1)
-                        self.done[tag] = json.loads(payload)
-                    except ValueError as exc:
-                        if any(lines[number:]):
-                            raise ValueError(f"checkpoint {path}: line {number} is "
-                                             f"malformed ({exc})") from None
-                        print(f"warning: checkpoint {path}: dropped the torn last "
-                              f"line {number}", file=sys.stderr)
-                        os.truncate(path, good)
-                        break
-                good += len(raw) + 1
+        if not any(lines):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(header + "\n")
+            return
+        first = lines[0].decode("utf-8", errors="replace")
+        if first != header:
+            found = (f"its header is {first!r}" if first.startswith("# dumont-journal")
+                     else "it has no dumont-journal header")
+            raise ValueError(f"checkpoint {path}: {found}, this run writes {header!r}; "
+                             f"pass another --checkpoint path")
+        good = len(lines[0]) + 1  # bytes up to the end of the last parsed line
+        for number, raw in enumerate(lines[1:], start=2):
+            line = raw.decode("utf-8", errors="replace")
+            if line:
+                try:
+                    tag, payload = line.split("\t", 1)
+                    self.done[tag] = json.loads(payload)
+                except ValueError as exc:
+                    if any(lines[number:]):
+                        raise ValueError(f"checkpoint {path}: line {number} is "
+                                         f"malformed ({exc})") from None
+                    print(f"warning: checkpoint {path}: dropped the torn last "
+                          f"line {number}", file=sys.stderr)
+                    os.truncate(path, good)
+                    break
+            good += len(raw) + 1
 
     def record(self, tag: str, payload) -> None:
         self.done[tag] = payload
@@ -461,9 +501,9 @@ def _c2_shard(args: tuple[int, tuple[int, ...]]) -> tuple[tuple[int, ...], list[
 
 
 def _run_shards(size: int, shard_fn, tag_prefix: str, checkpoint: _Checkpoint,
-                deadline: Optional[float], workers: int, depth: int = 1):
+                deadline: Optional[float], workers: int):
     """Yield (prefix, payload) for every shard, resuming and budgeting."""
-    prefixes = split_prefixes(DumontKind.D1, size, depth)
+    prefixes = split_prefixes(DumontKind.D1, size, _SHARD_DEPTH)
     pending = []
     for prefix in prefixes:
         tag = f"{tag_prefix}|{','.join(map(str, prefix))}"
@@ -512,7 +552,7 @@ def conjecture1_counts(n_max: int, budget: Optional[float] = None,
     """Counts of Dumont-1 avoiders of 2143 and of 3421 for n = 0..n_max."""
     deadline = time.monotonic() + budget if budget is not None else None
     nworkers = _workers_from_env(workers)
-    checkpoint = _Checkpoint(checkpoint_path)
+    checkpoint = _Checkpoint(checkpoint_path, "c1")
     reference = golden.d1_wilf_pair_counts()
     rows = []
     for n in range(n_max + 1):
@@ -533,7 +573,7 @@ def conjecture2_distribution(n: int, budget: Optional[float] = None,
     """Joint distribution tables of the two vincular statistics at one n."""
     deadline = time.monotonic() + budget if budget is not None else None
     nworkers = _workers_from_env(workers)
-    checkpoint = _Checkpoint(checkpoint_path)
+    checkpoint = _Checkpoint(checkpoint_path, "c2")
     width = (n * (n - 1)) // 2 + 1  # k ranges over 0..C(n,2)
     hist_a: dict[int, int] = {}
     hist_b: dict[int, int] = {}

@@ -37,9 +37,10 @@ state: the set of placed values, the last value (for kinds 1 and 3, whose
 rules read it) and whatever summary a pattern transition keeps.
 :func:`_count_layers` moves a dict from packed states to weights forward one
 position at a time, so prefixes with the same state are counted once; only
-two layers are ever held.  :func:`count` runs it with no transition; the
-avoider counts and vincular histograms of :mod:`dumont.patterns` plug a
-transition (and an occurrence statistic) into it.
+two layers are ever held.  :func:`count` runs it with no transition; every
+plain avoider count and the vincular histograms of :mod:`dumont.patterns`
+plug a pattern transition (and an occurrence statistic) into it, so only
+listing and exact-occurrence counts walk the leaves.
 """
 
 from __future__ import annotations

@@ -18,16 +18,19 @@ exact-occurrence mode, as soon as the occurrence count overshoots the
 target).  The generic guards call the matcher anchored at the new value; a
 constant-time detector covers 321 in exact-count mode.
 
-Avoiding 2143 alone or 3421 alone is decided by a transition
-``step(state, w, used) -> state | None`` on a small int summary of the
-prefix.  :func:`count_avoiders` feeds the transition to the layered DP of
-:mod:`dumont.kinds`, which counts each summary once instead of each leaf,
-and so does :func:`vincular_histogram` when the statistic has length 3 and
-one adjacency (``2-31``, ``13-2``, ...): the occurrences that placing w
-adds then depend only on the used values, the previous value and w.  The
-walk runs the same transition through a stack of states.  Every other
-query, all listing and every exact-occurrence count walk the leaves, and
-the walk is the oracle the DP is tested against.
+Counting avoiders does not walk: a transition ``step(state, w, used) ->
+state | None`` summarises the prefix in a small int and rejects the value
+that would complete a forbidden occurrence, and :func:`count_avoiders`
+feeds it to the layered DP of :mod:`dumont.kinds`, which counts each
+summary once instead of each leaf.  Any set of classical patterns has the
+generic transition :func:`_avoid_classical`, whose state is the canonical
+set of live partial occurrences; 2143 alone and 3421 alone keep smaller,
+faster ones.  :func:`vincular_histogram` runs the same DP when the
+statistic has length 3 and one adjacency (``2-31``, ``13-2``, ...): the
+occurrences that placing w adds then depend only on the used values, the
+previous value and w.  Listing and exact-occurrence counts walk the
+leaves, and the walk with the matcher guard is the oracle the DP is tested
+against.
 """
 
 from __future__ import annotations
@@ -352,6 +355,174 @@ def _avoid_3421(size: int) -> tuple[_kinds.Step, int]:
     return step, 0
 
 
+def _avoid_classical(size: int,
+                     pats: Sequence[tuple[int, ...]]) -> tuple[_kinds.Step, int]:
+    """Transition that rejects the value completing an occurrence of any of
+    ``pats``.
+
+    The state summarises the live partial occurrences: the first j letters
+    of a pattern matched by placed values, kept as (pattern, j, the rank
+    among the unused values of each matched value).  The future tells two
+    placed values apart only by the unused values between them, so the
+    ranks are all it needs.  Sorted by value, the matched values cut the
+    unused values into j + 1 gaps, and each gap must take the remaining
+    letters whose values fall in it.  An occurrence is dead once such a gap
+    holds fewer unused values than it must take, and dominated when another
+    one of the same pattern and j has every such gap containing its own;
+    neither is kept, and a rank that bounds no such gap is set to 0.  The
+    canonical set that remains is interned as a small int.
+
+    The step depends only on the state, the rank r of w among the unused
+    values and their number m, so it is memoised on (state, r) for the
+    current m, and so is the move of each occurrence; the memos and the
+    interned states live as long as the returned step.
+    """
+    # A shape is a (pattern, j) pair with j < len(pattern).  Per shape: j,
+    # the gap the next letter falls in, the shape after placing it (None
+    # when that completes the pattern), the (gap, letters) pairs of the gaps
+    # that must take letters, and the ranks that bound none of them.
+    length: list[int] = []
+    nxt_gap: list[int] = []
+    nxt_shape: list[Optional[int]] = []
+    needs: list[list[tuple[int, int]]] = []
+    idle: list[list[int]] = []
+    empties = []
+    for pat in pats:
+        empties.append(len(length))
+        for j in range(len(pat)):
+            placed = sorted(pat[:j])
+            gaps = [0] * (j + 1)
+            for v in pat[j:]:
+                gaps[sum(u < v for u in placed)] += 1
+            length.append(j)
+            nxt_gap.append(sum(u < pat[j] for u in placed))
+            nxt_shape.append(len(length) if j + 1 < len(pat) else None)
+            needs.append([(g, c) for g, c in enumerate(gaps) if c])
+            idle.append([i for i in range(j) if not gaps[i] and not gaps[i + 1]])
+    # An occurrence packs its shape into the low ``sbits`` bits and its
+    # ranks, in increasing value order, into ``rbits`` bits each above; the
+    # empty occurrence of a pattern is its j = 0 shape alone.  A state packs
+    # its occurrences in ``cbits`` bits each, in sorted order; none is 0,
+    # since only occurrences with j >= 1 are kept and shape 0 has j = 0.
+    sbits = len(length).bit_length()
+    rbits = size.bit_length()
+    smask = (1 << sbits) - 1
+    rmask = (1 << rbits) - 1
+    cbits = sbits + rbits * max(length)
+    cmask = (1 << cbits) - 1
+    ids: dict[int, int] = {0: 0}
+    states: list[int] = [0]
+    boxes: dict[int, tuple[int, ...]] = {}
+    moves: dict[int, Optional[tuple[int, ...]]] = {}
+    memo: dict[int, int] = {}
+    m_now = -1  # the number of unused values the entries of memo and moves share
+    full = (1 << (size + 1)) - 2
+
+    def box(shape: int, ranks: list[int], m: int) -> Optional[tuple[int, ...]]:
+        """(lo, hi) of every gap that must take letters, flattened; None
+        when one of them holds too few of the m unused values."""
+        out = []
+        for g, need in needs[shape]:
+            lo = ranks[g - 1] if g else 0
+            hi = ranks[g] if g < len(ranks) else m
+            if hi - lo < need:
+                return None
+            # Boxes are compared within one m, so the top bound is moot.
+            out += (lo, hi if g < len(ranks) else size)
+        return tuple(out)
+
+    def move(code: int, r: int, m: int) -> Optional[tuple[int, ...]]:
+        """The live occurrences one occurrence leaves after placing the
+        unused value of rank r among m: itself, and its extension when the
+        value fits its next letter; None when the value completes it."""
+        shape = code & smask
+        ranks = [code >> (sbits + rbits * i) & rmask for i in range(length[shape])]
+        shifted = [x - (x > r) for x in ranks]
+        grown = [(shape, shifted)] if shifted else []
+        g = nxt_gap[shape]
+        if (not g or ranks[g - 1] <= r) and (g == len(ranks) or r < ranks[g]):
+            after = nxt_shape[shape]
+            if after is None:
+                return None
+            grown.append((after, shifted[:g] + [r] + shifted[g:]))
+        out = []
+        for new_shape, new_ranks in grown:
+            for i in idle[new_shape]:
+                new_ranks[i] = 0
+            b = box(new_shape, new_ranks, m - 1)
+            if b is not None:
+                new = new_shape
+                for i, x in enumerate(new_ranks):
+                    new |= x << (sbits + rbits * i)
+                boxes[new] = b
+                out.append(new)
+        return tuple(out)
+
+    def successor(state: int, r: int, m: int) -> int:
+        """Interned state after placing the unused value of rank r among m,
+        or -1 when that completes an occurrence."""
+        codes = list(empties)
+        packed = states[state]
+        while packed:
+            codes.append(packed & cmask)
+            packed >>= cbits
+        shapes: dict[int, set[int]] = {}
+        for code in codes:
+            key = code * size + r
+            got = moves.get(key, False)
+            if got is False:
+                got = moves[key] = move(code, r, m)
+            if got is None:
+                return -1
+            for c in got:
+                shapes.setdefault(c & smask, set()).add(c)
+        kept = []
+        for group in shapes.values():
+            if len(group) == 1:
+                kept += group
+                continue
+            for a in group:
+                ba = boxes[a]
+                for b in group:
+                    if b == a:
+                        continue
+                    bb = boxes[b]
+                    for i in range(0, len(ba), 2):
+                        if bb[i] > ba[i] or ba[i + 1] > bb[i + 1]:
+                            break
+                    else:
+                        break  # every gap of b contains a's: a is dominated
+                else:
+                    kept.append(a)
+        key = 0
+        for code in sorted(kept, reverse=True):
+            key = key << cbits | code
+        new = ids.get(key)
+        if new is None:
+            new = ids[key] = len(states)
+            states.append(key)
+        return new
+
+    def step(state: int, w: int, used: int) -> Optional[int]:
+        nonlocal m_now
+        free = ~used & full
+        m = free.bit_count()
+        if m != m_now:
+            # The DP places one position per layer, so m falls by one per
+            # layer and the entries for another m are not asked for again.
+            memo.clear()
+            moves.clear()
+            m_now = m
+        r = (free & ((1 << w) - 1)).bit_count()
+        key = state * size + r
+        new = memo.get(key)
+        if new is None:
+            new = memo[key] = successor(state, r, m)
+        return new if new >= 0 else None
+
+    return step, 0
+
+
 class _ExactCountGuard(Guard):
     """Track the total occurrence count of one pattern; prune past target."""
 
@@ -424,13 +595,12 @@ _TRANSITIONS = {
 }
 
 
-def _transition(query: AvoidanceQuery) -> Optional[tuple[_kinds.Step, int]]:
-    """(step, initial state) when the query's set is cut by a transition."""
-    if query.occurrence_target is not None or len(query.forbidden) != 1:
-        return None
-    (q,) = query.forbidden
-    make = _TRANSITIONS.get(q.perm.values)
-    return make(query.size) if make is not None else None
+def _transition(query: AvoidanceQuery) -> tuple[_kinds.Step, int]:
+    """(step, initial state) of a plain-mode query: the fast transition of
+    2143 or 3421 alone, else the generic one."""
+    pats = sorted(q.perm.values for q in query.forbidden)
+    make = _TRANSITIONS.get(pats[0]) if len(pats) == 1 else None
+    return make(query.size) if make is not None else _avoid_classical(query.size, pats)
 
 
 def _make_guard(query: AvoidanceQuery) -> Guard:
@@ -440,9 +610,8 @@ def _make_guard(query: AvoidanceQuery) -> Guard:
         if pats[0] == (3, 2, 1):
             return _Exact321Guard(query.size, target)
         return _ExactCountGuard(pats[0], target)
-    transition = _transition(query)
-    if transition is not None:
-        return _StepGuard(*transition)
+    if len(pats) == 1 and pats[0] in _TRANSITIONS:
+        return _StepGuard(*_TRANSITIONS[pats[0]](query.size))
     return _AvoidGuard(pats)
 
 
@@ -489,9 +658,8 @@ def generate_avoiders(query: AvoidanceQuery,
 
 def count_avoiders(query: AvoidanceQuery, prefix: Sequence[int] = ()) -> int:
     """Cardinality of :func:`generate_avoiders` without materialising it."""
-    transition = _transition(query)
-    if transition is not None:
-        return _kinds._count_layers(query.kind, query.size, prefix, *transition)
+    if query.occurrence_target is None:
+        return _kinds._count_layers(query.kind, query.size, prefix, *_transition(query))
     return sum(1 for _ in _kinds._walk(query.kind, query.size, prefix, _make_guard(query)))
 
 
@@ -510,10 +678,9 @@ def vincular_histogram(kind: DumontKind, size: int, forbidden: ClassicalPattern,
     occurrence count of ``stat`` equals k}.
     """
     query = AvoidanceQuery(kind, size, frozenset([forbidden]))
-    transition = _transition(query)
     add = _vincular_stat(stat, size)
-    if transition is not None and add is not None:
-        packed = _kinds._count_layers(kind, size, prefix, *transition, add)
+    if add is not None:
+        packed = _kinds._count_layers(kind, size, prefix, *_transition(query), add)
         width = _kinds._coefficient_bits(size)
         coeff = (1 << width) - 1
         out: dict[int, int] = {}

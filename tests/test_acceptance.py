@@ -155,6 +155,30 @@ def test_criterion_5_1423_series():
     assert elapsed < 60
 
 
+def _d4_1423_frontier(n_max: int) -> None:
+    """D4 avoiders of 1423 for n <= n_max, counted by the DP, against the
+    continued fraction and the vendored A343795 terms."""
+    t0 = time.perf_counter()
+    series = d4_1423_series(n_max)
+    vendored = golden.a343795_prefix()
+    got = [count_avoiders(AvoidanceQuery(DumontKind.D4, 2 * n, frozenset({cp("1423")})))
+           for n in range(n_max + 1)]
+    ok = got == list(series.coeffs) == vendored[:n_max + 1]
+    report(5, ok, f"n<={n_max} enumerated: {got[-1]} at n={n_max}",
+           time.perf_counter() - t0)
+    assert got == list(series.coeffs)
+    assert got == vendored[:n_max + 1]
+
+
+def test_criterion_5_1423_frontier_n8():
+    _d4_1423_frontier(8)
+
+
+@pytest.mark.skipif(not SLOW, reason="opt-in: set DUMONT_SLOW=1")
+def test_criterion_5_1423_frontier_slow_n11():
+    _d4_1423_frontier(11)
+
+
 def test_criterion_6_single_occurrence():
     t0 = time.perf_counter()
     ok = True

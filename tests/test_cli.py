@@ -58,6 +58,11 @@ def test_avoid_multiple_patterns():
     assert json.loads(out)["count"] == 45
 
 
+def test_avoid_1423_at_size_16():
+    code, out = run_cli("avoid", "--kind", "4", "--size", "16", "--pattern", "1423")
+    assert (code, out) == (0, "28474\n")
+
+
 def test_avoid_exactly():
     code, out = run_cli("avoid", "--kind", "4", "--size", "6",
                         "--pattern", "321", "--exactly", "1", "--format", "json")
@@ -203,6 +208,49 @@ def test_conjecture_2():
     payload = json.loads(out)
     assert sum(payload["a_row"]) == sum(payload["b_row"]) == 7
     assert payload["verdict"]["totals_equal"] is True
+
+
+def _tamper(journal, tag, edit):
+    """Rewrite the payload journaled under ``tag`` with ``edit(payload)``."""
+    lines = journal.read_text().splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.startswith(tag + "\t"):
+            payload = json.loads(line.split("\t", 1)[1])
+            edit(payload)
+            lines[i] = f"{tag}\t{json.dumps(payload)}\n"
+    journal.write_text("".join(lines))
+
+
+def test_conjecture_2_table_off_its_reference_exits_1(tmp_path, capsys):
+    journal = tmp_path / "c2"
+    argv = ("conjecture", "--which", "2", "--n", "5", "--checkpoint", str(journal))
+    code, clean = run_cli(*argv)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert run_cli(*argv) == (0, clean)  # resumed from the journal, still checked
+    # The last shard's k=0 cell of row a off by 900: the row sum breaks.
+    _tamper(journal, "c2|n=5|10", lambda p: p[0].update({"0": p[0]["0"] + 900}))
+    code, out = run_cli(*argv)
+    assert code == 1
+    assert out.splitlines()[0] == "0 901 1 >"
+    assert capsys.readouterr().err == (
+        "mismatch: row a at n=5 sums to 1139, but d1_wilf_pair gives 239 avoiders\n"
+        "mismatch: row a at n=5 differs from vincular_distributions\n")
+    # One member moved from k=0 to k=1: the sum holds, the vendored row does not.
+    _tamper(journal, "c2|n=5|10", lambda p: p[0].update(
+        {"0": p[0]["0"] - 901, "1": p[0].get("1", 0) + 1}))
+    code, out = run_cli(*argv)
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "mismatch: row a at n=5 differs from vincular_distributions\n"
+
+
+def test_journal_of_another_experiment_exits_2(tmp_path, capsys):
+    journal = tmp_path / "j"
+    assert run_cli("conjecture", "--which", "1", "--n", "3", "--checkpoint", str(journal))[0] == 0
+    code, out = run_cli("conjecture", "--which", "2", "--n", "3", "--checkpoint", str(journal))
+    assert (code, out) == (2, "")
+    assert "error: checkpoint" in capsys.readouterr().err
 
 
 def test_conjecture_budget_exit_code(tmp_path):

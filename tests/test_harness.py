@@ -127,6 +127,36 @@ def test_malformed_journal_line_is_refused(tmp_path):
         conjecture1_counts(3, checkpoint_path=str(path))
 
 
+def test_journal_header_is_written_and_checked(tmp_path):
+    path = tmp_path / "c1.ckpt"
+    conjecture1_counts(2, checkpoint_path=str(path))
+    header = "# dumont-journal schema=1 experiment=c1 shard-depth=1\n"
+    assert path.read_text().startswith(header)
+    # A journal sharded three values deep, with and without a header (the
+    # latter as written before journals had one), is refused, not extended.
+    shard = "c1|n=2|2,1,4\t[1, 1]\n"
+    for text in (header.replace("depth=1", "depth=3") + shard, shard):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="pass another --checkpoint path"):
+            conjecture1_counts(2, checkpoint_path=str(path))
+        assert path.read_text() == text
+    # An empty file is a new journal.
+    path.write_text("")
+    assert conjecture1_counts(2, checkpoint_path=str(path)) == conjecture1_counts(2)
+    assert path.read_text().startswith(header)
+
+
+def test_c1_and_c2_journals_are_not_mixed(tmp_path):
+    c1 = tmp_path / "c1.ckpt"
+    c2 = tmp_path / "c2.ckpt"
+    conjecture1_counts(2, checkpoint_path=str(c1))
+    conjecture2_distribution(2, checkpoint_path=str(c2))
+    with pytest.raises(ValueError, match="experiment=c1.*experiment=c2"):
+        conjecture2_distribution(2, checkpoint_path=str(c1))
+    with pytest.raises(ValueError, match="experiment=c2.*experiment=c1"):
+        conjecture1_counts(2, checkpoint_path=str(c2))
+
+
 def test_malformed_thread_count_is_refused(monkeypatch):
     monkeypatch.setenv("DUMONT_THREADS", "two")
     with pytest.raises(ValueError, match="DUMONT_THREADS must be a positive integer"):

@@ -4,11 +4,12 @@ from itertools import permutations
 import pytest
 
 from conftest import naive_contains, naive_count, naive_count_vincular
+from dumont import kinds
 from dumont.kinds import DumontKind, generate
 from dumont.patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern,
                              avoids, avoids_all, count_avoiders,
                              count_exact_occurrences, count_occurrences,
-                             count_vincular, generate_avoiders)
+                             count_vincular, generate_avoiders, vincular_histogram)
 from dumont.permcore import Permutation
 
 
@@ -168,6 +169,18 @@ def test_count_avoiders_theorem_values():
                                          frozenset({cp("1234")})))
            for n in range(7)]
     assert got == [1, 1, 2, 4, 0, 0, 0]
+
+
+def test_plain_counts_do_not_walk(monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("a plain-mode count walked the members")
+
+    monkeypatch.setattr(kinds, "_walk", walk)
+    assert count_avoiders(AvoidanceQuery(DumontKind.D4, 8, frozenset({cp("1423")}))) == 39
+    assert count_avoiders(AvoidanceQuery(
+        DumontKind.D1, 8, frozenset({cp("1342"), cp("1423")}))) == 45
+    assert vincular_histogram(DumontKind.D1, 6, cp("123"), VincularPattern.parse("2-31")) \
+        == {1: 2, 2: 2}
 
 
 @pytest.mark.parametrize("pattern", ["2143", "3421"])

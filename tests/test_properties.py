@@ -154,3 +154,39 @@ def test_dp_rejects_an_infeasible_prefix(kind, size, pat, data):
         count_avoiders(AvoidanceQuery(kind, size, frozenset([forbidden])), prefix)
     with pytest.raises(ValueError, match="not feasible"):
         vincular_histogram(kind, size, forbidden, DP_PATTERNS[pat], prefix)
+
+
+@st.composite
+def generic_cases(draw):
+    """A kind, a size, one or two classical patterns of length 1..5 and a
+    feasible prefix."""
+    kind = draw(st.sampled_from(list(DumontKind)))
+    size = draw(st.sampled_from([0, 2, 4, 6, 8, 10]))
+    # Length 4 is the simplest draw: a length-1 pattern empties every
+    # nonempty set, so it should come up rarely.
+    lengths = st.sampled_from((4, 5, 3, 4, 5, 2, 1))
+    pats = {tuple(draw(lengths.flatmap(lambda k: st.permutations(range(1, k + 1)))))
+            for _ in range(draw(st.integers(1, 2)))}
+    prefixes = split_prefixes(kind, size, draw(st.integers(0, size)))
+    return kind, size, sorted(pats), draw(st.sampled_from(prefixes))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=generic_cases(), stat=st.sampled_from(DP_STATS))
+def test_generic_dp_agrees_with_the_walk(case, stat, small_dumont_sets):
+    kind, size, pats, prefix = case
+    forbidden = [ClassicalPattern(Permutation(p)) for p in pats]
+    query = AvoidanceQuery(kind, size, frozenset(forbidden))
+    members = list(generate_avoiders(query, prefix))
+    assert count_avoiders(query, prefix) == len(members)
+    if size <= 8:
+        brute = [vals for vals in small_dumont_sets[(kind.value, size)]
+                 if vals[:len(prefix)] == prefix
+                 and not any(naive_count(vals, p) for p in pats)]
+        assert [p.values for p in members] == brute
+    for q in forbidden:
+        if str(q) in DP_PATTERNS:
+            continue  # 2143 and 3421 keep their own transitions
+        alone = generate_avoiders(AvoidanceQuery(kind, size, frozenset([q])), prefix)
+        walked = Counter(count_vincular(p, stat) for p in alone)
+        assert vincular_histogram(kind, size, q, stat, prefix) == dict(walked)
