@@ -135,6 +135,8 @@ def _cmd_series(args, out) -> int:
                       f"{'consistent' if ok else 'MISMATCH'}\n")
         return 0 if ok else 1
     upto = args.upto if args.upto is not None else 10
+    if upto < 0:
+        raise ValueError(f"--upto must be >= 0, got {upto}")
     if seq is SequenceId.A343795_D4_312:
         series = d4_1423_series(upto)
         lo = 0

@@ -550,6 +550,8 @@ def conjecture1_counts(n_max: int, budget: Optional[float] = None,
                        checkpoint_path: Optional[str] = None,
                        workers: Optional[int] = None) -> list[ConjectureCountRow]:
     """Counts of Dumont-1 avoiders of 2143 and of 3421 for n = 0..n_max."""
+    if n_max < 0:
+        raise ValueError(f"n must be >= 0, got {n_max}")
     deadline = time.monotonic() + budget if budget is not None else None
     nworkers = _workers_from_env(workers)
     checkpoint = _Checkpoint(checkpoint_path, "c1")

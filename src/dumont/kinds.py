@@ -15,32 +15,34 @@ even-size one with the fixed point 2n+1 appended, so odd sizes are rejected.
 All four kinds of size 2n are counted by the Genocchi number G(2n+2)
 (see :mod:`dumont.gfseries`).
 
-All generation and counting runs through one walk, :func:`_walk`: a
-position-by-position backtracking search that emits prefixes in
-lexicographic order.  Prefix pruning applies each kind's constraints as soon
-as they become checkable, so the walk never descends into a subtree that
-cannot contain a member.  The walk can start from a given prefix (checked
-against the kind's rules, then replayed) and stop at a given depth, which is
-how :func:`split_prefixes` cuts the search tree into disjoint subtrees for
+Generation runs through one walk, :func:`_walk`: a position-by-position
+backtracking search that emits prefixes in lexicographic order.  Prefix
+pruning applies each kind's constraints as soon as they become checkable,
+so the walk never descends into a subtree that cannot contain a member.
+The walk can start from a given prefix (checked against the kind's rules,
+then replayed) and stop at a given depth, which is how
+:func:`split_prefixes` cuts the search tree into disjoint subtrees for
 independent workers.
 
-Extra pruning plugs in through the :class:`Guard` protocol: ``push(w)``
-places a value or rejects it leaving the guard unchanged, ``pop()`` undoes
-the last accepted placement, and ``leaf_ok()`` accepts or drops the prefix
-where the walk stops.  :func:`generate`, :func:`split_prefixes` and the
-listing and exact-count queries of :mod:`dumont.patterns` are thin loops
-over the walk.
+Pattern queries plug in a transition ``step(state, w, used) -> state |
+None`` that summarises the prefix in a small int and rejects a placement
+the summary rules out.  The walk keeps a stack of states, one per
+position, and remembers the subtrees that yielded nothing by their key, so
+listing costs about the number of distinct keys plus the output.
+:func:`generate` and :func:`split_prefixes` walk with no transition, and
+that plain walk filtered by a matcher is the oracle the pattern queries
+are tested against.
 
 Counting does not need the order of the walk, only how many leaves lie
 below each prefix, and that depends on the prefix only through a small
-state: the set of placed values, the last value (for kinds 1 and 3, whose
-rules read it) and whatever summary a pattern transition keeps.
-:func:`_count_layers` moves a dict from packed states to weights forward one
-position at a time, so prefixes with the same state are counted once; only
-two layers are ever held.  :func:`count` runs it with no transition; every
-plain avoider count and the vincular histograms of :mod:`dumont.patterns`
-plug a pattern transition (and an occurrence statistic) into it, so only
-listing and exact-occurrence counts walk the leaves.
+key: the set of placed values, the last value (for kinds 1 and 3, whose
+rules read it) and the state of the transition.  :func:`_count_layers`
+moves a dict from packed keys to weights forward one position at a time,
+so prefixes with the same key are counted once; only two layers are ever
+held.  :func:`count` runs it with no transition; every avoider count,
+every exact-occurrence count and the vincular histograms of
+:mod:`dumont.patterns` plug a pattern transition (and an occurrence
+statistic) into it.
 """
 
 from __future__ import annotations
@@ -174,23 +176,15 @@ def _odd_below(pos: int) -> int:
     return m
 
 
-class Guard:
-    """Extra pruning composed with the Dumont walk.
-
-    ``push(w)`` places value w after the current prefix and returns True, or
-    returns False and leaves the state unchanged when the placement is
-    rejected; ``pop()`` undoes the last accepted ``push``; ``leaf_ok()``
-    accepts or drops the prefix where the walk stops.
-    """
-
-    def push(self, w: int) -> bool:  # pragma: no cover - trivial default
-        return True
-
-    def pop(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-    def leaf_ok(self) -> bool:
-        return True
+# A transition ``step(state, w, used) -> state | None`` summarises a prefix
+# in a small non-negative int and rejects (None) a placement that the
+# summary rules out; ``used`` is the mask of the values placed before w.
+# The state of the empty prefix is None when the transition rejects even
+# that (an exact occurrence count above 0 at size 0).
+# An occurrence statistic ``add(used, prev, w) -> int`` gives the number of
+# occurrences that placing w right after prev adds to the final count.
+Step = Callable[[int, int, int], Optional[int]]
+Stat = Callable[[int, int, int], int]
 
 
 def _check_prefix(kind_id: int, size: int, prefix: Sequence[int]) -> int:
@@ -203,45 +197,75 @@ def _check_prefix(kind_id: int, size: int, prefix: Sequence[int]) -> int:
     return used
 
 
+def _replay(step: Step, state: Optional[int], prefix: Sequence[int]) -> Optional[int]:
+    """The state of a transition after ``prefix``, or None once it rejects."""
+    used = 0
+    for w in prefix:
+        if state is None:
+            break
+        state = step(state, w, used)
+        used |= 1 << w
+    return state
+
+
 def _walk(kind: DumontKind, size: int, prefix: Sequence[int] = (),
-          guard: Optional[Guard] = None,
+          step: Optional[Step] = None, state: Optional[int] = 0,
           depth: Optional[int] = None) -> Iterator[list[int]]:
     """Yield every live prefix of length ``depth`` (default ``size``), in
     lexicographic order, that extends ``prefix``.
 
     The prefix is checked against the kind's rules (``ValueError`` when it
-    breaks them) and then replayed into the guard; a rejected prefix yields
-    nothing.  The yielded list is the walk's own state: read or copy it
-    before advancing the iterator.
+    breaks them) and then replayed into the transition ``step``, whose
+    initial ``state`` is that of the empty prefix; a rejected prefix yields
+    nothing.  With a transition, the walk records the key (used values, last
+    value, state) of every subtree that yielded nothing and never enters a
+    subtree with that key again.  The yielded list is the walk's own state:
+    read or copy it before advancing the iterator.
     """
     _require_even(size)
     kind_id = kind.value
     stop = size if depth is None else min(depth, size)
     h = list(prefix)
     used = _check_prefix(kind_id, size, h)
-    if guard is not None and not all(map(guard.push, h)):
-        return
+    if step is not None:
+        state = _replay(step, state, h)
+        if state is None:
+            return
     if len(h) >= stop:
-        if guard is None or guard.leaf_ok():
-            yield h
+        yield h
         return
+    # Keys are packed as in :func:`_count_layers`.
+    p_shift = size + 1 if kind_id in (1, 3) else 0
+    s_shift = size + 1 + size.bit_length()
+    dead: set[int] = set()
+    leaves = 0
     # ``it`` iterates the candidates for position len(h) + 1; ``stack`` holds
-    # the suspended iterators of the shallower positions.
+    # the suspended iterators of the shallower positions and, with a
+    # transition, ``frames`` holds per entered subtree the state to restore
+    # on leaving it, its key and the leaf count on entering it.
     it = iter(_candidates(kind_id, len(h) + 1, size, h[-1] if h else 0, used))
     stack: list[Iterator[int]] = []
+    frames: list[tuple[int, int, int]] = []
     while True:
         for w in it:
-            if guard is not None and not guard.push(w):
-                continue
+            if step is not None:
+                new = step(state, w, used)
+                if new is None:
+                    continue
             h.append(w)
             if len(h) == stop:
-                if guard is None or guard.leaf_ok():
-                    yield h
+                leaves += 1
+                yield h
                 h.pop()
-                if guard is not None:
-                    guard.pop()
                 continue
             used |= 1 << w
+            if step is not None:
+                key = used | (w << p_shift if p_shift else 0) | new << s_shift
+                if key in dead:
+                    used &= ~(1 << h.pop())
+                    continue
+                frames.append((state, key, leaves))
+                state = new
             stack.append(it)
             it = iter(_candidates(kind_id, len(h) + 1, size, w, used))
             break
@@ -250,8 +274,10 @@ def _walk(kind: DumontKind, size: int, prefix: Sequence[int] = (),
                 return
             it = stack.pop()
             used &= ~(1 << h.pop())
-            if guard is not None:
-                guard.pop()
+            if step is not None:
+                state, key, before = frames.pop()
+                if leaves == before:
+                    dead.add(key)
 
 
 def generate(kind: DumontKind, size: int,
@@ -270,15 +296,6 @@ def count(kind: DumontKind, size: int) -> int:
     return _count_layers(kind, size)
 
 
-# A transition ``step(state, w, used) -> state | None`` summarises a prefix
-# in a small non-negative int and rejects (None) a placement that the
-# summary rules out; ``used`` is the mask of the values placed before w.
-# An occurrence statistic ``add(used, prev, w) -> int`` gives the number of
-# occurrences that placing w right after prev adds to the final count.
-Step = Callable[[int, int, int], Optional[int]]
-Stat = Callable[[int, int, int], int]
-
-
 def _coefficient_bits(size: int) -> int:
     """Bits per coefficient of a histogram packed into one int by
     :func:`_count_layers`: no count over a set of size ``size`` reaches
@@ -287,7 +304,7 @@ def _coefficient_bits(size: int) -> int:
 
 
 def _count_layers(kind: DumontKind, size: int, prefix: Sequence[int] = (),
-                  step: Optional[Step] = None, state: int = 0,
+                  step: Optional[Step] = None, state: Optional[int] = 0,
                   stat: Optional[Stat] = None) -> int:
     """Count the members that extend ``prefix`` by a layered forward DP.
 
@@ -301,14 +318,14 @@ def _count_layers(kind: DumontKind, size: int, prefix: Sequence[int] = (),
     _require_even(size)
     kind_id = kind.value
     _check_prefix(kind_id, size, prefix)
+    if step is not None:
+        state = _replay(step, state, prefix)
+        if state is None:
+            return 0
     width = _coefficient_bits(size)
     weight = 1
     prev = used = 0
     for w in prefix:
-        if step is not None:
-            state = step(state, w, used)
-            if state is None:
-                return 0
         if stat is not None:
             weight <<= width * stat(used, prev, w)
         prev = w

@@ -6,31 +6,29 @@ separated by a dash must occupy consecutive positions in the host, so in
 ``2-31`` the letters 3 and 1 must be adjacent while 2 may sit anywhere
 earlier.
 
-All counting goes through one backtracking matcher, ``_count(host, pat,
-adjacent, limit, last)``.  A classical pattern is a vincular pattern with no
-adjacency; ``limit=1`` turns the count into a containment test; ``last=w``
-counts only the occurrences that appending w to the host would complete.
+All occurrence counting goes through one backtracking matcher,
+``_count(host, pat, adjacent, limit)``.  A classical pattern is a vincular
+pattern with no adjacency; ``limit=1`` turns the count into a containment
+test.
 
-Pruned generation runs the single walk of :mod:`dumont.kinds` with a guard
-built from an :class:`AvoidanceQuery`: a partial placement is rejected as
-soon as the placed prefix contains a forbidden pattern (or, in
-exact-occurrence mode, as soon as the occurrence count overshoots the
-target).  The generic guards call the matcher anchored at the new value; a
-constant-time detector covers 321 in exact-count mode.
-
-Counting avoiders does not walk: a transition ``step(state, w, used) ->
-state | None`` summarises the prefix in a small int and rejects the value
-that would complete a forbidden occurrence, and :func:`count_avoiders`
-feeds it to the layered DP of :mod:`dumont.kinds`, which counts each
-summary once instead of each leaf.  Any set of classical patterns has the
-generic transition :func:`_avoid_classical`, whose state is the canonical
-set of live partial occurrences; 2143 alone and 3421 alone keep smaller,
-faster ones.  :func:`vincular_histogram` runs the same DP when the
-statistic has length 3 and one adjacency (``2-31``, ``13-2``, ...): the
-occurrences that placing w adds then depend only on the used values, the
-previous value and w.  Listing and exact-occurrence counts walk the
-leaves, and the walk with the matcher guard is the oracle the DP is tested
-against.
+Every avoidance and exact-occurrence query runs on a transition
+``step(state, w, used) -> state | None`` that summarises the prefix in a
+small int and rejects the value that would complete a forbidden occurrence
+(or, in exact-occurrence mode, push the occurrence count past the target,
+or end the word short of it).  :func:`generate_avoiders` feeds it to the
+walk of :mod:`dumont.kinds`, and :func:`count_avoiders` and
+:func:`count_exact_occurrences` to its layered DP, which counts each
+summary once instead of each leaf.  Any set of classical patterns and any
+target has the generic transition :func:`_avoid_classical`, whose state is
+the occurrence count so far and the canonical multiset of live partial
+occurrences; plain avoidance is its target-0 case.  2143 alone and 3421
+alone keep smaller, faster transitions for plain avoidance.
+:func:`vincular_histogram` runs the same DP when the statistic has length
+3 and one adjacency (``2-31``, ``13-2``, ...): the occurrences that placing
+w adds then depend only on the used values, the previous value and w;
+other statistics are counted on the listed avoiders.  The plain walk of
+:func:`dumont.kinds.generate` filtered by the matcher is the oracle the
+transitions are tested against.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import kinds as _kinds
-from .kinds import DumontKind, Guard
+from .kinds import DumontKind
 from .permcore import Permutation
 
 _INF = 1 << 30
@@ -161,30 +159,15 @@ _NO_ADJACENCY: frozenset[int] = frozenset()
 
 
 def _count(host: Sequence[int], pat: Sequence[int],
-           adjacent: frozenset[int] = _NO_ADJACENCY, limit: int = _INF,
-           last: Optional[int] = None) -> int:
+           adjacent: frozenset[int] = _NO_ADJACENCY, limit: int = _INF) -> int:
     """Occurrences of ``pat`` in ``host``, counting no further than ``limit``.
 
     ``adjacent`` uses the convention of :class:`VincularPattern`; it is empty
-    for a classical pattern.  With ``last`` set, only the occurrences in
-    ``host + [last]`` that end at ``last`` are counted, i.e. the occurrences
-    that appending ``last`` to the host would complete.  ``limit`` must be at
-    least 1; ``limit=1`` answers containment.
+    for a classical pattern.  ``limit`` must be at least 1; ``limit=1``
+    answers containment.
     """
     n = len(host)
     k = len(pat)
-    last_lo = 0  # lowest host index the final matched letter may take
-    if last is None:
-        # Unanchored: every host value and pattern letter lies below this
-        # sentinel, so the anchor test below never skips a candidate.
-        last = top = _INF
-    else:
-        k -= 1  # the final pattern letter is ``last`` itself
-        if k == 0:
-            return 1
-        top = pat[k]
-        if k in adjacent:
-            last_lo = n - 1
     if k > n:
         return 0
     kl = k - 1
@@ -194,15 +177,10 @@ def _count(host: Sequence[int], pat: Sequence[int],
     def rec(j: int, start: int) -> bool:
         nonlocal total
         pj = pat[j]
-        below = pj < top
         # Letter j tied to letter j - 1 must sit right after it in the host.
         hi = start + 1 if adjacent and j in adjacent else n - kl + j
-        if j == kl and start < last_lo:
-            start = last_lo
         for i in range(start, hi):
             v = host[i]
-            if (v < last) != below:  # wrong side of the anchored last letter
-                continue
             for t in range(j):
                 if (chosen[t] < v) != (pat[t] < pj):
                     break
@@ -244,57 +222,7 @@ def count_vincular(p: Permutation, vq: VincularPattern) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Guards for the pruned walk
-#
-# Every guard's push(w) decides, in sync with the walk's prefix h, whether
-# appending w keeps the prefix acceptable: no forbidden occurrence, or no
-# more occurrences than the target.  The generic guards run the matcher
-# anchored at w; the pattern-specific ones keep O(1) summaries of the prefix.
-
-
-class _AvoidGuard(Guard):
-    """Generic prefix pruning for a set of classical patterns."""
-
-    __slots__ = ("pats", "h")
-
-    def __init__(self, pats: tuple[tuple[int, ...], ...]):
-        self.pats = pats
-        self.h: list[int] = []
-
-    def push(self, w: int) -> bool:
-        h = self.h
-        for pat in self.pats:
-            if _count(h, pat, _NO_ADJACENCY, 1, w):
-                return False
-        h.append(w)
-        return True
-
-    def pop(self) -> None:
-        self.h.pop()
-
-
-class _StepGuard(Guard):
-    """The walk's view of a transition: a stack of states, one per placement."""
-
-    __slots__ = ("step", "states", "used")
-
-    def __init__(self, step: _kinds.Step, state: int):
-        self.step = step
-        self.states = [state]
-        self.used = [0]
-
-    def push(self, w: int) -> bool:
-        used = self.used[-1]
-        state = self.step(self.states[-1], w, used)
-        if state is None:
-            return False
-        self.states.append(state)
-        self.used.append(used | 1 << w)
-        return True
-
-    def pop(self) -> None:
-        self.states.pop()
-        self.used.pop()
+# Transitions
 
 
 def _avoid_2143(size: int) -> tuple[_kinds.Step, int]:
@@ -355,27 +283,36 @@ def _avoid_3421(size: int) -> tuple[_kinds.Step, int]:
     return step, 0
 
 
-def _avoid_classical(size: int,
-                     pats: Sequence[tuple[int, ...]]) -> tuple[_kinds.Step, int]:
-    """Transition that rejects the value completing an occurrence of any of
-    ``pats``.
+def _avoid_classical(size: int, pats: Sequence[tuple[int, ...]],
+                     target: int = 0) -> tuple[_kinds.Step, Optional[int]]:
+    """Transition that accepts a word with exactly ``target`` occurrences of
+    ``pats`` in all; with the default target 0 it rejects the value that
+    completes an occurrence of any of them.
 
-    The state summarises the live partial occurrences: the first j letters
-    of a pattern matched by placed values, kept as (pattern, j, the rank
-    among the unused values of each matched value).  The future tells two
-    placed values apart only by the unused values between them, so the
-    ranks are all it needs.  Sorted by value, the matched values cut the
-    unused values into j + 1 gaps, and each gap must take the remaining
-    letters whose values fall in it.  An occurrence is dead once such a gap
-    holds fewer unused values than it must take, and dominated when another
-    one of the same pattern and j has every such gap containing its own;
-    neither is kept, and a rank that bounds no such gap is set to 0.  The
-    canonical set that remains is interned as a small int.
+    The state holds the number of occurrences so far and the live partial
+    occurrences: the first j letters of a pattern matched by placed values,
+    kept as (pattern, j, the rank among the unused values of each matched
+    value).  The future tells two placed values apart only by the unused
+    values between them, so the ranks are all it needs.  Sorted by value,
+    the matched values cut the unused values into j + 1 gaps, and each gap
+    must take the remaining letters whose values fall in it.  An occurrence
+    is dead once such a gap holds fewer unused values than it must take, and
+    is not kept; a rank that bounds no such gap is set to 0.  Each partial
+    occurrence counts with its multiplicity, capped at one more than the
+    occurrences still allowed, since completing it adds that many.  Once no
+    more are allowed, only whether an occurrence completes matters, so an
+    occurrence is also dropped when another one of the same pattern and j
+    has every such gap containing its own (it is dominated).  The canonical
+    multiset that remains is interned as a small int.  The last placement
+    is rejected unless the count has reached the target, and so is the
+    empty word of size 0 (its state is None) when the target is above 0.
 
     The step depends only on the state, the rank r of w among the unused
-    values and their number m, so it is memoised on (state, r) for the
-    current m, and so is the move of each occurrence; the memos and the
-    interned states live as long as the returned step.
+    values and their number m, so it is memoised on (state, r) per m, and so
+    is the move of each occurrence.  The memos of a new m replace those of
+    every larger m, which a layered DP never asks for again while a
+    depth-first walk keeps those it returns to.  The memos and the interned
+    states live as long as the returned step.
     """
     # A shape is a (pattern, j) pair with j < len(pattern).  Per shape: j,
     # the gap the next letter falls in, the shape after placing it (None
@@ -402,20 +339,24 @@ def _avoid_classical(size: int,
     # An occurrence packs its shape into the low ``sbits`` bits and its
     # ranks, in increasing value order, into ``rbits`` bits each above; the
     # empty occurrence of a pattern is its j = 0 shape alone.  A state packs
-    # its occurrences in ``cbits`` bits each, in sorted order; none is 0,
-    # since only occurrences with j >= 1 are kept and shape 0 has j = 0.
+    # the count into the low ``nbits`` bits and its occurrences, one copy
+    # per unit of multiplicity, in ``cbits`` bits each above, in sorted
+    # order; none is 0, since only occurrences with j >= 1 are kept and
+    # shape 0 has j = 0.
     sbits = len(length).bit_length()
     rbits = size.bit_length()
     smask = (1 << sbits) - 1
     rmask = (1 << rbits) - 1
     cbits = sbits + rbits * max(length)
     cmask = (1 << cbits) - 1
+    nbits = target.bit_length()
+    nmask = (1 << nbits) - 1
     ids: dict[int, int] = {0: 0}
     states: list[int] = [0]
     boxes: dict[int, tuple[int, ...]] = {}
-    moves: dict[int, Optional[tuple[int, ...]]] = {}
-    memo: dict[int, int] = {}
-    m_now = -1  # the number of unused values the entries of memo and moves share
+    # memos[m]: the step memo and the move memo for m unused values.
+    memos: list[Optional[tuple[dict[int, int], dict[int, tuple[int, ...]]]]] = \
+        [None] * (size + 1)
     full = (1 << (size + 1)) - 2
 
     def box(shape: int, ranks: list[int], m: int) -> Optional[tuple[int, ...]]:
@@ -431,21 +372,22 @@ def _avoid_classical(size: int,
             out += (lo, hi if g < len(ranks) else size)
         return tuple(out)
 
-    def move(code: int, r: int, m: int) -> Optional[tuple[int, ...]]:
+    def move(code: int, r: int, m: int) -> tuple[int, ...]:
         """The live occurrences one occurrence leaves after placing the
         unused value of rank r among m: itself, and its extension when the
-        value fits its next letter; None when the value completes it."""
+        value fits its next letter, or 0 when the value completes it."""
         shape = code & smask
         ranks = [code >> (sbits + rbits * i) & rmask for i in range(length[shape])]
         shifted = [x - (x > r) for x in ranks]
         grown = [(shape, shifted)] if shifted else []
+        out = []
         g = nxt_gap[shape]
         if (not g or ranks[g - 1] <= r) and (g == len(ranks) or r < ranks[g]):
             after = nxt_shape[shape]
             if after is None:
-                return None
-            grown.append((after, shifted[:g] + [r] + shifted[g:]))
-        out = []
+                out.append(0)
+            else:
+                grown.append((after, shifted[:g] + [r] + shifted[g:]))
         for new_shape, new_ranks in grown:
             for i in idle[new_shape]:
                 new_ranks[i] = 0
@@ -458,45 +400,60 @@ def _avoid_classical(size: int,
                 out.append(new)
         return tuple(out)
 
-    def successor(state: int, r: int, m: int) -> int:
+    def successor(state: int, r: int, m: int, moves: dict[int, tuple[int, ...]]) -> int:
         """Interned state after placing the unused value of rank r among m,
-        or -1 when that completes an occurrence."""
-        codes = list(empties)
+        or -1 when the count passes the target (or misses it at the end)."""
         packed = states[state]
+        count = packed & nmask
+        packed >>= nbits
+        codes = list(empties)
         while packed:
             codes.append(packed & cmask)
             packed >>= cbits
-        shapes: dict[int, set[int]] = {}
+        found: dict[int, int] = {}
         for code in codes:
             key = code * size + r
-            got = moves.get(key, False)
-            if got is False:
-                got = moves[key] = move(code, r, m)
+            got = moves.get(key)
             if got is None:
-                return -1
+                got = moves[key] = move(code, r, m)
             for c in got:
-                shapes.setdefault(c & smask, set()).add(c)
-        kept = []
-        for group in shapes.values():
-            if len(group) == 1:
-                kept += group
-                continue
-            for a in group:
-                ba = boxes[a]
-                for b in group:
-                    if b == a:
-                        continue
-                    bb = boxes[b]
-                    for i in range(0, len(ba), 2):
-                        if bb[i] > ba[i] or ba[i + 1] > bb[i + 1]:
-                            break
-                    else:
-                        break  # every gap of b contains a's: a is dominated
+                if c:
+                    found[c] = found.get(c, 0) + 1
+                elif count == target:
+                    return -1
                 else:
-                    kept.append(a)
+                    count += 1
+        if m == 1 and count < target:
+            return -1
+        if count < target:
+            cap = target - count + 1
+            kept = [c for c, k in found.items() for _ in range(min(k, cap))]
+        else:
+            shapes: dict[int, list[int]] = {}
+            for c in found:
+                shapes.setdefault(c & smask, []).append(c)
+            kept = []
+            for group in shapes.values():
+                if len(group) == 1:
+                    kept += group
+                    continue
+                for a in group:
+                    ba = boxes[a]
+                    for b in group:
+                        if b == a:
+                            continue
+                        bb = boxes[b]
+                        for i in range(0, len(ba), 2):
+                            if bb[i] > ba[i] or ba[i + 1] > bb[i + 1]:
+                                break
+                        else:
+                            break  # every gap of b contains a's: a is dominated
+                    else:
+                        kept.append(a)
         key = 0
         for code in sorted(kept, reverse=True):
             key = key << cbits | code
+        key = key << nbits | count
         new = ids.get(key)
         if new is None:
             new = ids[key] = len(states)
@@ -504,89 +461,21 @@ def _avoid_classical(size: int,
         return new
 
     def step(state: int, w: int, used: int) -> Optional[int]:
-        nonlocal m_now
         free = ~used & full
         m = free.bit_count()
-        if m != m_now:
-            # The DP places one position per layer, so m falls by one per
-            # layer and the entries for another m are not asked for again.
-            memo.clear()
-            moves.clear()
-            m_now = m
+        tables = memos[m]
+        if tables is None:
+            memos[m + 1:] = [None] * (size - m)
+            tables = memos[m] = ({}, {})
+        memo = tables[0]
         r = (free & ((1 << w) - 1)).bit_count()
         key = state * size + r
         new = memo.get(key)
         if new is None:
-            new = memo[key] = successor(state, r, m)
+            new = memo[key] = successor(state, r, m, tables[1])
         return new if new >= 0 else None
 
-    return step, 0
-
-
-class _ExactCountGuard(Guard):
-    """Track the total occurrence count of one pattern; prune past target."""
-
-    __slots__ = ("pat", "target", "h", "count", "adds")
-
-    def __init__(self, pat: tuple[int, ...], target: int):
-        self.pat = pat
-        self.target = target
-        self.h: list[int] = []
-        self.count = 0
-        self.adds: list[int] = []
-
-    def push(self, w: int) -> bool:
-        room = self.target - self.count
-        add = _count(self.h, self.pat, _NO_ADJACENCY, room + 1, w)
-        if add > room:
-            return False
-        self.count += add
-        self.adds.append(add)
-        self.h.append(w)
-        return True
-
-    def pop(self) -> None:
-        self.h.pop()
-        self.count -= self.adds.pop()
-
-    def leaf_ok(self) -> bool:
-        return self.count == self.target
-
-
-class _Exact321Guard(Guard):
-    """Occurrence counting specialised to 321: new occurrences ending at w
-    are inversions with both values above w, tallied per inversion bottom."""
-
-    __slots__ = ("size", "target", "placed", "pbb", "count", "trail")
-
-    def __init__(self, size: int, target: int):
-        self.size = size
-        self.target = target
-        self.placed = 0
-        self.pbb = [0] * (size + 2)  # inversions with bottom value v
-        self.count = 0
-        self.trail: list[tuple[int, int, int]] = []
-
-    def push(self, u: int) -> bool:
-        pbb = self.pbb
-        add = sum(pbb[v] for v in range(u + 1, self.size + 1))
-        if self.count + add > self.target:
-            return False
-        new_pairs = (self.placed >> (u + 1)).bit_count()
-        pbb[u] += new_pairs
-        self.count += add
-        self.trail.append((u, new_pairs, add))
-        self.placed |= 1 << u
-        return True
-
-    def pop(self) -> None:
-        u, new_pairs, add = self.trail.pop()
-        self.pbb[u] -= new_pairs
-        self.count -= add
-        self.placed &= ~(1 << u)
-
-    def leaf_ok(self) -> bool:
-        return self.count == self.target
+    return step, None if target and not size else 0
 
 
 _TRANSITIONS = {
@@ -595,24 +484,15 @@ _TRANSITIONS = {
 }
 
 
-def _transition(query: AvoidanceQuery) -> tuple[_kinds.Step, int]:
-    """(step, initial state) of a plain-mode query: the fast transition of
-    2143 or 3421 alone, else the generic one."""
+def _transition(query: AvoidanceQuery) -> tuple[_kinds.Step, Optional[int]]:
+    """(step, initial state) of a query: the fast transition of 2143 or 3421
+    alone in plain mode, else the generic one."""
     pats = sorted(q.perm.values for q in query.forbidden)
-    make = _TRANSITIONS.get(pats[0]) if len(pats) == 1 else None
-    return make(query.size) if make is not None else _avoid_classical(query.size, pats)
-
-
-def _make_guard(query: AvoidanceQuery) -> Guard:
-    pats = tuple(sorted(q.perm.values for q in query.forbidden))
     target = query.occurrence_target
-    if target is not None:
-        if pats[0] == (3, 2, 1):
-            return _Exact321Guard(query.size, target)
-        return _ExactCountGuard(pats[0], target)
-    if len(pats) == 1 and pats[0] in _TRANSITIONS:
-        return _StepGuard(*_TRANSITIONS[pats[0]](query.size))
-    return _AvoidGuard(pats)
+    make = _TRANSITIONS.get(pats[0]) if len(pats) == 1 and target is None else None
+    if make is not None:
+        return make(query.size)
+    return _avoid_classical(query.size, pats, target or 0)
 
 
 def _vincular_stat(stat: VincularPattern, size: int) -> Optional[_kinds.Stat]:
@@ -652,15 +532,13 @@ def generate_avoiders(query: AvoidanceQuery,
                       prefix: Sequence[int] = ()) -> Iterator[Permutation]:
     """Members of the query's set (avoiders, or exact-occurrence members),
     lexicographically."""
-    for h in _kinds._walk(query.kind, query.size, prefix, _make_guard(query)):
+    for h in _kinds._walk(query.kind, query.size, prefix, *_transition(query)):
         yield Permutation._wrap(tuple(h))
 
 
 def count_avoiders(query: AvoidanceQuery, prefix: Sequence[int] = ()) -> int:
     """Cardinality of :func:`generate_avoiders` without materialising it."""
-    if query.occurrence_target is None:
-        return _kinds._count_layers(query.kind, query.size, prefix, *_transition(query))
-    return sum(1 for _ in _kinds._walk(query.kind, query.size, prefix, _make_guard(query)))
+    return _kinds._count_layers(query.kind, query.size, prefix, *_transition(query))
 
 
 def count_exact_occurrences(kind: DumontKind, size: int, q: ClassicalPattern,
@@ -679,23 +557,19 @@ def vincular_histogram(kind: DumontKind, size: int, forbidden: ClassicalPattern,
     """
     query = AvoidanceQuery(kind, size, frozenset([forbidden]))
     add = _vincular_stat(stat, size)
-    if add is not None:
-        packed = _kinds._count_layers(kind, size, prefix, *_transition(query), add)
-        width = _kinds._coefficient_bits(size)
-        coeff = (1 << width) - 1
-        out: dict[int, int] = {}
-        k = 0
-        while packed:
-            if packed & coeff:
-                out[k] = packed & coeff
-            packed >>= width
-            k += 1
-        return out
-    guard = _make_guard(query)
-    svals = stat.perm.values
-    sadj = stat.adjacent
     hist: dict[int, int] = {}
-    for h in _kinds._walk(kind, size, prefix, guard):
-        k = _count(h, svals, sadj)
-        hist[k] = hist.get(k, 0) + 1
+    if add is None:
+        for p in generate_avoiders(query, prefix):
+            k = _count(p.values, stat.perm.values, stat.adjacent)
+            hist[k] = hist.get(k, 0) + 1
+        return hist
+    packed = _kinds._count_layers(kind, size, prefix, *_transition(query), add)
+    width = _kinds._coefficient_bits(size)
+    coeff = (1 << width) - 1
+    k = 0
+    while packed:
+        if packed & coeff:
+            hist[k] = packed & coeff
+        packed >>= width
+        k += 1
     return hist

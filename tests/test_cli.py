@@ -86,6 +86,8 @@ def test_avoid_exactly_list_comes_from_the_pruned_walk():
     ["avoid", "--kind", "1", "--size", "4", "--pattern", "12,21", "--exactly", "1"],
     ["avoid", "--kind", "1", "--size", "4", "--pattern", ","],
     ["series", "--id", "genocchi", "--cross-check"],
+    ["series", "--id", "genocchi", "--upto", "-3"],
+    ["conjecture", "--which", "1", "--n", "-1"],
 ])
 def test_bad_input_exits_2(argv):
     code, _ = run_cli(*argv)

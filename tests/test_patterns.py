@@ -173,7 +173,7 @@ def test_count_avoiders_theorem_values():
 
 def test_plain_counts_do_not_walk(monkeypatch):
     def walk(*args, **kwargs):
-        raise AssertionError("a plain-mode count walked the members")
+        raise AssertionError("a count walked the members")
 
     monkeypatch.setattr(kinds, "_walk", walk)
     assert count_avoiders(AvoidanceQuery(DumontKind.D4, 8, frozenset({cp("1423")}))) == 39
@@ -181,13 +181,15 @@ def test_plain_counts_do_not_walk(monkeypatch):
         DumontKind.D1, 8, frozenset({cp("1342"), cp("1423")}))) == 45
     assert vincular_histogram(DumontKind.D1, 6, cp("123"), VincularPattern.parse("2-31")) \
         == {1: 2, 2: 2}
+    assert count_exact_occurrences(DumontKind.D4, 6, cp("321"), 1) == 7
+    assert count_exact_occurrences(DumontKind.D2, 8, cp("2143"), 1) == 19
 
 
 @pytest.mark.parametrize("pattern", ["2143", "3421"])
 def test_fast_guards_agree_with_generic_detector(pattern):
-    # The O(1) incremental detectors back the two hot enumeration paths; the
-    # generic matcher is forced here by pairing the pattern with an
-    # unmatchable second one.
+    # The small 2143 and 3421 transitions back the two hot enumeration
+    # paths; the generic transition is forced here by pairing the pattern
+    # with an unmatchable second one.
     decoy = cp("123456789")
     for n in range(1, 5):
         fast = [p.values for p in generate_avoiders(
@@ -238,6 +240,17 @@ def test_exact_count_matches_filtering(kind, pattern, r, small_dumont_sets):
         assert count_exact_occurrences(kind, size, cp(pattern), r) == len(expected)
         listed = generate_avoiders(AvoidanceQuery(kind, size, frozenset({cp(pattern)}), r))
         assert [p.values for p in listed] == expected
+
+
+def test_d4_containing_each_length4_pattern_once():
+    # The paper's "containing once" on kind 4, for all 24 patterns, against
+    # a filter over the members.
+    members = {n: list(generate(DumontKind.D4, 2 * n)) for n in range(6)}
+    for pat in permutations("1234"):
+        q = cp("".join(pat))
+        for n, perms in members.items():
+            expected = sum(1 for p in perms if count_occurrences(p, q) == 1)
+            assert count_exact_occurrences(DumontKind.D4, 2 * n, q, 1) == expected
 
 
 def test_exact_count_rejects_negative_target():

@@ -1,5 +1,5 @@
 """Property tests for the shared walk, the layered DP, the single matcher
-and the guards.
+and the pattern transitions.
 
 Each property compares the package against the brute-force oracles in
 ``conftest`` (or against the unsplit walk, or the DP against the walk) on
@@ -9,13 +9,14 @@ random small inputs.
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_count, naive_count_vincular
 from dumont.kinds import DumontKind, generate, split_prefixes
 from dumont.patterns import (_INF, AvoidanceQuery, ClassicalPattern, VincularPattern,
-                             _count, _make_guard, count_avoiders, count_vincular,
+                             _count, _transition, count_avoiders,
+                             count_exact_occurrences, count_occurrences, count_vincular,
                              generate_avoiders, vincular_histogram)
 from dumont.permcore import Permutation
 
@@ -38,63 +39,71 @@ def vincular(draw):
 @given(full=perms(1, 11), vq=vincular(), limit=st.integers(1, 4) | st.just(_INF))
 def test_matcher_agrees_with_naive_count(full, vq, limit):
     pat, adjacent = vq
-    host, last = list(full[:-1]), full[-1]
+    host = list(full[:-1])
     whole = naive_count_vincular(host, pat, adjacent)
     assert _count(host, pat, adjacent, limit) == min(whole, limit)
-    # Anchored at ``last``: the occurrences of host + [last] that end there.
-    ending = naive_count_vincular(full, pat, adjacent) - whole
-    assert _count(host, pat, adjacent, limit, last) == min(ending, limit)
+    assert _count(full, pat, adjacent, limit) == \
+        min(naive_count_vincular(full, pat, adjacent), limit)
     if not adjacent:
         assert _count(host, pat, adjacent, limit) == min(naive_count(host, pat), limit)
 
 
 @st.composite
-def guard_cases(draw):
-    """A guard, its oracle for one push, and an op sequence over 1..size."""
+def transition_cases(draw):
+    """A query's transition, its oracle for one placement, and an op
+    sequence over 1..size."""
     size = draw(st.integers(0, 10))
     target = draw(st.integers(0, 3))
     which = draw(st.sampled_from(["avoid", "2143", "3421", "exact", "321"]))
 
-    def guard_for(pats, target=None):
-        return _make_guard(AvoidanceQuery(
+    def transition_for(pats, target=None):
+        return _transition(AvoidanceQuery(
             DumontKind.D1, size, frozenset(ClassicalPattern(Permutation(p)) for p in pats),
             target))
 
     if which == "avoid":
         pats = tuple(sorted({tuple(draw(perms(1, 4))) for _ in range(draw(st.integers(1, 2)))}))
-        guard = guard_for(pats)
+        transition = transition_for(pats)
         rejects = lambda h: any(naive_count(h, p) for p in pats)  # noqa: E731
         leaf = None
     elif which in ("2143", "3421"):
         pat = tuple(int(c) for c in which)
-        guard = guard_for([pat])
+        transition = transition_for([pat])
         rejects = lambda h: naive_count(h, pat) > 0  # noqa: E731
         leaf = None
     else:
         pat = (3, 2, 1) if which == "321" else tuple(draw(perms(1, 4)))
-        guard = guard_for([pat], target)
+        transition = transition_for([pat], target)
         rejects = lambda h: naive_count(h, pat) > target  # noqa: E731
         leaf = lambda h: naive_count(h, pat) == target  # noqa: E731
     values = draw(st.permutations(range(1, size + 1)))
     pops = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
-    return guard, rejects, leaf, values, pops
+    return size, transition, rejects, leaf, values, pops
 
 
 @PROPERTY
-@given(case=guard_cases())
-def test_guards_reject_exactly_when_the_prefix_would_match(case):
-    guard, rejects, leaf, values, pops = case
+@given(case=transition_cases())
+def test_transitions_reject_exactly_when_the_prefix_would_match(case):
+    # A full-length prefix is a leaf: in exact mode the transition also
+    # rejects one that misses the target, and at size 0 the empty word.
+    size, (step, state), rejects, leaf, values, pops = case
+    if leaf is not None and size == 0:
+        assert (state is not None) == leaf([])
+        return
     accepted: list[int] = []
+    saved = [(state, 0)]  # (state, used mask) after each accepted prefix
     for w, npop in zip(values, pops):
         for _ in range(min(npop, len(accepted))):
-            guard.pop()
+            saved.pop()
             accepted.pop()
-        ok = guard.push(w)
-        assert ok == (not rejects(accepted + [w]))
+        state, used = saved[-1]
+        new = step(state, w, used)
+        h = accepted + [w]
+        ok = not rejects(h) and (leaf is None or len(h) < size or leaf(h))
+        assert (new is not None) == ok
         if ok:
             accepted.append(w)
-        if leaf is not None:
-            assert guard.leaf_ok() == leaf(accepted)
+            saved.append((new, used | 1 << w))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -138,7 +147,7 @@ def test_dp_agrees_with_the_walk(case):
         walked = Counter(count_vincular(p, stat) for p in members)
         assert vincular_histogram(kind, size, forbidden, stat, prefix) == dict(walked)
     if naive_count(prefix, forbidden.perm.values):
-        assert members == []  # the guard rejects the prefix: 0 and {} above
+        assert members == []  # the transition rejects the prefix: 0 and {} above
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -190,3 +199,35 @@ def test_generic_dp_agrees_with_the_walk(case, stat, small_dumont_sets):
         alone = generate_avoiders(AvoidanceQuery(kind, size, frozenset([q])), prefix)
         walked = Counter(count_vincular(p, stat) for p in alone)
         assert vincular_histogram(kind, size, q, stat, prefix) == dict(walked)
+
+
+@st.composite
+def exact_cases(draw):
+    """A kind, a size, one classical pattern of length 1..4, a target and a
+    feasible prefix (full-length ones included)."""
+    kind = draw(st.sampled_from(list(DumontKind)))
+    size = draw(st.sampled_from([0, 2, 4, 6, 8]))
+    pat = tuple(draw(st.sampled_from((4, 3, 2, 1)).flatmap(
+        lambda k: st.permutations(range(1, k + 1)))))
+    target = draw(st.integers(0, 3))
+    prefixes = split_prefixes(kind, size, draw(st.integers(0, size)))
+    return kind, size, pat, target, draw(st.sampled_from(prefixes))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=exact_cases())
+@example(case=(DumontKind.D1, 0, (1,), 1, ()))
+@example(case=(DumontKind.D4, 0, (2, 1), 0, ()))
+@example(case=(DumontKind.D2, 6, (3, 2, 1), 1, (4, 1, 6, 3, 5, 2)))
+@example(case=(DumontKind.D4, 8, (1, 3, 4, 2), 1, (1, 3, 4, 2, 5, 6, 7, 8)))
+def test_exact_queries_agree_with_filtering(case, small_dumont_sets):
+    kind, size, pat, target, prefix = case
+    q = ClassicalPattern(Permutation(pat))
+    walked = [p.values for p in generate(kind, size, prefix)
+              if count_occurrences(p, q) == target]
+    brute = [vals for vals in small_dumont_sets[(kind.value, size)]
+             if vals[:len(prefix)] == prefix and naive_count(vals, pat) == target]
+    assert walked == brute
+    query = AvoidanceQuery(kind, size, frozenset([q]), target)
+    assert [p.values for p in generate_avoiders(query, prefix)] == brute
+    assert count_exact_occurrences(kind, size, q, target, prefix) == len(brute)
