@@ -10,7 +10,7 @@ from .gfseries import (RationalSeries, SequenceId, TruncatedSeries, catalan_numb
                        gf_identities_check, solve_prst_system)
 from .harness import (DistributionTable, VerificationReport, conjecture1_counts,
                       conjecture2_distribution, render_diagram, run_suite, sanity_s3)
-from .kinds import DumontKind, count, generate, is_dumont, split_prefixes
+from .kinds import DumontKind, count, generate, is_dumont
 from .patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern, avoids,
                        avoids_all, count_avoiders, count_exact_occurrences,
                        count_occurrences, count_vincular, generate_avoiders)
@@ -31,6 +31,5 @@ __all__ = [
     "foata_inverse", "generate", "generate_avoiders", "genocchi",
     "gf_identities_check", "is_dumont", "make_permutation",
     "reflect_1243_to_1324", "reflect_1324_to_1243", "render_diagram",
-    "run_suite", "sanity_s3", "solve_prst_system", "split_prefixes",
-    "split_single_321",
+    "run_suite", "sanity_s3", "solve_prst_system", "split_single_321",
 ]

@@ -7,9 +7,9 @@ equinumerosity on Dumont-1 permutations and the cumulative relation between
 the vincular statistics 2-31 and 13-2 on the two avoider classes) are
 computed and reported with machine-readable verdicts, never hard-asserted.
 
-Long enumerations can be split into prefix shards, distributed over a
-process pool (capped by the DUMONT_THREADS environment variable), stopped on
-a wall-clock budget, and resumed from a plain-text checkpoint file.
+Each n of a conjecture experiment is one layered DP per pattern.  A run
+can be stopped on a wall-clock budget, checked between the layers of the
+DP, and resumed from a plain-text journal that records each finished n.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import permutations as _all_perms
 from typing import Callable, Optional, Sequence
 
 from . import golden
 from .gfseries import SequenceId, catalan_number, closed_form, d4_1423_series, validity_range
-from .kinds import DumontKind, split_prefixes
+from .kinds import BudgetExceeded, DumontKind  # BudgetExceeded is re-exported
 from .patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern, avoids,
                        count_avoiders, count_exact_occurrences, generate_avoiders,
                        vincular_histogram)
@@ -36,10 +35,6 @@ SUITES = ("d1_len3", "d2_len3", "d2_len4", "d1_pairs", "d4_avoid",
 
 _STAT_2_31 = VincularPattern.parse("2-31")
 _STAT_13_2 = VincularPattern.parse("13-2")
-
-
-class BudgetExceeded(Exception):
-    """Raised when a budgeted run stops early; partial state is checkpointed."""
 
 
 @dataclass(frozen=True)
@@ -62,8 +57,8 @@ class VerificationReport:
         return all(row.match for row in self.rows)
 
     def to_text(self, include_timing: bool = False) -> str:
-        # Timing is excluded by default so that repeated runs (and runs with
-        # different worker counts) produce byte-identical reports.
+        # Timing is excluded by default so that repeated runs produce
+        # byte-identical reports.
         lines = [f"suite {self.suite}"]
         for r in self.rows:
             status = "ok" if r.match else "MISMATCH"
@@ -284,6 +279,8 @@ _SUITE_BUILDERS: dict[str, Callable[[int], list[ReportRow]]] = {
 
 def run_suite(suite: str, n_max: int) -> VerificationReport:
     """Run one verification suite (or all of them) up to the given n."""
+    if n_max < 0:
+        raise ValueError(f"max n must be >= 0, got {n_max}")
     if suite == "all":
         rows: list[ReportRow] = []
         for name in SUITES[:-1]:
@@ -296,6 +293,8 @@ def run_suite(suite: str, n_max: int) -> VerificationReport:
 
 def sanity_s3(n_max: int) -> VerificationReport:
     """Brute-force Catalan check for all six patterns of length 3 on S_n."""
+    if n_max < 0:
+        raise ValueError(f"sanity check size must be >= 0, got {n_max}")
     if n_max > 9:
         raise ValueError("sanity check is capped at n = 9")
     rows = []
@@ -408,29 +407,17 @@ def distribution_mismatches(table: DistributionTable) -> list[str]:
     return out
 
 
-def _workers_from_env(explicit: Optional[int]) -> int:
-    env = os.environ.get("DUMONT_THREADS")
-    try:
-        cap = int(env) if env else None
-    except ValueError:
-        raise ValueError(f"DUMONT_THREADS must be a positive integer, got {env!r}") from None
-    if explicit is None:
-        return max(1, cap) if cap else 1
-    return max(1, explicit if cap is None else min(explicit, cap))
-
-
-_JOURNAL_SCHEMA = 1  # raise when the journal's lines change meaning
-_SHARD_DEPTH = 1  # one shard per first value
+_JOURNAL_SCHEMA = 2  # raise when the journal's lines change meaning
 
 
 class _Checkpoint:
-    """Append-only shard journal: a header line, then '<tag>\\t<json payload>'
-    per completed shard.
+    """Append-only journal: a header line, then '<tag>\\t<json payload>' per
+    finished n.
 
-    The header ``# dumont-journal schema=S experiment=E shard-depth=D`` is
-    written when the journal is created; a non-empty journal whose first
-    line differs (another experiment, another sharding, another version)
-    raises ``ValueError`` rather than being mixed with this run's shards.
+    The header ``# dumont-journal schema=S experiment=E`` is written when
+    the journal is created; a non-empty journal whose first line differs
+    (another experiment, another version) raises ``ValueError`` rather than
+    being mixed with this run's records.
     A crash mid-append leaves a torn last line; it is dropped (and cut from
     the file, so the next record starts on a line of its own) with a warning
     on stderr.  A malformed line anywhere else raises ``ValueError``.
@@ -441,8 +428,7 @@ class _Checkpoint:
         self.done: dict[str, object] = {}
         if not path:
             return
-        header = (f"# dumont-journal schema={_JOURNAL_SCHEMA} experiment={experiment} "
-                  f"shard-depth={_SHARD_DEPTH}")
+        header = f"# dumont-journal schema={_JOURNAL_SCHEMA} experiment={experiment}"
         lines = [b""]
         if os.path.exists(path):
             with open(path, "rb") as fh:
@@ -481,111 +467,53 @@ class _Checkpoint:
                 fh.write(f"{tag}\t{json.dumps(payload)}\n")
 
 
-def _c1_shard(args: tuple[int, tuple[int, ...]]) -> tuple[tuple[int, ...], list[int]]:
-    size, prefix = args
-    out = []
-    for pat in _C1_PATTERNS:
-        query = AvoidanceQuery(DumontKind.D1, size, frozenset([_pat(pat)]))
-        out.append(count_avoiders(query, prefix=prefix))
-    return prefix, out
-
-
-def _c2_shard(args: tuple[int, tuple[int, ...]]) -> tuple[tuple[int, ...], list[dict]]:
-    size, prefix = args
-    hist_a = vincular_histogram(DumontKind.D1, size, _pat("2143"), _STAT_2_31,
-                                prefix=prefix)
-    hist_b = vincular_histogram(DumontKind.D1, size, _pat("3421"), _STAT_13_2,
-                                prefix=prefix)
-    return prefix, [{str(k): v for k, v in hist_a.items()},
-                    {str(k): v for k, v in hist_b.items()}]
-
-
-def _run_shards(size: int, shard_fn, tag_prefix: str, checkpoint: _Checkpoint,
-                deadline: Optional[float], workers: int):
-    """Yield (prefix, payload) for every shard, resuming and budgeting."""
-    prefixes = split_prefixes(DumontKind.D1, size, _SHARD_DEPTH)
-    pending = []
-    for prefix in prefixes:
-        tag = f"{tag_prefix}|{','.join(map(str, prefix))}"
-        if tag in checkpoint.done:
-            yield prefix, checkpoint.done[tag]
-        else:
-            pending.append((tag, prefix))
-    if not pending:
-        return
-
-    def out_of_time() -> bool:
-        return deadline is not None and time.monotonic() > deadline
-
-    if workers <= 1:
-        for tag, prefix in pending:
-            if out_of_time():
-                raise BudgetExceeded(tag_prefix)
-            _, payload = shard_fn((size, prefix))
-            checkpoint.record(tag, payload)
-            yield prefix, payload
-        return
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(shard_fn, (size, prefix)): (tag, prefix)
-                   for tag, prefix in pending}
-        remaining = set(futures)
-        try:
-            while remaining:
-                done, remaining = wait(remaining, timeout=1.0,
-                                       return_when=FIRST_COMPLETED)
-                for fut in done:
-                    tag, prefix = futures[fut]
-                    payload = fut.result()[1]
-                    checkpoint.record(tag, payload)
-                    yield prefix, payload
-                if remaining and out_of_time():
-                    raise BudgetExceeded(tag_prefix)
-        finally:
-            for fut in remaining:
-                fut.cancel()
+def _deadline(budget: Optional[float]) -> Optional[float]:
+    """The ``time.monotonic()`` value a budget of seconds ends at."""
+    if budget is None:
+        return None
+    if not budget >= 0:
+        raise ValueError(f"budget must be >= 0 seconds, got {budget}")
+    return time.monotonic() + budget
 
 
 def conjecture1_counts(n_max: int, budget: Optional[float] = None,
-                       checkpoint_path: Optional[str] = None,
-                       workers: Optional[int] = None) -> list[ConjectureCountRow]:
+                       checkpoint_path: Optional[str] = None) -> list[ConjectureCountRow]:
     """Counts of Dumont-1 avoiders of 2143 and of 3421 for n = 0..n_max."""
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
-    deadline = time.monotonic() + budget if budget is not None else None
-    nworkers = _workers_from_env(workers)
+    deadline = _deadline(budget)
     checkpoint = _Checkpoint(checkpoint_path, "c1")
     reference = golden.d1_wilf_pair_counts()
     rows = []
     for n in range(n_max + 1):
-        totals = [0, 0]
-        for _, payload in _run_shards(2 * n, _c1_shard, f"c1|n={n}", checkpoint,
-                                      deadline, nworkers):
-            totals[0] += payload[0]
-            totals[1] += payload[1]
+        tag = f"c1|n={n}"
+        counts = checkpoint.done.get(tag)
+        if counts is None:
+            counts = [count_avoiders(AvoidanceQuery(DumontKind.D1, 2 * n, frozenset([_pat(p)])),
+                                     deadline=deadline) for p in _C1_PATTERNS]
+            checkpoint.record(tag, counts)
         ref = reference[n] if n < len(reference) else None
-        ok = totals[0] == totals[1] and (ref is None or totals[0] == ref)
-        rows.append(ConjectureCountRow(n, totals[0], totals[1], ref, ok))
+        ok = counts[0] == counts[1] and (ref is None or counts[0] == ref)
+        rows.append(ConjectureCountRow(n, counts[0], counts[1], ref, ok))
     return rows
 
 
 def conjecture2_distribution(n: int, budget: Optional[float] = None,
-                             checkpoint_path: Optional[str] = None,
-                             workers: Optional[int] = None) -> DistributionTable:
+                             checkpoint_path: Optional[str] = None) -> DistributionTable:
     """Joint distribution tables of the two vincular statistics at one n."""
-    deadline = time.monotonic() + budget if budget is not None else None
-    nworkers = _workers_from_env(workers)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    deadline = _deadline(budget)
     checkpoint = _Checkpoint(checkpoint_path, "c2")
-    width = (n * (n - 1)) // 2 + 1  # k ranges over 0..C(n,2)
-    hist_a: dict[int, int] = {}
-    hist_b: dict[int, int] = {}
-    for _, payload in _run_shards(2 * n, _c2_shard, f"c2|n={n}", checkpoint,
-                                  deadline, nworkers):
-        for k, v in payload[0].items():
-            hist_a[int(k)] = hist_a.get(int(k), 0) + v
-        for k, v in payload[1].items():
-            hist_b[int(k)] = hist_b.get(int(k), 0) + v
-    top = max([width - 1] + list(hist_a) + list(hist_b))
+    tag = f"c2|n={n}"
+    hists = checkpoint.done.get(tag)
+    if hists is None:
+        hists = [{str(k): v for k, v in vincular_histogram(
+                     DumontKind.D1, 2 * n, _pat(pat), stat, deadline=deadline).items()}
+                 for pat, stat in (("2143", _STAT_2_31), ("3421", _STAT_13_2))]
+        checkpoint.record(tag, hists)
+    hist_a, hist_b = ({int(k): v for k, v in h.items()} for h in hists)
+    top = max([n * (n - 1) // 2] + list(hist_a) + list(hist_b))  # k = 0..C(n,2)
     a_row = tuple(hist_a.get(k, 0) for k in range(top + 1))
     b_row = tuple(hist_b.get(k, 0) for k in range(top + 1))
     return DistributionTable(n=n, a_row=a_row, b_row=b_row)

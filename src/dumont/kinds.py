@@ -16,22 +16,17 @@ All four kinds of size 2n are counted by the Genocchi number G(2n+2)
 (see :mod:`dumont.gfseries`).
 
 Generation runs through one walk, :func:`_walk`: a position-by-position
-backtracking search that emits prefixes in lexicographic order.  Prefix
+backtracking search that emits members in lexicographic order.  Prefix
 pruning applies each kind's constraints as soon as they become checkable,
 so the walk never descends into a subtree that cannot contain a member.
-The walk can start from a given prefix (checked against the kind's rules,
-then replayed) and stop at a given depth, which is how
-:func:`split_prefixes` cuts the search tree into disjoint subtrees for
-independent workers.
 
 Pattern queries plug in a transition ``step(state, w, used) -> state |
 None`` that summarises the prefix in a small int and rejects a placement
 the summary rules out.  The walk keeps a stack of states, one per
 position, and remembers the subtrees that yielded nothing by their key, so
 listing costs about the number of distinct keys plus the output.
-:func:`generate` and :func:`split_prefixes` walk with no transition, and
-that plain walk filtered by a matcher is the oracle the pattern queries
-are tested against.
+:func:`generate` walks with no transition, and that plain walk filtered
+by a matcher is the oracle the pattern queries are tested against.
 
 Counting does not need the order of the walk, only how many leaves lie
 below each prefix, and that depends on the prefix only through a small
@@ -39,19 +34,24 @@ key: the set of placed values, the last value (for kinds 1 and 3, whose
 rules read it) and the state of the transition.  :func:`_count_layers`
 moves a dict from packed keys to weights forward one position at a time,
 so prefixes with the same key are counted once; only two layers are ever
-held.  :func:`count` runs it with no transition; every avoider count,
-every exact-occurrence count and the vincular histograms of
-:mod:`dumont.patterns` plug a pattern transition (and an occurrence
-statistic) into it.
+held, and a deadline is checked before each layer.  :func:`count` runs it
+with no transition; every avoider count, every exact-occurrence count and
+the vincular histograms of :mod:`dumont.patterns` plug a pattern
+transition (and an occurrence statistic) into it.
 """
 
 from __future__ import annotations
 
+import time
 from enum import Enum
 from math import factorial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from .permcore import Permutation
+
+
+class BudgetExceeded(Exception):
+    """Raised when a count passes its deadline before it is done."""
 
 
 class DumontKind(Enum):
@@ -187,36 +187,12 @@ Step = Callable[[int, int, int], Optional[int]]
 Stat = Callable[[int, int, int], int]
 
 
-def _check_prefix(kind_id: int, size: int, prefix: Sequence[int]) -> int:
-    """The used mask of ``prefix``; ``ValueError`` when it breaks the kind's rules."""
-    used = 0
-    for i, w in enumerate(prefix):
-        if w not in _candidates(kind_id, i + 1, size, prefix[i - 1] if i else 0, used):
-            raise ValueError(f"prefix {list(prefix)} is not feasible at position {i + 1}")
-        used |= 1 << w
-    return used
+def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
+          state: Optional[int] = 0) -> Iterator[list[int]]:
+    """Yield every member, in lexicographic order, whose prefixes the
+    transition ``step`` accepts throughout.
 
-
-def _replay(step: Step, state: Optional[int], prefix: Sequence[int]) -> Optional[int]:
-    """The state of a transition after ``prefix``, or None once it rejects."""
-    used = 0
-    for w in prefix:
-        if state is None:
-            break
-        state = step(state, w, used)
-        used |= 1 << w
-    return state
-
-
-def _walk(kind: DumontKind, size: int, prefix: Sequence[int] = (),
-          step: Optional[Step] = None, state: Optional[int] = 0,
-          depth: Optional[int] = None) -> Iterator[list[int]]:
-    """Yield every live prefix of length ``depth`` (default ``size``), in
-    lexicographic order, that extends ``prefix``.
-
-    The prefix is checked against the kind's rules (``ValueError`` when it
-    breaks them) and then replayed into the transition ``step``, whose
-    initial ``state`` is that of the empty prefix; a rejected prefix yields
+    ``state`` is the transition's summary of the empty prefix; None yields
     nothing.  With a transition, the walk records the key (used values, last
     value, state) of every subtree that yielded nothing and never enters a
     subtree with that key again.  The yielded list is the walk's own state:
@@ -224,14 +200,11 @@ def _walk(kind: DumontKind, size: int, prefix: Sequence[int] = (),
     """
     _require_even(size)
     kind_id = kind.value
-    stop = size if depth is None else min(depth, size)
-    h = list(prefix)
-    used = _check_prefix(kind_id, size, h)
-    if step is not None:
-        state = _replay(step, state, h)
-        if state is None:
-            return
-    if len(h) >= stop:
+    if state is None:
+        return
+    h: list[int] = []
+    used = 0
+    if not size:
         yield h
         return
     # Keys are packed as in :func:`_count_layers`.
@@ -243,7 +216,7 @@ def _walk(kind: DumontKind, size: int, prefix: Sequence[int] = (),
     # the suspended iterators of the shallower positions and, with a
     # transition, ``frames`` holds per entered subtree the state to restore
     # on leaving it, its key and the leaf count on entering it.
-    it = iter(_candidates(kind_id, len(h) + 1, size, h[-1] if h else 0, used))
+    it = iter(_candidates(kind_id, 1, size, 0, 0))
     stack: list[Iterator[int]] = []
     frames: list[tuple[int, int, int]] = []
     while True:
@@ -253,7 +226,7 @@ def _walk(kind: DumontKind, size: int, prefix: Sequence[int] = (),
                 if new is None:
                     continue
             h.append(w)
-            if len(h) == stop:
+            if len(h) == size:
                 leaves += 1
                 yield h
                 h.pop()
@@ -280,14 +253,9 @@ def _walk(kind: DumontKind, size: int, prefix: Sequence[int] = (),
                     dead.add(key)
 
 
-def generate(kind: DumontKind, size: int,
-             prefix: Sequence[int] = ()) -> Iterator[Permutation]:
-    """Yield the members of the kind in lexicographic order.
-
-    ``prefix`` restricts the walk to completions of the given first entries,
-    which is the worker-side half of the prefix-splitting contract.
-    """
-    for h in _walk(kind, size, prefix):
+def generate(kind: DumontKind, size: int) -> Iterator[Permutation]:
+    """Yield the members of the kind in lexicographic order."""
+    for h in _walk(kind, size):
         yield Permutation._wrap(tuple(h))
 
 
@@ -303,33 +271,31 @@ def _coefficient_bits(size: int) -> int:
     return factorial(size).bit_length()
 
 
-def _count_layers(kind: DumontKind, size: int, prefix: Sequence[int] = (),
-                  step: Optional[Step] = None, state: Optional[int] = 0,
-                  stat: Optional[Stat] = None) -> int:
-    """Count the members that extend ``prefix`` by a layered forward DP.
+def _check_deadline(deadline: Optional[float]) -> None:
+    """Raise ``BudgetExceeded`` once ``time.monotonic()`` has passed
+    ``deadline`` (None never passes)."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceeded("deadline passed")
+
+
+def _count_layers(kind: DumontKind, size: int, step: Optional[Step] = None,
+                  state: Optional[int] = 0, stat: Optional[Stat] = None,
+                  deadline: Optional[float] = None) -> int:
+    """Count the members by a layered forward DP.
 
     Without ``stat`` the result is the number of members whose prefixes
     ``step`` accepts throughout.  With ``stat`` it is their histogram,
     packed: the number of members with k occurrences sits at bits
     ``_coefficient_bits(size) * k``, so adding two histograms is ``+`` and
     adding a occurrences to all of one is a shift.  ``state`` is the summary
-    of the empty prefix.  The prefix is checked as in :func:`_walk`.
+    of the empty prefix; None counts nothing.  ``deadline`` is checked by
+    :func:`_check_deadline` before each layer.
     """
     _require_even(size)
     kind_id = kind.value
-    _check_prefix(kind_id, size, prefix)
-    if step is not None:
-        state = _replay(step, state, prefix)
-        if state is None:
-            return 0
+    if state is None:
+        return 0
     width = _coefficient_bits(size)
-    weight = 1
-    prev = used = 0
-    for w in prefix:
-        if stat is not None:
-            weight <<= width * stat(used, prev, w)
-        prev = w
-        used |= 1 << w
     # Key layout: used mask in bits 0..size, the last value above it (kept
     # only when the kind's rules or the statistic read it), then the state.
     keep_prev = kind_id in (1, 3) or stat is not None
@@ -337,8 +303,9 @@ def _count_layers(kind: DumontKind, size: int, prefix: Sequence[int] = (),
     s_shift = p_shift + size.bit_length()
     used_mask = (1 << p_shift) - 1
     prev_mask = (1 << size.bit_length()) - 1
-    layer = {used | (prev << p_shift if keep_prev else 0) | state << s_shift: weight}
-    for pos in range(len(prefix) + 1, size + 1):
+    layer = {state << s_shift: 1}
+    for pos in range(1, size + 1):
+        _check_deadline(deadline)
         nxt: dict[int, int] = {}
         get = nxt.get
         for key, weight in layer.items():
@@ -359,13 +326,3 @@ def _count_layers(kind: DumontKind, size: int, prefix: Sequence[int] = (),
                 nxt[k] = get(k, 0) + out
         layer = nxt
     return sum(layer.values())
-
-
-def split_prefixes(kind: DumontKind, size: int, depth: int) -> list[tuple[int, ...]]:
-    """Feasible prefixes of length ``min(depth, size)``, in lexicographic order.
-
-    The completions of the returned prefixes partition the full set, so
-    independent workers can process disjoint subtrees and their results can
-    be merged by plain addition.
-    """
-    return [tuple(h) for h in _walk(kind, size, depth=depth)]

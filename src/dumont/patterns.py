@@ -528,42 +528,48 @@ def _vincular_stat(stat: VincularPattern, size: int) -> Optional[_kinds.Stat]:
 # Pruned generation and counting
 
 
-def generate_avoiders(query: AvoidanceQuery,
-                      prefix: Sequence[int] = ()) -> Iterator[Permutation]:
+def generate_avoiders(query: AvoidanceQuery) -> Iterator[Permutation]:
     """Members of the query's set (avoiders, or exact-occurrence members),
     lexicographically."""
-    for h in _kinds._walk(query.kind, query.size, prefix, *_transition(query)):
+    for h in _kinds._walk(query.kind, query.size, *_transition(query)):
         yield Permutation._wrap(tuple(h))
 
 
-def count_avoiders(query: AvoidanceQuery, prefix: Sequence[int] = ()) -> int:
-    """Cardinality of :func:`generate_avoiders` without materialising it."""
-    return _kinds._count_layers(query.kind, query.size, prefix, *_transition(query))
+def count_avoiders(query: AvoidanceQuery, *, deadline: Optional[float] = None) -> int:
+    """Cardinality of :func:`generate_avoiders` without materialising it.
+
+    ``BudgetExceeded`` is raised once ``time.monotonic()`` passes
+    ``deadline`` (checked between positions of the DP).
+    """
+    return _kinds._count_layers(query.kind, query.size, *_transition(query),
+                                deadline=deadline)
 
 
 def count_exact_occurrences(kind: DumontKind, size: int, q: ClassicalPattern,
-                            r: int, prefix: Sequence[int] = ()) -> int:
+                            r: int) -> int:
     """Members of the kind with exactly ``r`` occurrences of the pattern."""
-    return count_avoiders(AvoidanceQuery(kind, size, frozenset([q]), r), prefix)
+    return count_avoiders(AvoidanceQuery(kind, size, frozenset([q]), r))
 
 
 def vincular_histogram(kind: DumontKind, size: int, forbidden: ClassicalPattern,
-                       stat: VincularPattern,
-                       prefix: Sequence[int] = ()) -> dict[int, int]:
+                       stat: VincularPattern, *,
+                       deadline: Optional[float] = None) -> dict[int, int]:
     """Distribution of a vincular statistic over a pruned avoider set.
 
     Returns {k: number of members of the kind avoiding ``forbidden`` whose
-    occurrence count of ``stat`` equals k}.
+    occurrence count of ``stat`` equals k}.  ``deadline`` is as for
+    :func:`count_avoiders`; a statistic with no DP form checks it per member.
     """
     query = AvoidanceQuery(kind, size, frozenset([forbidden]))
     add = _vincular_stat(stat, size)
     hist: dict[int, int] = {}
     if add is None:
-        for p in generate_avoiders(query, prefix):
+        for p in generate_avoiders(query):
+            _kinds._check_deadline(deadline)
             k = _count(p.values, stat.perm.values, stat.adjacent)
             hist[k] = hist.get(k, 0) + 1
         return hist
-    packed = _kinds._count_layers(kind, size, prefix, *_transition(query), add)
+    packed = _kinds._count_layers(kind, size, *_transition(query), add, deadline)
     width = _kinds._coefficient_bits(size)
     coeff = (1 << width) - 1
     k = 0

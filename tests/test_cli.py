@@ -88,10 +88,19 @@ def test_avoid_exactly_list_comes_from_the_pruned_walk():
     ["series", "--id", "genocchi", "--cross-check"],
     ["series", "--id", "genocchi", "--upto", "-3"],
     ["conjecture", "--which", "1", "--n", "-1"],
+    ["verify", "--suite", "d1_len3", "--max-n", "-1"],
+    ["verify", "--sanity-s3", "-1"],
+    ["verify", "--max-n", "-1"],
+    ["conjecture", "--which", "1", "--n", "2", "--budget", "-1", "--checkpoint", "JOURNAL"],
+    ["conjecture", "--which", "2", "--n", "-1", "--checkpoint", "JOURNAL"],
+    ["conjecture", "--which", "2", "--n", "3", "--budget", "nan", "--checkpoint", "JOURNAL"],
 ])
-def test_bad_input_exits_2(argv):
-    code, _ = run_cli(*argv)
-    assert code == 2
+def test_bad_input_exits_2(argv, tmp_path, capsys):
+    journal = tmp_path / "journal"
+    code, out = run_cli(*(str(journal) if a == "JOURNAL" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not journal.exists()  # refused before a journal is opened
 
 
 def test_map_subcommands():
@@ -196,8 +205,8 @@ def test_conjecture_1_count_off_its_reference_exits_1(tmp_path):
     code, _ = run_cli("conjecture", "--which", "1", "--n", "3", "--checkpoint", str(journal))
     assert code == 0
     text = journal.read_text()
-    assert "c1|n=3|6\t[2, 2]\n" in text
-    journal.write_text(text.replace("c1|n=3|6\t[2, 2]", "c1|n=3|6\t[1001, 1001]"))
+    assert "c1|n=3\t[7, 7]\n" in text
+    journal.write_text(text.replace("c1|n=3\t[7, 7]", "c1|n=3\t[1006, 1006]"))
     code, out = run_cli("conjecture", "--which", "1", "--n", "3", "--checkpoint", str(journal))
     assert code == 1
     assert "3 1006 1006 7" in out
@@ -230,8 +239,8 @@ def test_conjecture_2_table_off_its_reference_exits_1(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().err == ""
     assert run_cli(*argv) == (0, clean)  # resumed from the journal, still checked
-    # The last shard's k=0 cell of row a off by 900: the row sum breaks.
-    _tamper(journal, "c2|n=5|10", lambda p: p[0].update({"0": p[0]["0"] + 900}))
+    # The k=0 cell of row a off by 900: the row sum breaks.
+    _tamper(journal, "c2|n=5", lambda p: p[0].update({"0": p[0]["0"] + 900}))
     code, out = run_cli(*argv)
     assert code == 1
     assert out.splitlines()[0] == "0 901 1 >"
@@ -239,7 +248,7 @@ def test_conjecture_2_table_off_its_reference_exits_1(tmp_path, capsys):
         "mismatch: row a at n=5 sums to 1139, but d1_wilf_pair gives 239 avoiders\n"
         "mismatch: row a at n=5 differs from vincular_distributions\n")
     # One member moved from k=0 to k=1: the sum holds, the vendored row does not.
-    _tamper(journal, "c2|n=5|10", lambda p: p[0].update(
+    _tamper(journal, "c2|n=5", lambda p: p[0].update(
         {"0": p[0]["0"] - 901, "1": p[0].get("1", 0) + 1}))
     code, out = run_cli(*argv)
     assert code == 1

@@ -113,7 +113,7 @@ def test_torn_last_journal_line_is_dropped(tmp_path, capsys):
     path.write_text(whole[:-len(last) // 2 - 1])  # a crash halfway through the last append
     assert conjecture1_counts(3, checkpoint_path=str(path)) == rows
     assert "dropped the torn last line" in capsys.readouterr().err
-    # The shard is recomputed and journaled again on a line of its own.
+    # The last n is recomputed and journaled again on a line of its own.
     assert path.read_text() == whole
 
 
@@ -130,12 +130,13 @@ def test_malformed_journal_line_is_refused(tmp_path):
 def test_journal_header_is_written_and_checked(tmp_path):
     path = tmp_path / "c1.ckpt"
     conjecture1_counts(2, checkpoint_path=str(path))
-    header = "# dumont-journal schema=1 experiment=c1 shard-depth=1\n"
+    header = "# dumont-journal schema=2 experiment=c1\n"
     assert path.read_text().startswith(header)
-    # A journal sharded three values deep, with and without a header (the
-    # latter as written before journals had one), is refused, not extended.
-    shard = "c1|n=2|2,1,4\t[1, 1]\n"
-    for text in (header.replace("depth=1", "depth=3") + shard, shard):
+    # A journal of first-value shards (schema 1) and one without a header
+    # (as written before journals had one) are refused, not extended.
+    shard = "c1|n=2|2\t[1, 1]\n"
+    old = "# dumont-journal schema=1 experiment=c1 shard-depth=1\n"
+    for text in (old + shard, shard):
         path.write_text(text)
         with pytest.raises(ValueError, match="pass another --checkpoint path"):
             conjecture1_counts(2, checkpoint_path=str(path))
@@ -157,12 +158,6 @@ def test_c1_and_c2_journals_are_not_mixed(tmp_path):
         conjecture1_counts(2, checkpoint_path=str(c2))
 
 
-def test_malformed_thread_count_is_refused(monkeypatch):
-    monkeypatch.setenv("DUMONT_THREADS", "two")
-    with pytest.raises(ValueError, match="DUMONT_THREADS must be a positive integer"):
-        conjecture1_counts(2)
-
-
 def test_budget_exceeded_raises_and_resumes(tmp_path):
     path = str(tmp_path / "c1budget.ckpt")
     with pytest.raises(BudgetExceeded):
@@ -171,14 +166,16 @@ def test_budget_exceeded_raises_and_resumes(tmp_path):
     assert rows[5].count_2143 == rows[5].count_3421 == 239
 
 
-def test_workers_give_identical_results(monkeypatch):
-    monkeypatch.setenv("DUMONT_THREADS", "2")
-    rows = conjecture1_counts(3, workers=2)
-    table = conjecture2_distribution(3, workers=2)
-    monkeypatch.delenv("DUMONT_THREADS")
-    assert [(r.count_2143, r.count_3421) for r in rows] == \
-        [(1, 1), (1, 1), (2, 2), (7, 7)]
-    assert table.a_row == conjecture2_distribution(3).a_row
+def test_budget_is_checked_between_dp_layers(tmp_path):
+    # The two DPs at n = 7 take over a second, so a 0.05 s budget stops them
+    # between two layers, and nothing but the header is journaled.
+    path = tmp_path / "c2budget.ckpt"
+    with pytest.raises(BudgetExceeded):
+        conjecture2_distribution(7, budget=0.05, checkpoint_path=str(path))
+    assert path.read_text() == "# dumont-journal schema=2 experiment=c2\n"
+    table = conjecture2_distribution(7, checkpoint_path=str(path))
+    ref = golden.vincular_distribution(7)
+    assert (list(table.a_row), list(table.b_row)) == (ref["a"], ref["b"])
 
 
 def test_render_diagram():

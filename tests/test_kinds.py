@@ -1,7 +1,7 @@
 import pytest
 
 from dumont.gfseries import genocchi
-from dumont.kinds import DumontKind, count, generate, is_dumont, split_prefixes
+from dumont.kinds import DumontKind, count, generate, is_dumont
 from dumont.permcore import Permutation
 
 ALL_KINDS = list(DumontKind)
@@ -76,23 +76,3 @@ def test_d4_structural_invariant():
         for p in generate(DumontKind.D4, size):
             assert p.at(1) == 1
             assert p.at(size - 1) in (size - 1, size)
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_prefix_splitting_partitions_the_set(kind):
-    size = 8
-    whole = [p.values for p in generate(kind, size)]
-    for depth in (1, 2, 3):
-        shards = split_prefixes(kind, size, depth)
-        assert shards == sorted(shards)
-        merged = []
-        for prefix in shards:
-            chunk = [p.values for p in generate(kind, size, prefix=prefix)]
-            assert all(v[:len(prefix)] == prefix for v in chunk)
-            merged.extend(chunk)
-        assert merged == whole
-
-
-def test_generate_rejects_infeasible_prefix():
-    with pytest.raises(ValueError, match="not feasible"):
-        list(generate(DumontKind.D2, 4, prefix=(1, 2)))

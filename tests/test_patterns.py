@@ -1,11 +1,13 @@
 import random
+import time
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
 from conftest import naive_contains, naive_count, naive_count_vincular
 from dumont import kinds
-from dumont.kinds import DumontKind, generate
+from dumont.kinds import BudgetExceeded, DumontKind, generate
 from dumont.patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern,
                              avoids, avoids_all, count_avoiders,
                              count_exact_occurrences, count_occurrences,
@@ -183,6 +185,25 @@ def test_plain_counts_do_not_walk(monkeypatch):
         == {1: 2, 2: 2}
     assert count_exact_occurrences(DumontKind.D4, 6, cp("321"), 1) == 7
     assert count_exact_occurrences(DumontKind.D2, 8, cp("2143"), 1) == 19
+
+
+@pytest.mark.parametrize("pattern", ["2143", "3421", "123"])
+def test_a_passed_deadline_stops_the_dp(pattern):
+    # 2-31 is counted on the DP; 1-2-3 has no DP form and runs on the walk.
+    q = cp(pattern)
+    for size in (2, 8):
+        query = AvoidanceQuery(DumontKind.D1, size, frozenset([q]))
+        members = list(generate_avoiders(query))
+        with pytest.raises(BudgetExceeded):
+            count_avoiders(query, deadline=time.monotonic() - 1)
+        assert count_avoiders(query, deadline=None) == len(members)
+        assert count_avoiders(query, deadline=time.monotonic() + 3600) == len(members)
+        for stat in (VincularPattern.parse("2-31"), VincularPattern.parse("1-2-3")):
+            with pytest.raises(BudgetExceeded):
+                vincular_histogram(DumontKind.D1, size, q, stat,
+                                   deadline=time.monotonic() - 1)
+            assert vincular_histogram(DumontKind.D1, size, q, stat, deadline=None) == \
+                dict(Counter(count_vincular(p, stat) for p in members))
 
 
 @pytest.mark.parametrize("pattern", ["2143", "3421"])

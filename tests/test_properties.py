@@ -2,18 +2,16 @@
 and the pattern transitions.
 
 Each property compares the package against the brute-force oracles in
-``conftest`` (or against the unsplit walk, or the DP against the walk) on
-random small inputs.
+``conftest`` (or the DP against the walk) on random small inputs.
 """
 
 from collections import Counter
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_count, naive_count_vincular
-from dumont.kinds import DumontKind, generate, split_prefixes
+from dumont.kinds import DumontKind, generate
 from dumont.patterns import (_INF, AvoidanceQuery, ClassicalPattern, VincularPattern,
                              _count, _transition, count_avoiders,
                              count_exact_occurrences, count_occurrences, count_vincular,
@@ -106,18 +104,6 @@ def test_transitions_reject_exactly_when_the_prefix_would_match(case):
             saved.append((new, used | 1 << w))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(list(DumontKind)), size=st.sampled_from([0, 2, 4, 6, 8]),
-       depth=st.integers(0, 9))
-def test_split_prefixes_partition_generate(kind, size, depth):
-    whole = [p.values for p in generate(kind, size)]
-    merged = []
-    for prefix in split_prefixes(kind, size, depth):
-        assert len(prefix) == min(depth, size)
-        merged.extend(p.values for p in generate(kind, size, prefix=prefix))
-    assert merged == whole
-
-
 DP_PATTERNS = {"2143": VincularPattern.parse("2-31"), "3421": VincularPattern.parse("13-2")}
 # Every length-3 statistic with one adjacency has a DP form.
 DP_STATS = [VincularPattern.parse(f"{a}-{b}{c}" if split else f"{a}{b}-{c}")
@@ -126,49 +112,29 @@ DP_STATS = [VincularPattern.parse(f"{a}-{b}{c}" if split else f"{a}{b}-{c}")
 
 @st.composite
 def dp_cases(draw):
-    """A kind, a size, one of the DP patterns, a statistic and a feasible prefix."""
+    """A kind, a size, one of the DP patterns and a statistic."""
     kind = draw(st.sampled_from(list(DumontKind)))
     size = draw(st.sampled_from([0, 2, 4, 6, 8, 10]))
     pat = draw(st.sampled_from(sorted(DP_PATTERNS)))
-    stat = draw(st.sampled_from(DP_STATS))
-    prefixes = split_prefixes(kind, size, draw(st.integers(0, size)))
-    return kind, size, pat, stat, draw(st.sampled_from(prefixes))
+    return kind, size, pat, draw(st.sampled_from(DP_STATS))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(case=dp_cases())
 def test_dp_agrees_with_the_walk(case):
-    kind, size, pat, extra, prefix = case
+    kind, size, pat, extra = case
     forbidden = ClassicalPattern.parse(pat)
     query = AvoidanceQuery(kind, size, frozenset([forbidden]))
-    members = list(generate_avoiders(query, prefix))
-    assert count_avoiders(query, prefix) == len(members)
+    members = list(generate_avoiders(query))
+    assert count_avoiders(query) == len(members)
     for stat in [*DP_PATTERNS.values(), extra]:
         walked = Counter(count_vincular(p, stat) for p in members)
-        assert vincular_histogram(kind, size, forbidden, stat, prefix) == dict(walked)
-    if naive_count(prefix, forbidden.perm.values):
-        assert members == []  # the transition rejects the prefix: 0 and {} above
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(list(DumontKind)), size=st.sampled_from([2, 4, 6, 8]),
-       pat=st.sampled_from(sorted(DP_PATTERNS)), data=st.data())
-def test_dp_rejects_an_infeasible_prefix(kind, size, pat, data):
-    prefix = tuple(data.draw(st.permutations(range(1, size + 1)))[:data.draw(
-        st.integers(1, size))])
-    if prefix in split_prefixes(kind, size, len(prefix)):
-        return
-    forbidden = ClassicalPattern.parse(pat)
-    with pytest.raises(ValueError, match="not feasible"):
-        count_avoiders(AvoidanceQuery(kind, size, frozenset([forbidden])), prefix)
-    with pytest.raises(ValueError, match="not feasible"):
-        vincular_histogram(kind, size, forbidden, DP_PATTERNS[pat], prefix)
+        assert vincular_histogram(kind, size, forbidden, stat) == dict(walked)
 
 
 @st.composite
 def generic_cases(draw):
-    """A kind, a size, one or two classical patterns of length 1..5 and a
-    feasible prefix."""
+    """A kind, a size and one or two classical patterns of length 1..5."""
     kind = draw(st.sampled_from(list(DumontKind)))
     size = draw(st.sampled_from([0, 2, 4, 6, 8, 10]))
     # Length 4 is the simplest draw: a length-1 pattern empties every
@@ -176,58 +142,52 @@ def generic_cases(draw):
     lengths = st.sampled_from((4, 5, 3, 4, 5, 2, 1))
     pats = {tuple(draw(lengths.flatmap(lambda k: st.permutations(range(1, k + 1)))))
             for _ in range(draw(st.integers(1, 2)))}
-    prefixes = split_prefixes(kind, size, draw(st.integers(0, size)))
-    return kind, size, sorted(pats), draw(st.sampled_from(prefixes))
+    return kind, size, sorted(pats)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=generic_cases(), stat=st.sampled_from(DP_STATS))
 def test_generic_dp_agrees_with_the_walk(case, stat, small_dumont_sets):
-    kind, size, pats, prefix = case
+    kind, size, pats = case
     forbidden = [ClassicalPattern(Permutation(p)) for p in pats]
     query = AvoidanceQuery(kind, size, frozenset(forbidden))
-    members = list(generate_avoiders(query, prefix))
-    assert count_avoiders(query, prefix) == len(members)
+    members = list(generate_avoiders(query))
+    assert count_avoiders(query) == len(members)
     if size <= 8:
         brute = [vals for vals in small_dumont_sets[(kind.value, size)]
-                 if vals[:len(prefix)] == prefix
-                 and not any(naive_count(vals, p) for p in pats)]
+                 if not any(naive_count(vals, p) for p in pats)]
         assert [p.values for p in members] == brute
     for q in forbidden:
         if str(q) in DP_PATTERNS:
             continue  # 2143 and 3421 keep their own transitions
-        alone = generate_avoiders(AvoidanceQuery(kind, size, frozenset([q])), prefix)
+        alone = generate_avoiders(AvoidanceQuery(kind, size, frozenset([q])))
         walked = Counter(count_vincular(p, stat) for p in alone)
-        assert vincular_histogram(kind, size, q, stat, prefix) == dict(walked)
+        assert vincular_histogram(kind, size, q, stat) == dict(walked)
 
 
 @st.composite
 def exact_cases(draw):
-    """A kind, a size, one classical pattern of length 1..4, a target and a
-    feasible prefix (full-length ones included)."""
+    """A kind, a size, one classical pattern of length 1..4 and a target."""
     kind = draw(st.sampled_from(list(DumontKind)))
     size = draw(st.sampled_from([0, 2, 4, 6, 8]))
     pat = tuple(draw(st.sampled_from((4, 3, 2, 1)).flatmap(
         lambda k: st.permutations(range(1, k + 1)))))
-    target = draw(st.integers(0, 3))
-    prefixes = split_prefixes(kind, size, draw(st.integers(0, size)))
-    return kind, size, pat, target, draw(st.sampled_from(prefixes))
+    return kind, size, pat, draw(st.integers(0, 3))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=exact_cases())
-@example(case=(DumontKind.D1, 0, (1,), 1, ()))
-@example(case=(DumontKind.D4, 0, (2, 1), 0, ()))
-@example(case=(DumontKind.D2, 6, (3, 2, 1), 1, (4, 1, 6, 3, 5, 2)))
-@example(case=(DumontKind.D4, 8, (1, 3, 4, 2), 1, (1, 3, 4, 2, 5, 6, 7, 8)))
+@example(case=(DumontKind.D1, 0, (1,), 1))
+@example(case=(DumontKind.D4, 0, (2, 1), 0))
+@example(case=(DumontKind.D2, 6, (3, 2, 1), 1))
+@example(case=(DumontKind.D4, 8, (1, 3, 4, 2), 1))
 def test_exact_queries_agree_with_filtering(case, small_dumont_sets):
-    kind, size, pat, target, prefix = case
+    kind, size, pat, target = case
     q = ClassicalPattern(Permutation(pat))
-    walked = [p.values for p in generate(kind, size, prefix)
-              if count_occurrences(p, q) == target]
+    walked = [p.values for p in generate(kind, size) if count_occurrences(p, q) == target]
     brute = [vals for vals in small_dumont_sets[(kind.value, size)]
-             if vals[:len(prefix)] == prefix and naive_count(vals, pat) == target]
+             if naive_count(vals, pat) == target]
     assert walked == brute
     query = AvoidanceQuery(kind, size, frozenset([q]), target)
-    assert [p.values for p in generate_avoiders(query, prefix)] == brute
-    assert count_exact_occurrences(kind, size, q, target, prefix) == len(brute)
+    assert [p.values for p in generate_avoiders(query)] == brute
+    assert count_exact_occurrences(kind, size, q, target) == len(brute)
