@@ -6,7 +6,13 @@ module supplies
 * :class:`TruncatedSeries`, an exact integer power series cut at a fixed
   order, with ring operations and division by units;
 * :class:`RationalSeries`, the same over exact rationals, used to extract
-  Genocchi numbers from the exponential generating function x*tan(x/2);
+  Genocchi numbers from the exponential generating function x*tan(x/2),
+  whose expansion is kept and grown as larger Genocchi numbers are asked for;
+* the product and quotient kernels both series classes share.  They read
+  each operand as z^r * A(z^s) (every nonzero index is r mod s), multiply
+  only the residue class a product can occupy, solve a quotient one residue
+  class of the divisor's stride at a time, and skip classes whose numerator
+  is zero.  The arithmetic is the schoolbook one, term for term;
 * the continued-fraction evaluation producing the counting sequence of
   Dumont-4 permutations avoiding 1423 (OEIS A343795), plus an independent
   sweep over the underlying P/R/S/T block system;
@@ -20,10 +26,106 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import compress
+from math import comb, factorial, gcd
+from operator import add, mul, sub
 from typing import Callable, Optional
 
 from . import golden as _golden
+
+
+# ---------------------------------------------------------------------------
+# Product and quotient kernels, shared by both series classes
+
+
+def _support(cs) -> Optional[tuple[int, int, int]]:
+    """``(r, s, top)``: every nonzero index of ``cs`` lies in r, r+s, ..., top.
+
+    ``s`` is the largest such stride, 0 when there is one nonzero term; the
+    result is None when every coefficient is zero.
+    """
+    nonzero = list(compress(range(len(cs)), cs))
+    if not nonzero:
+        return None
+    r = nonzero[0]
+    return r, gcd(*[i - r for i in nonzero]), nonzero[-1]
+
+
+def _product(a, b, n: int) -> list:
+    """Coefficients 0..n of a*b.
+
+    With a = z^ra A(z^sa) and b = z^rb B(z^sb), the product is
+    z^(ra+rb) C(z^s) for s = gcd(sa, sb): only that class is multiplied,
+    each coefficient one C-level sum over slices of the trimmed operands.
+    """
+    out = [0] * (n + 1)
+    sa, sb = _support(a), _support(b)
+    if sa is None or sb is None:
+        return out
+    (ra, pa, ta), (rb, pb, tb) = sa, sb
+    r, s = ra + rb, gcd(pa, pb) or 1
+    left = a[ra:min(ta, n) + 1:s]
+    rev = b[rb:min(tb, n) + 1:s][::-1]
+    last = len(rev) - 1
+    top = min(len(left) - 1 + last, (n - r) // s)
+    out[r:r + s * (top + 1):s] = [
+        sum(map(mul, left[max(k - last, 0):k + 1], rev[max(last - k, 0):]))
+        for k in range(top + 1)]
+    return out
+
+
+def _extend_quotient(num, den, quot: list, exact: bool) -> Optional[int]:
+    """Append to ``quot`` the coefficients len(quot)..len(num)-1 of num/den.
+
+    ``quot`` must already hold the leading coefficients of that quotient, so
+    a quotient can be grown when longer ``num`` and ``den`` arrive.  With
+    ``exact`` each coefficient must divide by den[0] exactly; the index of
+    the first that does not is returned (with ``quot`` stopped there),
+    otherwise None.
+    """
+    d0, rev, last = den[0], den[::-1], len(den) - 1
+    for k in range(len(quot), len(num)):
+        # den[j] * quot[k-j] for j = min(k, last) down to 1.
+        acc = num[k] - sum(map(mul, quot[max(k - last, 0):], rev[max(last - k, 0):last]))
+        if exact:
+            term, rem = divmod(acc, d0)
+            if rem:
+                return k
+        else:
+            term = acc / d0
+        quot.append(term)
+    return None
+
+
+def _quotient(a, b, n: int, exact: bool) -> list:
+    """Coefficients 0..n of a/b; see :func:`_extend_quotient` for ``exact``.
+
+    A divisor B(z^s) couples only coefficients in one residue class mod s,
+    so each class is solved on its own against the trimmed divisor, and a
+    class whose numerator is zero stays zero.  An inexact division raises
+    at the smallest failing index, as the coefficient-by-coefficient loop
+    would.
+    """
+    if not b[0]:
+        raise ValueError("division by a series with zero constant term")
+    _, s, top = _support(b)
+    s = s or 1
+    den = b[:min(top, n) + 1:s]
+    out = [0] * (n + 1)
+    failed = None
+    for c in range(min(s, n + 1)):
+        num = a[c:n + 1:s]
+        if not any(num):
+            continue
+        part: list = []
+        bad = _extend_quotient(num, den, part, exact)
+        if bad is None:
+            out[c::s] = part
+        elif failed is None or c + s * bad < failed:
+            failed = c + s * bad
+    if failed is not None:
+        raise ValueError(f"inexact series division at coefficient {failed}")
+    return out
 
 
 class TruncatedSeries:
@@ -31,7 +133,9 @@ class TruncatedSeries:
 
     Operations on mismatched orders truncate to the smaller one.  Division
     requires a nonzero constant term and checks exact divisibility at every
-    coefficient.
+    coefficient.  Products and quotients run the stride-aware kernels
+    :func:`_product` and :func:`_quotient`, which skip indices that are zero
+    by parity (or any other stride) and trailing zeros of short operands.
     """
 
     __slots__ = ("coeffs",)
@@ -43,6 +147,14 @@ class TruncatedSeries:
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         self.coeffs = tuple(int(c) for c in cs)
+
+    @classmethod
+    def _of(cls, coeffs) -> "TruncatedSeries":
+        """Wrap coefficients that are already ints, skipping ``__init__``'s
+        per-coefficient normalisation."""
+        out = object.__new__(cls)
+        out.coeffs = tuple(coeffs)
+        return out
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
@@ -68,53 +180,35 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = self._match(other)
-        return TruncatedSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
+        return TruncatedSeries._of(map(add, self.coeffs[:n + 1], other.coeffs))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = self._match(other)
-        return TruncatedSeries([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
+        return TruncatedSeries._of(map(sub, self.coeffs[:n + 1], other.coeffs))
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs])
+        return TruncatedSeries._of([-c for c in self.coeffs])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._match(other)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (n + 1)
-        for i in range(min(len(a) - 1, n) + 1):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(min(len(b) - 1, n - i) + 1):
-                out[i + j] += ai * b[j]
-        return TruncatedSeries(out)
+        return TruncatedSeries._of(_product(self.coeffs, other.coeffs, self._match(other)))
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._match(other)
-        b0 = other.coeffs[0]
-        if b0 == 0:
-            raise ValueError("division by a series with zero constant term")
-        a, b = self.coeffs, other.coeffs
-        q = [0] * (n + 1)
-        for i in range(n + 1):
-            acc = a[i]
-            for j in range(1, min(i, len(b) - 1) + 1):
-                acc -= b[j] * q[i - j]
-            quot, rem = divmod(acc, b0)
-            if rem:
-                raise ValueError(f"inexact series division at coefficient {i}")
-            q[i] = quot
-        return TruncatedSeries(q)
+        return TruncatedSeries._of(
+            _quotient(self.coeffs, other.coeffs, self._match(other), exact=True))
 
     def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by z**k, keeping the truncation order."""
+        """Multiply by z**k (k >= 0), keeping the truncation order."""
+        if k < 0:
+            raise ValueError(f"shift needs k >= 0, got {k}")
         n = self.order
-        return TruncatedSeries([0] * k + list(self.coeffs), n)
+        return TruncatedSeries._of(((0,) * k + self.coeffs)[:n + 1])
 
     def scale(self, c: int) -> "TruncatedSeries":
         return TruncatedSeries([c * x for x in self.coeffs])
 
     def pow(self, k: int) -> "TruncatedSeries":
+        if k < 0:
+            raise ValueError(f"pow needs k >= 0, got {k}")
         out = TruncatedSeries.one(self.order)
         for _ in range(k):
             out = out * self
@@ -131,7 +225,11 @@ class TruncatedSeries:
 
 
 class RationalSeries:
-    """Exact rational power series, used only for EGF extraction."""
+    """Exact rational power series, used only for EGF extraction.
+
+    Products and quotients run the same kernels as :class:`TruncatedSeries`;
+    a quotient needs a nonzero constant term and is never inexact.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -169,18 +267,13 @@ class RationalSeries:
         return cls([Fraction(1, factorial(k)) if k % 2 == 0 else 0
                     for k in range(order + 1)])
 
+    def __mul__(self, other: "RationalSeries") -> "RationalSeries":
+        n = min(self.order, other.order)
+        return RationalSeries(_product(self.coeffs, other.coeffs, n))
+
     def __truediv__(self, other: "RationalSeries") -> "RationalSeries":
         n = min(self.order, other.order)
-        if other.coeffs[0] == 0:
-            raise ValueError("division by a series with zero constant term")
-        a, b = self.coeffs, other.coeffs
-        q: list[Fraction] = []
-        for i in range(n + 1):
-            acc = a[i]
-            for j in range(1, min(i, len(b) - 1) + 1):
-                acc -= b[j] * q[i - j]
-            q.append(acc / b[0])
-        return RationalSeries(q)
+        return RationalSeries(_quotient(self.coeffs, other.coeffs, n, exact=False))
 
     def rescale_argument(self, factor: Fraction) -> "RationalSeries":
         """Substitute (factor * x) for x."""
@@ -232,7 +325,7 @@ def catalan_trunc(parity: str, m: int, order: int) -> TruncatedSeries:
         top = 2 * m + (0 if parity == "even" else 1)
         for d in range(start, min(top, order) + 1, 2):
             coeffs[d] = catalan_number(d)
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries._of(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +338,15 @@ def _cf_depth(nterms: int) -> int:
     return -(-(nterms + 1) // 3) + 1
 
 
+def _sweep_bounds(nterms: int, depth: Optional[int]) -> tuple[int, int]:
+    """The series order and the top level of a downward sweep, validated."""
+    if nterms < 0:
+        raise ValueError("nterms must be >= 0")
+    if depth is not None and depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    return 2 * nterms + 2, _cf_depth(nterms) if depth is None else depth
+
+
 def d4_1423_series(nterms: int, depth: Optional[int] = None) -> TruncatedSeries:
     """Counting sequence of Dumont-4 permutations avoiding 1423.
 
@@ -253,10 +355,7 @@ def d4_1423_series(nterms: int, depth: Optional[int] = None) -> TruncatedSeries:
     recurrence downward from a truncation depth where the tail is replaced
     by zero; ``depth`` overrides the default level for stability testing.
     """
-    if nterms < 0:
-        raise ValueError("nterms must be >= 0")
-    order = 2 * nterms + 2
-    level = _cf_depth(nterms) if depth is None else depth
+    order, level = _sweep_bounds(nterms, depth)
     one = TruncatedSeries.one(order)
     z_r = TruncatedSeries.zero(order)  # z * R at the level below the cut
     for k in range(level, -1, -1):
@@ -303,10 +402,7 @@ def solve_prst_system(nterms: int, depth: Optional[int] = None) -> BlockSystemSo
     The resulting R_1 reproduces :func:`d4_1423_series`, which checks the
     continued fraction against the system it was derived from.
     """
-    if nterms < 0:
-        raise ValueError("nterms must be >= 0")
-    order = 2 * nterms + 2
-    level = _cf_depth(nterms) if depth is None else depth
+    order, level = _sweep_bounds(nterms, depth)
     one = TruncatedSeries.one(order)
     p_fam: dict[int, TruncatedSeries] = {}
     r_fam: dict[int, TruncatedSeries] = {}
@@ -337,23 +433,36 @@ def solve_prst_system(nterms: int, depth: Optional[int] = None) -> BlockSystemSo
 # Genocchi numbers
 
 
-@lru_cache(maxsize=None)
-def _xtan_half_coeffs(order: int) -> tuple[Fraction, ...]:
-    tan = RationalSeries.sin(order) / RationalSeries.cos(order)
-    half = tan.rescale_argument(Fraction(1, 2))
-    return tuple(half.coeffs)
+# t_0, t_1, ... with tan(x) = sum_k t_k x^(2k+1): the odd class of sin/cos.
+# Its terms never change as the order grows, so the one expansion is only
+# ever extended, and every Genocchi number is read from it.
+_tan_terms: list[Fraction] = []
+
+
+def _tan_odd(count: int) -> list[Fraction]:
+    """At least ``count`` leading terms t_k of tan(x), grown on demand."""
+    global _tan_terms
+    terms = _tan_terms
+    if len(terms) < count:
+        order = 2 * count - 1
+        terms = list(terms)  # extend a copy: concurrent callers never mix terms
+        _extend_quotient(RationalSeries.sin(order).coeffs[1::2],
+                         RationalSeries.cos(order).coeffs[::2], terms, exact=False)
+        _tan_terms = terms
+    return terms
 
 
 def genocchi(n: int) -> int:
     """The unsigned Genocchi number G(2n), n >= 1 (OEIS A110501).
 
     Extracted from the exponential generating function x*tan(x/2): the
-    coefficient of x^(2n) times (2n)! must be a positive integer.
+    coefficient of x^(2n), t_(n-1) / 2^(2n-1), times (2n)! must be a positive
+    integer.  The expansion of tan(x) is shared by every call and extended
+    only when a larger n is asked for.
     """
     if n < 1:
         raise ValueError("genocchi(n) requires n >= 1")
-    coeffs = _xtan_half_coeffs(2 * n + 1)
-    val = coeffs[2 * n - 1] * factorial(2 * n)  # leading x shifts by one
+    val = _tan_odd(n)[n - 1] * Fraction(1, 2) ** (2 * n - 1) * factorial(2 * n)
     if val.denominator != 1:
         raise RuntimeError(f"non-integral Genocchi value at n={n}")
     return int(val)

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
+from dumont import gfseries
 from dumont.gfseries import (BlockSystemSolution, RationalSeries, SequenceId,
                              TruncatedSeries, a_elizalde, b7482, b_elizalde,
                              catalan_number, catalan_series, catalan_trunc,
@@ -41,6 +43,16 @@ def test_series_division_errors():
         TruncatedSeries([1], 4) / TruncatedSeries([2, 1], 4)
 
 
+def test_negative_shift_and_power_are_refused():
+    s = TruncatedSeries([1, 2, 3, 4], 3)
+    with pytest.raises(ValueError, match="shift needs k >= 0, got -2"):
+        s.shift(-2)
+    with pytest.raises(ValueError, match="pow needs k >= 0, got -1"):
+        s.pow(-1)
+    assert s.shift(0) == s and s.shift(2) == TruncatedSeries([0, 0, 1, 2])
+    assert s.pow(0) == TruncatedSeries.one(3)
+
+
 def test_series_truncates_to_smaller_order():
     a = TruncatedSeries([1, 2, 3], 8)
     b = TruncatedSeries([1, 1], 3)
@@ -71,10 +83,18 @@ def test_d4_1423_series_depth_stability():
         assert d4_1423_series(9, depth=_cf_depth(9) + extra) == base
 
 
+def test_negative_depth_is_refused():
+    with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+        d4_1423_series(4, depth=-1)
+    with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+        solve_prst_system(4, depth=-1)
+    assert d4_1423_series(4, depth=0).coefficient(0) == 1
+
+
 def test_prst_system_matches_continued_fraction():
-    sol = solve_prst_system(24)
+    sol = solve_prst_system(80)
     assert isinstance(sol, BlockSystemSolution)
-    assert sol.series() == d4_1423_series(24)
+    assert sol.series() == d4_1423_series(80)
 
 
 def test_prst_constant_terms():
@@ -92,6 +112,38 @@ def test_genocchi_values():
     assert genocchi(6) == 2073
     with pytest.raises(ValueError):
         genocchi(0)
+
+
+def seidel_genocchi(n_max):
+    """G(2), ..., G(2 n_max) from Seidel's triangle: each row is the running
+    sum of the one above, padded with a zero, taken left to right on even
+    rows and right to left on odd rows; G(2n) ends row 2n."""
+    row, out = [1], []
+    for r in range(2, 2 * n_max + 1):
+        row.extend([0] * ((r + 1) // 2 - len(row)))
+        if r % 2:
+            for i in range(len(row) - 2, -1, -1):
+                row[i] += row[i + 1]
+        else:
+            for i in range(1, len(row)):
+                row[i] += row[i - 1]
+            out.append(row[-1])
+    return out
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_genocchi_matches_seidel_triangle(order, monkeypatch):
+    # Each order starts from an empty expansion of tan(x), which then grows
+    # by one term at a time, all at once, or in random jumps.
+    want = seidel_genocchi(60)
+    assert want[:6] == [1, 1, 3, 17, 155, 2073]
+    ns = list(range(1, 61))
+    if order == "descending":
+        ns.reverse()
+    elif order == "shuffled":
+        random.Random(60).shuffle(ns)
+    monkeypatch.setattr(gfseries, "_tan_terms", [])
+    assert {n: genocchi(n) for n in ns} == dict(enumerate(want, start=1))
 
 
 def test_genocchi_positive_integers_through_12():

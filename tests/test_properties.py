@@ -1,16 +1,19 @@
-"""Property tests for the shared walk, the layered DP, the single matcher
-and the pattern transitions.
+"""Property tests for the shared walk, the layered DP, the single matcher,
+the pattern transitions and the series kernels.
 
 Each property compares the package against the brute-force oracles in
-``conftest`` (or the DP against the walk) on random small inputs.
+``conftest`` (or the DP against the walk, or the series kernels against a
+schoolbook loop written here) on random small inputs.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_count, naive_count_vincular
+from dumont.gfseries import RationalSeries, TruncatedSeries
 from dumont.kinds import DumontKind, generate
 from dumont.patterns import (_INF, AvoidanceQuery, ClassicalPattern, VincularPattern,
                              _count, _transition, count_avoiders,
@@ -191,3 +194,116 @@ def test_exact_queries_agree_with_filtering(case, small_dumont_sets):
     query = AvoidanceQuery(kind, size, frozenset([q]), target)
     assert [p.values for p in generate_avoiders(query)] == brute
     assert count_exact_occurrences(kind, size, q, target) == len(brute)
+
+
+# ---------------------------------------------------------------------------
+# Series kernels against the schoolbook loop
+
+
+def schoolbook_product(a, b):
+    n = min(len(a), len(b)) - 1
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def schoolbook_quotient(a, b, exact):
+    """a/b coefficient by coefficient; the errors of ``TruncatedSeries``."""
+    n = min(len(a), len(b)) - 1
+    if b[0] == 0:
+        raise ValueError("division by a series with zero constant term")
+    q = []
+    for i in range(n + 1):
+        acc = a[i] - sum(b[j] * q[i - j] for j in range(1, i + 1))
+        if exact and acc % b[0]:
+            raise ValueError(f"inexact series division at coefficient {i}")
+        q.append(acc // b[0] if exact else Fraction(acc) / b[0])
+    return q
+
+
+SHAPES = ("dense", "even", "odd", "stride3", "stride3+1", "zero", "short")
+
+
+@st.composite
+def coefficients(draw, order, rational=False):
+    """``order + 1`` coefficients with nonzero entries on one residue class
+    (or a dense prefix for "short"), of up to several hundred bits."""
+    shape = draw(st.sampled_from(SHAPES))
+    bits = draw(st.sampled_from((3, 70, 400)))
+    value = st.integers(-(1 << bits), 1 << bits)
+    if rational:
+        value = st.builds(Fraction, value, st.integers(1, 12))
+    start, step = {"dense": (0, 1), "even": (0, 2), "odd": (1, 2), "stride3": (0, 3),
+                   "stride3+1": (1, 3), "zero": (0, order + 1),
+                   "short": (0, 1)}[shape]
+    stop = min(draw(st.integers(0, 2)), order) if shape == "short" else order
+    out = [0] * (order + 1)
+    if shape != "zero":
+        for i in range(start, stop + 1, step):
+            out[i] = draw(value)
+    return out
+
+
+@st.composite
+def operand_pairs(draw, rational=False):
+    """Two coefficient lists of possibly different orders."""
+    a = draw(st.integers(0, 18).flatmap(lambda n: coefficients(n, rational)))
+    b = draw(st.integers(0, 18).flatmap(lambda n: coefficients(n, rational)))
+    return a, b
+
+
+@PROPERTY
+@given(pair=operand_pairs())
+def test_truncated_product_matches_schoolbook(pair):
+    a, b = pair
+    assert list((TruncatedSeries(a) * TruncatedSeries(b)).coeffs) == schoolbook_product(a, b)
+
+
+@PROPERTY
+@given(pair=operand_pairs(rational=True))
+def test_rational_product_matches_schoolbook(pair):
+    a, b = pair
+    assert list((RationalSeries(a) * RationalSeries(b)).coeffs) == schoolbook_product(a, b)
+
+
+def outcome(fn):
+    try:
+        return list(fn())
+    except ValueError as err:
+        return str(err)
+
+
+@PROPERTY
+@given(pair=operand_pairs(), multiple=st.booleans(), nudge=st.integers(0, 18))
+def test_truncated_quotient_matches_schoolbook(pair, multiple, nudge):
+    # Half the numerators are b times a series, so the quotient is exact
+    # unless one coefficient is nudged; a nudge past the order changes nothing.
+    c, b = pair
+    a = c
+    if multiple:
+        a = schoolbook_product(c + [0] * len(b), b + [0] * len(c))[:len(c)]
+        if nudge < len(a) and abs(b[0]) > 1:
+            a[nudge] += 1
+    want = outcome(lambda: schoolbook_quotient(a, b, exact=True))
+    got = outcome(lambda: (TruncatedSeries(a) / TruncatedSeries(b)).coeffs)
+    assert got == want
+
+
+@PROPERTY
+@given(pair=operand_pairs(rational=True))
+def test_rational_quotient_matches_schoolbook(pair):
+    a, b = pair
+    want = outcome(lambda: schoolbook_quotient(a, b, exact=False))
+    assert outcome(lambda: (RationalSeries(a) / RationalSeries(b)).coeffs) == want
+
+
+def test_quotient_reports_the_smallest_inexact_index():
+    # 2 + 2z^2 splits the quotient into the even and the odd class.  Both
+    # fail: the even class (solved first) at z^6, the odd one at z^3.
+    a = TruncatedSeries([2, 0, 4, 3, 0, 0, 1])
+    b = TruncatedSeries([2, 0, 2], 6)
+    want = outcome(lambda: schoolbook_quotient(list(a.coeffs), list(b.coeffs), True))
+    assert want == "inexact series division at coefficient 3"
+    assert outcome(lambda: (a / b).coeffs) == want
