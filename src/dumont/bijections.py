@@ -112,7 +112,11 @@ class Composition:
         text = text.strip()
         if not text:
             return cls(())
-        return cls(tuple(int(p) for p in text.split("+")))
+        try:
+            parts = tuple(int(p) for p in text.split("+"))
+        except ValueError:
+            raise ValueError(f"malformed composition: {text!r}") from None
+        return cls(parts)
 
     @property
     def total(self) -> int:

@@ -121,6 +121,8 @@ def _cmd_series(args, out) -> int:
     seq = SequenceId(args.id)
     if args.cross_check:
         order = args.order if args.order is not None else 24
+        if order < 0:
+            raise ValueError(f"--order must be >= 0, got {order}")
         if seq is not SequenceId.A343795_D4_312:
             raise ValueError("--cross-check applies to a343795_d4_312")
         direct = d4_1423_series(order)

@@ -1,15 +1,16 @@
-"""Verification suites tying pruned enumeration to closed forms.
+"""Verification suites tying exact counts to closed forms.
 
-Every suite row computes a cardinality (or an explicit set) by backtracking
-enumeration and compares it against the independent closed form, reference
-table, or series.  The two conjecture experiments (the 2143 ~ 3421
-equinumerosity on Dumont-1 permutations and the cumulative relation between
-the vincular statistics 2-31 and 13-2 on the two avoider classes) are
-computed and reported with machine-readable verdicts, never hard-asserted.
-
-Each n of a conjecture experiment is one layered DP per pattern.  A run
-can be stopped on a wall-clock budget, checked between the layers of the
-DP, and resumed from a plain-text journal that records each finished n.
+A suite is a table of row builders run for n = 0..n_max: count rows check a
+layered-DP count of the Dumont permutations of size 2n that avoid some
+patterns (or contain one exactly r times) against a closed form, set rows
+check the avoiders listed by the transition walk against a set known
+independently, and the ``d4_1423`` pair checks counts against a series and
+the series against the vendored OEIS prefix.  The two conjecture experiments
+(2143 ~ 3421 on Dumont-1 permutations, and 2-31 against 13-2 on the two
+avoider classes) are reported with machine-readable verdicts, never
+hard-asserted.  Each n is one layered DP per pattern; a run stops on a
+wall-clock budget, checked between the layers of the DP, and resumes from a
+plain-text journal that records each finished n.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations as _all_perms
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import golden
 from .gfseries import SequenceId, catalan_number, closed_form, d4_1423_series, validity_range
@@ -29,9 +31,6 @@ from .patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern, avoids
                        count_avoiders, count_exact_occurrences, generate_avoiders,
                        vincular_histogram)
 from .permcore import Permutation
-
-SUITES = ("d1_len3", "d2_len3", "d2_len4", "d1_pairs", "d4_avoid",
-          "d4_single", "d1d2_single", "all")
 
 _STAT_2_31 = VincularPattern.parse("2-31")
 _STAT_13_2 = VincularPattern.parse("13-2")
@@ -77,218 +76,153 @@ class VerificationReport:
         }
 
 
-def _pat(text: str) -> ClassicalPattern:
-    return ClassicalPattern.parse(text)
+def _query(kind: DumontKind, n: int, *pats: str) -> AvoidanceQuery:
+    """The members of ``kind`` of size 2n that avoid every one of ``pats``."""
+    return AvoidanceQuery(kind, 2 * n, frozenset(map(ClassicalPattern.parse, pats)))
 
 
 def _perm_set_text(perms) -> str:
     return "{" + ",".join(sorted(p.to_text() for p in perms)) + "}"
 
 
-def _count_row(theorem: str, kind: DumontKind, pats: tuple[str, ...],
-               seq: SequenceId, n: int) -> Optional[ReportRow]:
-    lo, hi = validity_range(seq)
-    if n < lo or (hi is not None and n > hi):
-        return None
+@dataclass
+class _Run:
+    """What the rows of one ``run_suite`` call share."""
+    n_max: int
+
+    @cached_property
+    def d4_1423(self):
+        return d4_1423_series(self.n_max)
+
+
+_RowBuilder = Callable[[int, _Run], Iterator[ReportRow]]  # one theorem's rows at one n
+
+
+def _count(theorem: str, kind: DumontKind, pats: tuple[str, ...], seq: SequenceId,
+           target: Optional[int] = None) -> _RowBuilder:
+    """Count row: the size-2n members of ``kind`` that avoid ``pats`` (or
+    contain its one pattern exactly ``target`` times) against
+    ``closed_form(seq, n)``, wherever ``seq`` is valid."""
+    def rows(n: int, run: _Run) -> Iterator[ReportRow]:
+        lo, hi = validity_range(seq)
+        if n < lo or (hi is not None and n > hi):
+            return
+        t0 = time.perf_counter()
+        if target is None:
+            enum = count_avoiders(_query(kind, n, *pats))
+        else:
+            enum = count_exact_occurrences(kind, 2 * n, ClassicalPattern.parse(pats[0]), target)
+        formula = closed_form(seq, n)
+        yield ReportRow(theorem, n, str(enum), str(formula), enum == formula,
+                        time.perf_counter() - t0)
+    return rows
+
+
+def _set(theorem: str, kind: DumontKind, pats: tuple[str, ...],
+         expected: Callable[[int], Optional[Iterable[Permutation]]],
+         n_min: int = 0) -> _RowBuilder:
+    """Set row: the size-2n avoiders of ``pats``, listed, against
+    ``expected(n)``, for n >= n_min wherever that is not None."""
+    def rows(n: int, run: _Run) -> Iterator[ReportRow]:
+        t0 = time.perf_counter()
+        perms = expected(n) if n >= n_min else None
+        if perms is None:
+            return
+        want = _perm_set_text(perms)
+        got = _perm_set_text(generate_avoiders(_query(kind, n, *pats)))
+        yield ReportRow(theorem, n, got, want, got == want, time.perf_counter() - t0)
+    return rows
+
+
+def _d4_1423(n: int, run: _Run) -> Iterator[ReportRow]:
+    """The Dumont-4 avoiders of 1423 against the continued-fraction series,
+    and the series against the vendored A343795 prefix where it reaches."""
     t0 = time.perf_counter()
-    query = AvoidanceQuery(kind, 2 * n, frozenset(_pat(s) for s in pats))
-    enum = count_avoiders(query)
-    formula = closed_form(seq, n)
-    return ReportRow(theorem, n, str(enum), str(formula), enum == formula,
-                     time.perf_counter() - t0)
+    enum = count_avoiders(_query(DumontKind.D4, n, "1423"))
+    coeff = run.d4_1423.coefficient(n)
+    yield ReportRow("d4_1423_series", n, str(enum), str(coeff), enum == coeff,
+                    time.perf_counter() - t0)
+    if n <= validity_range(SequenceId.A343795_D4_312)[1]:
+        ref = golden.a343795_prefix()[n]
+        yield ReportRow("d4_1423_reference", n, str(coeff), str(ref), coeff == ref, 0.0)
 
 
-def _exact_row(theorem: str, kind: DumontKind, pat: str, seq: SequenceId,
-               n: int) -> Optional[ReportRow]:
-    lo, hi = validity_range(seq)
-    if n < lo or (hi is not None and n > hi):
-        return None
-    t0 = time.perf_counter()
-    enum = count_exact_occurrences(kind, 2 * n, _pat(pat), 1)
-    formula = closed_form(seq, n)
-    return ReportRow(theorem, n, str(enum), str(formula), enum == formula,
-                     time.perf_counter() - t0)
-
-
-def _set_row(theorem: str, kind: DumontKind, pats: tuple[str, ...], n: int,
-             expected: Sequence[Permutation]) -> ReportRow:
-    t0 = time.perf_counter()
-    query = AvoidanceQuery(kind, 2 * n, frozenset(_pat(s) for s in pats))
-    got = _perm_set_text(generate_avoiders(query))
-    want = _perm_set_text(expected)
-    return ReportRow(theorem, n, got, want, got == want, time.perf_counter() - t0)
-
-
-def _pair_staircase(n: int) -> Permutation:
-    """The permutation 2 1 4 3 ... 2n 2n-1."""
-    vals: list[int] = []
-    for j in range(1, n + 1):
-        vals += [2 * j, 2 * j - 1]
-    return Permutation(vals)
+def _pair_staircase(n: int) -> list[Permutation]:
+    """The one permutation 2 1 4 3 ... 2n 2n-1."""
+    return [Permutation([v for j in range(1, n + 1) for v in (2 * j, 2 * j - 1)])]
 
 
 def _d1_123_expected(n: int) -> list[Permutation]:
-    base = [Permutation.from_text(s) for s in golden.d1_123_size6_set()]
-    if n == 3:
-        return base
-    prefix: list[int] = []
-    for j in range(n, 3, -1):
-        prefix += [2 * j - 1, 2 * j]
-    return [Permutation(prefix + list(p.values)) for p in base]
+    prefix = [v for j in range(n, 3, -1) for v in (2 * j - 1, 2 * j)]
+    return [Permutation(prefix + list(Permutation.from_text(s).values))
+            for s in golden.d1_123_size6_set()]
 
 
-def _rows_d1_len3(n_max: int) -> list[ReportRow]:
-    rows = []
-    for n in range(n_max + 1):
-        for pat, seq in (("132", SequenceId.D1_132), ("231", SequenceId.D1_231),
-                         ("312", SequenceId.D1_312), ("213", SequenceId.D1_213),
-                         ("321", SequenceId.D1_321), ("123", SequenceId.D1_123)):
-            row = _count_row(f"d1_{pat}", DumontKind.D1, (pat,), seq, n)
-            if row:
-                rows.append(row)
-        rows.append(_set_row("d1_321_set", DumontKind.D1, ("321",), n,
-                             [_pair_staircase(n)]))
-        if n >= 3:
-            rows.append(_set_row("d1_123_set", DumontKind.D1, ("123",), n,
-                                 _d1_123_expected(n)))
-    return rows
+def _d4_1234_expected(n: int) -> Optional[list[Permutation]]:
+    """The 1234 avoiders, known explicitly through size 6."""
+    if n > 3:
+        return None
+    known = map(Permutation.from_text, golden.d4_1234_avoiders_upto_size6())
+    return [p for p in known if len(p) == 2 * n]
 
 
-def _rows_d2_len3(n_max: int) -> list[ReportRow]:
-    rows = []
-    for n in range(n_max + 1):
-        for pat, seq in (("123", SequenceId.D2_123), ("132", SequenceId.D2_132),
-                         ("213", SequenceId.D2_213), ("231", SequenceId.D2_231),
-                         ("312", SequenceId.D2_312), ("321", SequenceId.D2_321)):
-            row = _count_row(f"d2_{pat}", DumontKind.D2, (pat,), seq, n)
-            if row:
-                rows.append(row)
-        rows.append(_set_row("d2_312_set", DumontKind.D2, ("312",), n,
-                             [_pair_staircase(n)]))
-    return rows
-
-
-def _rows_d2_len4(n_max: int) -> list[ReportRow]:
-    rows = []
-    for n in range(n_max + 1):
-        for pat, seq in (("3142", SequenceId.D2_3142), ("4132", SequenceId.D2_4132),
-                         ("2143", SequenceId.D2_2143)):
-            row = _count_row(f"d2_{pat}", DumontKind.D2, (pat,), seq, n)
-            if row:
-                rows.append(row)
-        # The 4132 avoiders are not merely equinumerous with the 321
-        # avoiders; the two sets coincide.
-        t0 = time.perf_counter()
-        got = _perm_set_text(generate_avoiders(
-            AvoidanceQuery(DumontKind.D2, 2 * n, frozenset([_pat("4132")]))))
-        want = _perm_set_text(generate_avoiders(
-            AvoidanceQuery(DumontKind.D2, 2 * n, frozenset([_pat("321")]))))
-        rows.append(ReportRow("d2_4132_set_eq_321", n, got, want, got == want,
-                              time.perf_counter() - t0))
-    return rows
-
-
-def _rows_d1_pairs(n_max: int) -> list[ReportRow]:
-    specs = (
-        ("d1_pair_1342_1423", ("1342", "1423"), SequenceId.D1_PAIR_1342_1423),
-        ("d1_pair_2341_2413", ("2341", "2413"), SequenceId.D1_PAIR_2341_2413),
-        ("d1_pair_1342_2413", ("1342", "2413"), SequenceId.D1_PAIR_1342_2413),
-        ("d1_pair_231_4213", ("231", "4213"), SequenceId.D1_PAIR_231_4213),
-        ("d1_pair_1342_4213", ("1342", "4213"), SequenceId.D1_PAIR_1342_4213),
-        ("d1_pair_2341_1423", ("2341", "1423"), SequenceId.D1_PAIR_2341_1423),
-    )
-    rows = []
-    for n in range(n_max + 1):
-        for theorem, pats, seq in specs:
-            row = _count_row(theorem, DumontKind.D1, pats, seq, n)
-            if row:
-                rows.append(row)
-        if n >= 1:
-            rows.append(_set_row("d1_pair_231_4213_set", DumontKind.D1,
-                                 ("231", "4213"), n, [_pair_staircase(n)]))
-    return rows
-
-
-def _rows_d4_avoid(n_max: int) -> list[ReportRow]:
-    rows = []
-    series = d4_1423_series(n_max)
-    for n in range(n_max + 1):
-        for pat, seq in (("1342", SequenceId.D4_1342), ("1432", SequenceId.D4_1432),
-                         ("1324", SequenceId.D4_1324), ("1243", SequenceId.D4_1243),
-                         ("1234", SequenceId.D4_1234)):
-            row = _count_row(f"d4_{pat}", DumontKind.D4, (pat,), seq, n)
-            if row:
-                rows.append(row)
-        t0 = time.perf_counter()
-        enum = count_avoiders(AvoidanceQuery(DumontKind.D4, 2 * n,
-                                             frozenset([_pat("1423")])))
-        coeff = series.coefficient(n)
-        rows.append(ReportRow("d4_1423_series", n, str(enum), str(coeff),
-                              enum == coeff, time.perf_counter() - t0))
-        if n <= 11:
-            ref = golden.a343795_prefix()[n]
-            rows.append(ReportRow("d4_1423_reference", n, str(coeff), str(ref),
-                                  coeff == ref, 0.0))
-    # The 1234 avoiders themselves are known explicitly through size 6.
-    known = [Permutation.from_text(s) for s in golden.d4_1234_avoiders_upto_size6()]
-    for n in range(min(n_max, 3) + 1):
-        expected = [p for p in known if len(p) == 2 * n]
-        rows.append(_set_row("d4_1234_set", DumontKind.D4, ("1234",), n, expected))
-    return rows
-
-
-def _rows_d4_single(n_max: int) -> list[ReportRow]:
-    rows = []
-    for n in range(n_max + 1):
-        row = _exact_row("d4_321_once", DumontKind.D4, "321", SequenceId.D4_321_1, n)
-        if row:
-            rows.append(row)
-    return rows
-
-
-def _rows_d1d2_single(n_max: int) -> list[ReportRow]:
-    specs = (
-        ("d1_132_once", DumontKind.D1, "132", SequenceId.D1_132_1),
-        ("d1_312_once", DumontKind.D1, "312", SequenceId.D1_312_1),
-        ("d1_231_once", DumontKind.D1, "231", SequenceId.D1_231_1),
-        ("d1_213_once", DumontKind.D1, "213", SequenceId.D1_213_1),
-        ("d1_321_once", DumontKind.D1, "321", SequenceId.D1_321_1),
-        ("d2_321_once", DumontKind.D2, "321", SequenceId.D2_321_1),
-        ("d2_3142_once", DumontKind.D2, "3142", SequenceId.D2_3142_1),
-        ("d2_2143_once", DumontKind.D2, "2143", SequenceId.D2_2143_1),
-    )
-    rows = []
-    for n in range(n_max + 1):
-        for theorem, kind, pat, seq in specs:
-            row = _exact_row(theorem, kind, pat, seq, n)
-            if row:
-                rows.append(row)
-    return rows
-
-
-_SUITE_BUILDERS: dict[str, Callable[[int], list[ReportRow]]] = {
-    "d1_len3": _rows_d1_len3,
-    "d2_len3": _rows_d2_len3,
-    "d2_len4": _rows_d2_len4,
-    "d1_pairs": _rows_d1_pairs,
-    "d4_avoid": _rows_d4_avoid,
-    "d4_single": _rows_d4_single,
-    "d1d2_single": _rows_d1d2_single,
+# A suite is a tuple of passes; a pass runs its row builders for n = 0..n_max
+# in turn, so the rows of a later pass follow all the rows of an earlier one.
+_SUITE_TABLE: dict[str, tuple[tuple[_RowBuilder, ...], ...]] = {
+    "d1_len3": ((
+        *(_count(f"d1_{p}", DumontKind.D1, (p,), SequenceId[f"D1_{p}"])
+          for p in ("132", "231", "312", "213", "321", "123")),
+        _set("d1_321_set", DumontKind.D1, ("321",), _pair_staircase),
+        _set("d1_123_set", DumontKind.D1, ("123",), _d1_123_expected, n_min=3),
+    ),),
+    "d2_len3": ((
+        *(_count(f"d2_{p}", DumontKind.D2, (p,), SequenceId[f"D2_{p}"])
+          for p in ("123", "132", "213", "231", "312", "321")),
+        _set("d2_312_set", DumontKind.D2, ("312",), _pair_staircase),
+    ),),
+    "d2_len4": ((
+        *(_count(f"d2_{p}", DumontKind.D2, (p,), SequenceId[f"D2_{p}"])
+          for p in ("3142", "4132", "2143")),
+        # The 4132 avoiders are not merely as many as the 321 avoiders: they are the same.
+        _set("d2_4132_set_eq_321", DumontKind.D2, ("4132",),
+             lambda n: generate_avoiders(_query(DumontKind.D2, n, "321"))),
+    ),),
+    "d1_pairs": ((
+        *(_count(f"d1_pair_{a}_{b}", DumontKind.D1, (a, b), SequenceId[f"D1_PAIR_{a}_{b}"])
+          for a, b in (("1342", "1423"), ("2341", "2413"), ("1342", "2413"),
+                       ("231", "4213"), ("1342", "4213"), ("2341", "1423"))),
+        _set("d1_pair_231_4213_set", DumontKind.D1, ("231", "4213"), _pair_staircase, n_min=1),
+    ),),
+    "d4_avoid": ((
+        *(_count(f"d4_{p}", DumontKind.D4, (p,), SequenceId[f"D4_{p}"])
+          for p in ("1342", "1432", "1324", "1243", "1234")),
+        _d4_1423,
+    ), (
+        _set("d4_1234_set", DumontKind.D4, ("1234",), _d4_1234_expected),
+    )),
+    "d4_single": ((_count("d4_321_once", DumontKind.D4, ("321",), SequenceId.D4_321_1, 1),),),
+    "d1d2_single": ((
+        *(_count(f"d1_{p}_once", DumontKind.D1, (p,), SequenceId[f"D1_{p}_1"], 1)
+          for p in ("132", "312", "231", "213", "321")),
+        *(_count(f"d2_{p}_once", DumontKind.D2, (p,), SequenceId[f"D2_{p}_1"], 1)
+          for p in ("321", "3142", "2143")),
+    ),),
 }
+
+SUITES = (*_SUITE_TABLE, "all")
 
 
 def run_suite(suite: str, n_max: int) -> VerificationReport:
     """Run one verification suite (or all of them) up to the given n."""
     if n_max < 0:
         raise ValueError(f"max n must be >= 0, got {n_max}")
-    if suite == "all":
-        rows: list[ReportRow] = []
-        for name in SUITES[:-1]:
-            rows.extend(_SUITE_BUILDERS[name](n_max))
-        return VerificationReport("all", rows)
-    if suite not in _SUITE_BUILDERS:
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}")
-    return VerificationReport(suite, _SUITE_BUILDERS[suite](n_max))
+    run = _Run(n_max)
+    rows = [row for name in (_SUITE_TABLE if suite == "all" else (suite,))
+            for builders in _SUITE_TABLE[name]  # the passes of one suite
+            for n in range(n_max + 1) for build in builders for row in build(n, run)]
+    return VerificationReport(suite, rows)
 
 
 def sanity_s3(n_max: int) -> VerificationReport:
@@ -489,8 +423,8 @@ def conjecture1_counts(n_max: int, budget: Optional[float] = None,
         tag = f"c1|n={n}"
         counts = checkpoint.done.get(tag)
         if counts is None:
-            counts = [count_avoiders(AvoidanceQuery(DumontKind.D1, 2 * n, frozenset([_pat(p)])),
-                                     deadline=deadline) for p in _C1_PATTERNS]
+            counts = [count_avoiders(_query(DumontKind.D1, n, p), deadline=deadline)
+                      for p in _C1_PATTERNS]
             checkpoint.record(tag, counts)
         ref = reference[n] if n < len(reference) else None
         ok = counts[0] == counts[1] and (ref is None or counts[0] == ref)
@@ -509,7 +443,8 @@ def conjecture2_distribution(n: int, budget: Optional[float] = None,
     hists = checkpoint.done.get(tag)
     if hists is None:
         hists = [{str(k): v for k, v in vincular_histogram(
-                     DumontKind.D1, 2 * n, _pat(pat), stat, deadline=deadline).items()}
+                     DumontKind.D1, 2 * n, ClassicalPattern.parse(pat), stat,
+                     deadline=deadline).items()}
                  for pat, stat in (("2143", _STAT_2_31), ("3421", _STAT_13_2))]
         checkpoint.record(tag, hists)
     hist_a, hist_b = ({int(k): v for k, v in h.items()} for h in hists)

@@ -162,6 +162,10 @@ def test_composition_parse_and_text():
     assert Composition.parse("").parts == ()
     with pytest.raises(ValueError):
         Composition((0, 2))
+    for text in ("1++1", "a+1"):
+        with pytest.raises(ValueError) as info:
+            Composition.parse(text)
+        assert str(info.value) == f"malformed composition: {text!r}"
 
 
 def test_composition_map_worked_examples():

@@ -94,12 +94,16 @@ def test_avoid_exactly_list_comes_from_the_pruned_walk():
     ["conjecture", "--which", "1", "--n", "2", "--budget", "-1", "--checkpoint", "JOURNAL"],
     ["conjecture", "--which", "2", "--n", "-1", "--checkpoint", "JOURNAL"],
     ["conjecture", "--which", "2", "--n", "3", "--budget", "nan", "--checkpoint", "JOURNAL"],
+    ["series", "--id", "a343795_d4_312", "--cross-check", "--order", "-1"],
 ])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     journal = tmp_path / "journal"
     code, out = run_cli(*(str(journal) if a == "JOURNAL" else a for a in argv))
     assert (code, out) == (2, "")
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "--order" in argv:  # the message names the option, not the library parameter
+        assert err == "error: --order must be >= 0, got -1\n"
     assert not journal.exists()  # refused before a journal is opened
 
 
