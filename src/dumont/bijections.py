@@ -202,8 +202,6 @@ def foata_inverse(p: Permutation) -> Permutation:
 
 
 def _require_member(p: Permutation, pattern: ClassicalPattern, label: str) -> None:
-    if len(p) % 2:
-        raise ValueError(f"odd size: {len(p)}")
     if not is_dumont(DumontKind.D4, p) or not avoids(p, pattern):
         raise ValueError(f"{p.to_text() or 'empty permutation'} is not {label}")
 
@@ -405,8 +403,6 @@ def split_single_321(p: Permutation) -> SplitPair:
     pieces; each is completed to an even-size Dumont-4 permutation.  The
     component sizes sum to 2n+2 when b is even and to 2n+4 when b is odd.
     """
-    if len(p) % 2:
-        raise ValueError(f"odd size: {len(p)}")
     if not is_dumont(DumontKind.D4, p):
         raise ValueError(f"{p.to_text()} is not a Dumont-4 permutation")
     occs = _find_321_occurrences(p.values, 2)

@@ -120,6 +120,8 @@ def _cmd_map(args, out) -> int:
 def _cmd_series(args, out) -> int:
     seq = SequenceId(args.id)
     if args.cross_check:
+        if args.upto is not None:
+            raise ValueError("--upto does not apply to --cross-check; use --order")
         order = args.order if args.order is not None else 24
         if order < 0:
             raise ValueError(f"--order must be >= 0, got {order}")
@@ -136,6 +138,8 @@ def _cmd_series(args, out) -> int:
             out.write(f"continued fraction vs block system to order {order}: "
                       f"{'consistent' if ok else 'MISMATCH'}\n")
         return 0 if ok else 1
+    if args.order is not None:
+        raise ValueError("--order applies only to --cross-check; use --upto")
     upto = args.upto if args.upto is not None else 10
     if upto < 0:
         raise ValueError(f"--upto must be >= 0, got {upto}")

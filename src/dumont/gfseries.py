@@ -17,7 +17,8 @@ module supplies
   Dumont-4 permutations avoiding 1423 (OEIS A343795), plus an independent
   sweep over the underlying P/R/S/T block system;
 * every closed-form counting formula used by the verification harness,
-  addressed by :class:`SequenceId`.
+  each declared once as a :class:`SequenceId` member that carries its
+  value string, its range of validity and its formula.
 """
 
 from __future__ import annotations
@@ -302,6 +303,13 @@ def _binom0(a: int, b: int) -> int:
     return comb(a, b)
 
 
+def _exact_ratio(num: int, den: int) -> int:
+    quot, rem = divmod(num, den)
+    if rem:
+        raise RuntimeError(f"non-integral closed form: {num}/{den}")
+    return quot
+
+
 def catalan_series(order: int) -> TruncatedSeries:
     return TruncatedSeries([catalan_number(i) for i in range(order + 1)])
 
@@ -462,10 +470,8 @@ def genocchi(n: int) -> int:
     """
     if n < 1:
         raise ValueError("genocchi(n) requires n >= 1")
-    val = _tan_odd(n)[n - 1] * Fraction(1, 2) ** (2 * n - 1) * factorial(2 * n)
-    if val.denominator != 1:
-        raise RuntimeError(f"non-integral Genocchi value at n={n}")
-    return int(val)
+    t = _tan_odd(n)[n - 1]
+    return _exact_ratio(t.numerator * factorial(2 * n), t.denominator << (2 * n - 1))
 
 
 def signed_genocchi_egf(order: int) -> RationalSeries:
@@ -477,55 +483,6 @@ def signed_genocchi_egf(order: int) -> RationalSeries:
 
 # ---------------------------------------------------------------------------
 # Closed forms
-
-
-class SequenceId(str, Enum):
-    CATALAN = "catalan"
-    CENTRAL_BINOMIAL = "central_binomial"
-    GENOCCHI = "genocchi"
-    LITTLE_SCHRODER = "little_schroder"
-    B7482 = "b7482"
-    A_ELIZALDE = "a_elizalde"
-    B_ELIZALDE = "b_elizalde"
-    D1_2143_TABLE = "d1_2143_table"
-    A343795_D4_312 = "a343795_d4_312"
-    NOONAN = "noonan"
-    ZEILBERGER = "zeilberger"
-    D1_132 = "d1_132"
-    D1_231 = "d1_231"
-    D1_312 = "d1_312"
-    D1_213 = "d1_213"
-    D1_321 = "d1_321"
-    D1_123 = "d1_123"
-    D2_123 = "d2_123"
-    D2_132 = "d2_132"
-    D2_213 = "d2_213"
-    D2_231 = "d2_231"
-    D2_312 = "d2_312"
-    D2_321 = "d2_321"
-    D2_3142 = "d2_3142"
-    D2_4132 = "d2_4132"
-    D2_2143 = "d2_2143"
-    D1_PAIR_1342_1423 = "d1_pair_1342_1423"
-    D1_PAIR_2341_2413 = "d1_pair_2341_2413"
-    D1_PAIR_1342_2413 = "d1_pair_1342_2413"
-    D1_PAIR_231_4213 = "d1_pair_231_4213"
-    D1_PAIR_1342_4213 = "d1_pair_1342_4213"
-    D1_PAIR_2341_1423 = "d1_pair_2341_1423"
-    D4_1234 = "d4_1234"
-    D4_1342 = "d4_1342"
-    D4_1432 = "d4_1432"
-    D4_1324 = "d4_1324"
-    D4_1243 = "d4_1243"
-    D1_132_1 = "d1_132_1"
-    D1_312_1 = "d1_312_1"
-    D1_231_1 = "d1_231_1"
-    D1_213_1 = "d1_213_1"
-    D1_321_1 = "d1_321_1"
-    D2_321_1 = "d2_321_1"
-    D2_3142_1 = "d2_3142_1"
-    D2_2143_1 = "d2_2143_1"
-    D4_321_1 = "d4_321_1"
 
 
 @lru_cache(maxsize=None)
@@ -554,15 +511,10 @@ def b7482(n: int) -> int:
 def a_elizalde(n: int) -> int:
     if n < 0:
         raise ValueError("a_elizalde(n) requires n >= 0")
+    m = n // 2
     if n % 2 == 0:
-        m = n // 2
-        val = Fraction(comb(3 * m, m), 2 * m + 1)
-    else:
-        m = (n - 1) // 2
-        val = Fraction(comb(3 * m + 1, m), m + 1)
-    if val.denominator != 1:
-        raise RuntimeError(f"non-integral value at n={n}")
-    return int(val)
+        return _exact_ratio(comb(3 * m, m), 2 * m + 1)
+    return _exact_ratio(comb(3 * m + 1, m), m + 1)
 
 
 def b_elizalde(n: int) -> int:
@@ -573,13 +525,6 @@ def b_elizalde(n: int) -> int:
         return _binom0(3 * k - 3, k - 2)
     k = (n - 1) // 2
     return 2 * _binom0(3 * k - 2, k - 2)
-
-
-def _exact_ratio(num: int, den: int) -> int:
-    quot, rem = divmod(num, den)
-    if rem:
-        raise RuntimeError(f"non-integral closed form: {num}/{den}")
-    return quot
 
 
 def _noonan(n: int) -> int:
@@ -595,70 +540,82 @@ def _d4_321_1(n: int) -> int:
             - catalan_number(n + 1) + 3 * catalan_number(n))
 
 
-_FORMULAS: dict[SequenceId, tuple[int, Optional[int], Callable[[int], int]]] = {
-    SequenceId.CATALAN: (0, None, catalan_number),
-    SequenceId.CENTRAL_BINOMIAL: (0, None, central_binomial),
-    SequenceId.GENOCCHI: (1, None, genocchi),
-    SequenceId.LITTLE_SCHRODER: (1, None, little_schroder),
-    SequenceId.B7482: (0, None, b7482),
-    SequenceId.A_ELIZALDE: (0, None, a_elizalde),
-    SequenceId.B_ELIZALDE: (0, None, b_elizalde),
-    SequenceId.D1_2143_TABLE: (0, 10, lambda n: _golden.d1_wilf_pair_counts()[n]),
-    SequenceId.A343795_D4_312: (0, 11, lambda n: _golden.a343795_prefix()[n]),
-    SequenceId.NOONAN: (1, None, _noonan),
-    SequenceId.ZEILBERGER: (1, None, _zeilberger),
-    SequenceId.D1_132: (0, None, catalan_number),
-    SequenceId.D1_231: (0, None, catalan_number),
-    SequenceId.D1_312: (0, None, catalan_number),
-    SequenceId.D1_213: (1, None, lambda n: catalan_number(n - 1)),
-    SequenceId.D1_321: (0, None, lambda n: 1),
-    SequenceId.D1_123: (3, None, lambda n: 4),
-    SequenceId.D2_123: (3, None, lambda n: 0),
-    SequenceId.D2_132: (3, None, lambda n: 0),
-    SequenceId.D2_213: (3, None, lambda n: 0),
-    SequenceId.D2_231: (1, None, lambda n: 2 ** (n - 1)),
-    SequenceId.D2_312: (0, None, lambda n: 1),
-    SequenceId.D2_321: (0, None, catalan_number),
-    SequenceId.D2_3142: (0, None, catalan_number),
-    SequenceId.D2_4132: (0, None, catalan_number),
-    SequenceId.D2_2143: (0, None, lambda n: a_elizalde(n) * a_elizalde(n + 1)),
-    SequenceId.D1_PAIR_1342_1423: (0, None, lambda n: little_schroder(n + 1)),
-    SequenceId.D1_PAIR_2341_2413: (0, None, lambda n: little_schroder(n + 1)),
-    SequenceId.D1_PAIR_1342_2413: (0, None, lambda n: little_schroder(n + 1)),
-    SequenceId.D1_PAIR_231_4213: (1, None, lambda n: 1),
-    SequenceId.D1_PAIR_1342_4213: (1, None, lambda n: 2 ** (n - 1)),
-    SequenceId.D1_PAIR_2341_1423: (3, None, b7482),
-    SequenceId.D4_1234: (0, None, lambda n: (1, 1, 2, 4)[n] if n <= 3 else 0),
-    SequenceId.D4_1342: (1, None, lambda n: 2 ** (n - 1)),
-    SequenceId.D4_1432: (0, None, catalan_number),
-    SequenceId.D4_1324: (0, None, lambda n: n * n - n + 1),
-    SequenceId.D4_1243: (0, None, lambda n: n * n - n + 1),
-    SequenceId.D1_132_1: (0, None, lambda n: 0),
-    SequenceId.D1_312_1: (0, None, lambda n: 0),
-    SequenceId.D1_231_1: (0, None, lambda n: _binom0(2 * n - 2, n - 3)),
-    SequenceId.D1_213_1: (4, None, lambda n: catalan_number(n - 2) + _binom0(2 * n - 4, n - 4)),
-    SequenceId.D1_321_1: (2, None, lambda n: (n - 1) ** 2),
-    SequenceId.D2_321_1: (2, None, lambda n: _exact_ratio(5 * _binom0(2 * n, n - 2), n + 3)),
-    SequenceId.D2_3142_1: (2, None, lambda n: _binom0(2 * n - 1, n - 2)),
-    SequenceId.D2_2143_1: (2, None, lambda n: (a_elizalde(n) * b_elizalde(n + 1)
-                                               + b_elizalde(n) * a_elizalde(n + 1)
-                                               + a_elizalde(n - 1) * a_elizalde(n))),
-    SequenceId.D4_321_1: (1, None, _d4_321_1),
-}
+class SequenceId(str, Enum):
+    """A closed form, declared once.  Each member is its value string, the
+    first n it holds for, the last (None when unbounded) and the formula."""
+
+    def __new__(cls, value: str, lo: int, hi: Optional[int], formula: Callable[[int], int]):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.lo, member.hi, member.formula = lo, hi, formula
+        return member
+
+    def covers(self, n: int) -> bool:
+        """Whether the closed form holds at index n."""
+        return self.lo <= n and (self.hi is None or n <= self.hi)
+
+    CATALAN = "catalan", 0, None, catalan_number
+    CENTRAL_BINOMIAL = "central_binomial", 0, None, central_binomial
+    GENOCCHI = "genocchi", 1, None, genocchi
+    LITTLE_SCHRODER = "little_schroder", 1, None, little_schroder
+    B7482 = "b7482", 0, None, b7482
+    A_ELIZALDE = "a_elizalde", 0, None, a_elizalde
+    B_ELIZALDE = "b_elizalde", 0, None, b_elizalde
+    D1_2143_TABLE = "d1_2143_table", 0, 10, lambda n: _golden.d1_wilf_pair_counts()[n]
+    A343795_D4_312 = "a343795_d4_312", 0, 11, lambda n: _golden.a343795_prefix()[n]
+    NOONAN = "noonan", 1, None, _noonan
+    ZEILBERGER = "zeilberger", 1, None, _zeilberger
+    D1_132 = "d1_132", 0, None, catalan_number
+    D1_231 = "d1_231", 0, None, catalan_number
+    D1_312 = "d1_312", 0, None, catalan_number
+    D1_213 = "d1_213", 1, None, lambda n: catalan_number(n - 1)
+    D1_321 = "d1_321", 0, None, lambda n: 1
+    D1_123 = "d1_123", 3, None, lambda n: 4
+    D2_123 = "d2_123", 3, None, lambda n: 0
+    D2_132 = "d2_132", 3, None, lambda n: 0
+    D2_213 = "d2_213", 3, None, lambda n: 0
+    D2_231 = "d2_231", 1, None, lambda n: 2 ** (n - 1)
+    D2_312 = "d2_312", 0, None, lambda n: 1
+    D2_321 = "d2_321", 0, None, catalan_number
+    D2_3142 = "d2_3142", 0, None, catalan_number
+    D2_4132 = "d2_4132", 0, None, catalan_number
+    D2_2143 = "d2_2143", 0, None, lambda n: a_elizalde(n) * a_elizalde(n + 1)
+    D1_PAIR_1342_1423 = "d1_pair_1342_1423", 0, None, lambda n: little_schroder(n + 1)
+    D1_PAIR_2341_2413 = "d1_pair_2341_2413", 0, None, lambda n: little_schroder(n + 1)
+    D1_PAIR_1342_2413 = "d1_pair_1342_2413", 0, None, lambda n: little_schroder(n + 1)
+    D1_PAIR_231_4213 = "d1_pair_231_4213", 1, None, lambda n: 1
+    D1_PAIR_1342_4213 = "d1_pair_1342_4213", 1, None, lambda n: 2 ** (n - 1)
+    D1_PAIR_2341_1423 = "d1_pair_2341_1423", 3, None, b7482
+    D4_1234 = "d4_1234", 0, None, lambda n: (1, 1, 2, 4)[n] if n <= 3 else 0
+    D4_1342 = "d4_1342", 1, None, lambda n: 2 ** (n - 1)
+    D4_1432 = "d4_1432", 0, None, catalan_number
+    D4_1324 = "d4_1324", 0, None, lambda n: n * n - n + 1
+    D4_1243 = "d4_1243", 0, None, lambda n: n * n - n + 1
+    D1_132_1 = "d1_132_1", 0, None, lambda n: 0
+    D1_312_1 = "d1_312_1", 0, None, lambda n: 0
+    D1_231_1 = "d1_231_1", 0, None, lambda n: _binom0(2 * n - 2, n - 3)
+    D1_213_1 = "d1_213_1", 4, None, lambda n: catalan_number(n - 2) + _binom0(2 * n - 4, n - 4)
+    D1_321_1 = "d1_321_1", 2, None, lambda n: (n - 1) ** 2
+    D2_321_1 = "d2_321_1", 2, None, lambda n: _exact_ratio(5 * _binom0(2 * n, n - 2), n + 3)
+    D2_3142_1 = "d2_3142_1", 2, None, lambda n: _binom0(2 * n - 1, n - 2)
+    D2_2143_1 = "d2_2143_1", 2, None, lambda n: (a_elizalde(n) * b_elizalde(n + 1)
+                                                 + b_elizalde(n) * a_elizalde(n + 1)
+                                                 + a_elizalde(n - 1) * a_elizalde(n))
+    D4_321_1 = "d4_321_1", 1, None, _d4_321_1
 
 
 def validity_range(seq: SequenceId) -> tuple[int, Optional[int]]:
-    lo, hi, _ = _FORMULAS[seq]
-    return lo, hi
+    seq = SequenceId(seq)
+    return seq.lo, seq.hi
 
 
 def closed_form(seq: SequenceId, n: int) -> int:
     """Exact value of the named sequence at index n; errors outside validity."""
-    lo, hi, fn = _FORMULAS[seq]
-    if n < lo or (hi is not None and n > hi):
-        top = "inf" if hi is None else str(hi)
-        raise ValueError(f"{seq.value} is defined for {lo} <= n <= {top}, got {n}")
-    return fn(n)
+    seq = SequenceId(seq)
+    if not seq.covers(n):
+        top = "inf" if seq.hi is None else str(seq.hi)
+        raise ValueError(f"{seq.value} is defined for {seq.lo} <= n <= {top}, got {n}")
+    return seq.formula(n)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from itertools import permutations as _all_perms
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import golden
-from .gfseries import SequenceId, catalan_number, closed_form, d4_1423_series, validity_range
+from .gfseries import SequenceId, catalan_number, closed_form, d4_1423_series
 from .kinds import BudgetExceeded, DumontKind  # BudgetExceeded is re-exported
 from .patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern, avoids,
                        count_avoiders, count_exact_occurrences, generate_avoiders,
@@ -104,8 +104,7 @@ def _count(theorem: str, kind: DumontKind, pats: tuple[str, ...], seq: SequenceI
     contain its one pattern exactly ``target`` times) against
     ``closed_form(seq, n)``, wherever ``seq`` is valid."""
     def rows(n: int, run: _Run) -> Iterator[ReportRow]:
-        lo, hi = validity_range(seq)
-        if n < lo or (hi is not None and n > hi):
+        if not seq.covers(n):
             return
         t0 = time.perf_counter()
         if target is None:
@@ -142,7 +141,7 @@ def _d4_1423(n: int, run: _Run) -> Iterator[ReportRow]:
     coeff = run.d4_1423.coefficient(n)
     yield ReportRow("d4_1423_series", n, str(enum), str(coeff), enum == coeff,
                     time.perf_counter() - t0)
-    if n <= validity_range(SequenceId.A343795_D4_312)[1]:
+    if SequenceId.A343795_D4_312.covers(n):
         ref = golden.a343795_prefix()[n]
         yield ReportRow("d4_1423_reference", n, str(coeff), str(ref), coeff == ref, 0.0)
 

@@ -65,11 +65,10 @@ class Permutation:
         text = text.strip()
         if not text:
             return cls(())
-        if "," in text:
-            return cls(int(part) for part in text.split(","))
-        if not text.isdigit():
+        parts = text.split(",") if "," in text else text
+        if not all(part.strip().isdigit() for part in parts):
             raise ValueError(f"not a permutation string: {text!r}")
-        return cls(int(ch) for ch in text)
+        return cls(int(part) for part in parts)
 
     @property
     def values(self) -> tuple[int, ...]:

@@ -290,6 +290,8 @@ def test_split_errors():
         split_single_321(members[0])
     with pytest.raises(ValueError, match="not a Dumont-4"):
         split_single_321(Permutation.from_text("321654"))
+    with pytest.raises(ValueError, match="odd size: 3"):
+        split_single_321(Permutation.from_text("132"))
 
 
 @pytest.mark.parametrize("n", range(1, 6))

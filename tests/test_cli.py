@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -5,6 +6,7 @@ import time
 import pytest
 
 from dumont.cli import main
+from dumont.gfseries import SequenceId
 
 
 def run_cli(*argv):
@@ -82,6 +84,16 @@ def test_avoid_exactly_list_comes_from_the_pruned_walk():
     assert out == ",".join(str(v) for v in range(1, 17)) + "\n"
 
 
+_SERIES_ERRORS = {
+    ("series", "--id", "a343795_d4_312", "--cross-check", "--order", "-1"):
+        "--order must be >= 0, got -1",
+    ("series", "--id", "a343795_d4_312", "--order", "3"):
+        "--order applies only to --cross-check; use --upto",
+    ("series", "--id", "a343795_d4_312", "--cross-check", "--upto", "3"):
+        "--upto does not apply to --cross-check; use --order",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["avoid", "--kind", "1", "--size", "4", "--pattern", "12,21", "--exactly", "1"],
     ["avoid", "--kind", "1", "--size", "4", "--pattern", ","],
@@ -95,6 +107,9 @@ def test_avoid_exactly_list_comes_from_the_pruned_walk():
     ["conjecture", "--which", "2", "--n", "-1", "--checkpoint", "JOURNAL"],
     ["conjecture", "--which", "2", "--n", "3", "--budget", "nan", "--checkpoint", "JOURNAL"],
     ["series", "--id", "a343795_d4_312", "--cross-check", "--order", "-1"],
+    ["diagram", "1,2,"],
+    ["series", "--id", "a343795_d4_312", "--order", "3"],
+    ["series", "--id", "a343795_d4_312", "--cross-check", "--upto", "3"],
 ])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     journal = tmp_path / "journal"
@@ -102,9 +117,20 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     assert (code, out) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    if "--order" in argv:  # the message names the option, not the library parameter
-        assert err == "error: --order must be >= 0, got -1\n"
+    pinned = _SERIES_ERRORS.get(tuple(argv))
+    if pinned:  # the message names the option the user gave, not a library parameter
+        assert err == f"error: {pinned}\n"
     assert not journal.exists()  # refused before a journal is opened
+
+
+def test_series_first_terms_of_every_sequence():
+    buf = io.StringIO()
+    for seq in SequenceId:
+        assert main(["series", "--id", seq.value, "--upto", "14"], out=buf) == 0
+    text = buf.getvalue()
+    assert text.count("\n") == 649
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1e30e8158765d13de1adc3a64e7f9c8f5f7df88123ae725763d771cac12bc5a1")
 
 
 def test_map_subcommands():

@@ -209,6 +209,17 @@ def test_single_occurrence_identity_to_30():
         assert closed_form(SequenceId.NOONAN, n) == closed_form(SequenceId.ZEILBERGER, n)
 
 
+def test_sequence_ids_keep_their_names_values_and_order():
+    assert SequenceId("catalan") is SequenceId.CATALAN
+    assert SequenceId.CATALAN == "catalan"
+    assert SequenceId["D1_132"].value == "d1_132"
+    ids = list(SequenceId)
+    assert len(ids) == len({s.value for s in ids}) == 46  # no member is an alias
+    assert (ids[0], ids[-1]) == (SequenceId.CATALAN, SequenceId.D4_321_1)
+    assert validity_range(SequenceId.A343795_D4_312) == (0, 11)
+    assert closed_form("d1_213", 4) == closed_form(SequenceId.D1_213, 4) == 5
+
+
 def test_closed_form_small_values():
     assert [closed_form(SequenceId.D4_1324, n) for n in range(7)] == \
         [1, 1, 3, 7, 13, 21, 31]

@@ -36,6 +36,13 @@ def test_text_roundtrip_both_grammars():
     assert Permutation.from_text("1,3,6,5,7,2,8,4").values == (1, 3, 6, 5, 7, 2, 8, 4)
 
 
+@pytest.mark.parametrize("text", ["1,2,", "1,,2", "1,a", "12x"])
+def test_from_text_rejects_malformed_text(text):
+    with pytest.raises(ValueError) as err:
+        Permutation.from_text(text)
+    assert str(err.value) == f"not a permutation string: {text!r}"
+
+
 def test_reverse_complement_examples():
     p = Permutation.from_text("263541")
     assert p.reverse().to_text() == "145362"
