@@ -57,12 +57,8 @@ class DyckPath:
     def semilength(self) -> int:
         return len(self.steps) // 2
 
-    def to_text(self, style: str = "EN") -> str:
-        if style == "EN":
-            return self.steps
-        if style == "UD":
-            return self.steps.translate(str.maketrans("EN", "UD"))
-        raise ValueError(f"unknown path style {style!r}")
+    def to_text(self) -> str:
+        return self.steps
 
     def runs(self) -> list[tuple[str, int]]:
         """Maximal runs as (step, length) pairs."""

@@ -5,14 +5,12 @@ module supplies
 
 * :class:`TruncatedSeries`, an exact integer power series cut at a fixed
   order, with ring operations and division by units;
-* :class:`RationalSeries`, the same over exact rationals, used to extract
-  Genocchi numbers from the exponential generating function x*tan(x/2),
-  whose expansion is kept and grown as larger Genocchi numbers are asked for;
-* the product and quotient kernels both series classes share.  They read
-  each operand as z^r * A(z^s) (every nonzero index is r mod s), multiply
-  only the residue class a product can occupy, solve a quotient one residue
-  class of the divisor's stride at a time, and skip classes whose numerator
-  is zero.  The arithmetic is the schoolbook one, term for term;
+* its product and quotient kernels.  They read each operand as
+  z^r * A(z^s) (every nonzero index is r mod s), multiply only the residue
+  class a product can occupy, solve a quotient one residue class of the
+  divisor's stride at a time, and skip classes whose numerator is zero.
+  The arithmetic is the schoolbook one, term for term;
+* the Genocchi numbers, from the integer recurrence for the tangent numbers;
 * the continued-fraction evaluation producing the counting sequence of
   Dumont-4 permutations avoiding 1423 (OEIS A343795), plus an independent
   sweep over the underlying P/R/S/T block system;
@@ -28,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import comb, factorial, gcd
+from math import comb, gcd
 from operator import add, mul, sub
 from typing import Callable, Optional
 
@@ -36,7 +34,7 @@ from . import golden as _golden
 
 
 # ---------------------------------------------------------------------------
-# Product and quotient kernels, shared by both series classes
+# Product and quotient kernels
 
 
 def _support(cs) -> Optional[tuple[int, int, int]]:
@@ -75,31 +73,8 @@ def _product(a, b, n: int) -> list:
     return out
 
 
-def _extend_quotient(num, den, quot: list, exact: bool) -> Optional[int]:
-    """Append to ``quot`` the coefficients len(quot)..len(num)-1 of num/den.
-
-    ``quot`` must already hold the leading coefficients of that quotient, so
-    a quotient can be grown when longer ``num`` and ``den`` arrive.  With
-    ``exact`` each coefficient must divide by den[0] exactly; the index of
-    the first that does not is returned (with ``quot`` stopped there),
-    otherwise None.
-    """
-    d0, rev, last = den[0], den[::-1], len(den) - 1
-    for k in range(len(quot), len(num)):
-        # den[j] * quot[k-j] for j = min(k, last) down to 1.
-        acc = num[k] - sum(map(mul, quot[max(k - last, 0):], rev[max(last - k, 0):last]))
-        if exact:
-            term, rem = divmod(acc, d0)
-            if rem:
-                return k
-        else:
-            term = acc / d0
-        quot.append(term)
-    return None
-
-
-def _quotient(a, b, n: int, exact: bool) -> list:
-    """Coefficients 0..n of a/b; see :func:`_extend_quotient` for ``exact``.
+def _quotient(a, b, n: int) -> list:
+    """Coefficients 0..n of a/b, each of which must divide exactly by b[0].
 
     A divisor B(z^s) couples only coefficients in one residue class mod s,
     so each class is solved on its own against the trimmed divisor, and a
@@ -112,19 +87,25 @@ def _quotient(a, b, n: int, exact: bool) -> list:
     _, s, top = _support(b)
     s = s or 1
     den = b[:min(top, n) + 1:s]
+    d0, rev, last = den[0], den[::-1], len(den) - 1
     out = [0] * (n + 1)
-    failed = None
+    failed = n + 1
     for c in range(min(s, n + 1)):
         num = a[c:n + 1:s]
         if not any(num):
             continue
-        part: list = []
-        bad = _extend_quotient(num, den, part, exact)
-        if bad is None:
-            out[c::s] = part
-        elif failed is None or c + s * bad < failed:
-            failed = c + s * bad
-    if failed is not None:
+        quot: list[int] = []
+        for k, x in enumerate(num):
+            # den[j] * quot[k-j] for j = min(k, last) down to 1.
+            acc = x - sum(map(mul, quot[max(k - last, 0):], rev[max(last - k, 0):last]))
+            term, rem = divmod(acc, d0)
+            if rem:
+                failed = min(failed, c + s * k)
+                break
+            quot.append(term)
+        else:
+            out[c::s] = quot
+    if failed <= n:
         raise ValueError(f"inexact series division at coefficient {failed}")
     return out
 
@@ -195,7 +176,7 @@ class TruncatedSeries:
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return TruncatedSeries._of(
-            _quotient(self.coeffs, other.coeffs, self._match(other), exact=True))
+            _quotient(self.coeffs, other.coeffs, self._match(other)))
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by z**k (k >= 0), keeping the truncation order."""
@@ -223,63 +204,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"
-
-
-class RationalSeries:
-    """Exact rational power series, used only for EGF extraction.
-
-    Products and quotients run the same kernels as :class:`TruncatedSeries`;
-    a quotient needs a nonzero constant term and is never inexact.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs, order: Optional[int] = None):
-        cs = [Fraction(c) for c in coeffs]
-        if order is not None:
-            cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))
-        if not cs:
-            raise ValueError("a series needs at least the constant coefficient")
-        self.coeffs = tuple(cs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k <= self.order else Fraction(0)
-
-    @classmethod
-    def sin(cls, order: int) -> "RationalSeries":
-        return cls([Fraction((-1) ** (k // 2), factorial(k)) if k % 2 else 0
-                    for k in range(order + 1)])
-
-    @classmethod
-    def cos(cls, order: int) -> "RationalSeries":
-        return cls([Fraction((-1) ** (k // 2), factorial(k)) if k % 2 == 0 else 0
-                    for k in range(order + 1)])
-
-    @classmethod
-    def sinh(cls, order: int) -> "RationalSeries":
-        return cls([Fraction(1, factorial(k)) if k % 2 else 0 for k in range(order + 1)])
-
-    @classmethod
-    def cosh(cls, order: int) -> "RationalSeries":
-        return cls([Fraction(1, factorial(k)) if k % 2 == 0 else 0
-                    for k in range(order + 1)])
-
-    def __mul__(self, other: "RationalSeries") -> "RationalSeries":
-        n = min(self.order, other.order)
-        return RationalSeries(_product(self.coeffs, other.coeffs, n))
-
-    def __truediv__(self, other: "RationalSeries") -> "RationalSeries":
-        n = min(self.order, other.order)
-        return RationalSeries(_quotient(self.coeffs, other.coeffs, n, exact=False))
-
-    def rescale_argument(self, factor: Fraction) -> "RationalSeries":
-        """Substitute (factor * x) for x."""
-        f = Fraction(factor)
-        return RationalSeries([c * f ** k for k, c in enumerate(self.coeffs)])
 
 
 # ---------------------------------------------------------------------------
@@ -441,44 +365,31 @@ def solve_prst_system(nterms: int, depth: Optional[int] = None) -> BlockSystemSo
 # Genocchi numbers
 
 
-# t_0, t_1, ... with tan(x) = sum_k t_k x^(2k+1): the odd class of sin/cos.
-# Its terms never change as the order grows, so the one expansion is only
-# ever extended, and every Genocchi number is read from it.
-_tan_terms: list[Fraction] = []
+def _tangent_numbers(count: int) -> list[int]:
+    """T_1..T_count, with tan(x) = sum_k T_k x^(2k-1) / (2k-1)!.
 
-
-def _tan_odd(count: int) -> list[Fraction]:
-    """At least ``count`` leading terms t_k of tan(x), grown on demand."""
-    global _tan_terms
-    terms = _tan_terms
-    if len(terms) < count:
-        order = 2 * count - 1
-        terms = list(terms)  # extend a copy: concurrent callers never mix terms
-        _extend_quotient(RationalSeries.sin(order).coeffs[1::2],
-                         RationalSeries.cos(order).coeffs[::2], terms, exact=False)
-        _tan_terms = terms
-    return terms
+    Brent and Harvey's TangentNumbers recurrence ("Fast computation of
+    Bernoulli, Tangent and Secant numbers", 2013): O(count^2) integer
+    additions and multiplications by small factors, no division.
+    """
+    t = [1] * count
+    for k in range(1, count):
+        t[k] = k * t[k - 1]
+    for k in range(1, count):
+        for j in range(k, count):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
 
 
 def genocchi(n: int) -> int:
     """The unsigned Genocchi number G(2n), n >= 1 (OEIS A110501).
 
-    Extracted from the exponential generating function x*tan(x/2): the
-    coefficient of x^(2n), t_(n-1) / 2^(2n-1), times (2n)! must be a positive
-    integer.  The expansion of tan(x) is shared by every call and extended
-    only when a larger n is asked for.
+    G(2n) = n * T_n / 4^(n-1) for the tangent number T_n; the division must
+    be exact.
     """
     if n < 1:
         raise ValueError("genocchi(n) requires n >= 1")
-    t = _tan_odd(n)[n - 1]
-    return _exact_ratio(t.numerator * factorial(2 * n), t.denominator << (2 * n - 1))
-
-
-def signed_genocchi_egf(order: int) -> RationalSeries:
-    """-x*tanh(x/2) as a rational series, for the signed-EGF identity."""
-    tanh = RationalSeries.sinh(order) / RationalSeries.cosh(order)
-    half = tanh.rescale_argument(Fraction(1, 2))
-    return RationalSeries([-half.coefficient(k - 1) for k in range(order + 1)])
+    return _exact_ratio(n * _tangent_numbers(n)[-1], 1 << (2 * n - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -487,25 +398,27 @@ def signed_genocchi_egf(order: int) -> RationalSeries:
 
 @lru_cache(maxsize=None)
 def little_schroder(n: int) -> int:
-    """Little Schroeder numbers 1, 1, 3, 11, 45, 197, 903, ... (n >= 1)."""
+    """Little Schroeder numbers 1, 1, 3, 11, 45, 197, 903, ... (n >= 1), by
+    (m+1) s(m+1) = 3(2m-1) s(m) - (m-2) s(m-1) from s(1) = s(2) = 1."""
     if n < 1:
         raise ValueError("little_schroder(n) requires n >= 1")
-    if n <= 2:
-        return 1
-    return -little_schroder(n - 1) + 2 * sum(
-        little_schroder(k) * little_schroder(n - k) for k in range(1, n))
+    prev, cur = 1, 1
+    for m in range(2, n):
+        prev, cur = cur, _exact_ratio(3 * (2 * m - 1) * cur - (m - 2) * prev, m + 1)
+    return cur
 
 
 @lru_cache(maxsize=None)
 def b7482(n: int) -> int:
-    """1, 1, 3, 11, 39, 139, 495, ...: b(n) = 3 b(n-1) + 2 b(n-2)."""
+    """1, 1, 3, 11, 39, 139, 495, ...: b(n) = 3 b(n-1) + 2 b(n-2) from n = 3."""
     if n < 0:
         raise ValueError("b7482(n) requires n >= 0")
-    if n == 0 or n == 1:
+    if n <= 1:
         return 1
-    if n == 2:
-        return 3
-    return 3 * b7482(n - 1) + 2 * b7482(n - 2)
+    prev, cur = 1, 3
+    for _ in range(n - 2):
+        prev, cur = cur, 3 * cur + 2 * prev
+    return cur
 
 
 def a_elizalde(n: int) -> int:

@@ -393,11 +393,33 @@ class _Checkpoint:
                     break
             good += len(raw) + 1
 
+    def get(self, tag: str, valid: Callable[[object], bool]) -> Optional[list]:
+        """The pair recorded for ``tag``, None when there is none.  Both
+        experiments record a list of two entries; any other payload, or an
+        entry that ``valid`` refuses, raises ``ValueError``."""
+        if tag not in self.done:
+            return None
+        payload = self.done[tag]
+        if not (type(payload) is list and len(payload) == 2 and all(map(valid, payload))):
+            raise ValueError(f"checkpoint {self.path}: the record {tag} is malformed; "
+                             f"pass another --checkpoint path")
+        return payload
+
     def record(self, tag: str, payload) -> None:
         self.done[tag] = payload
         if self.path:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(f"{tag}\t{json.dumps(payload)}\n")
+
+
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _is_histogram(h) -> bool:
+    """A JSON object mapping decimal k >= 0 to a count."""
+    return type(h) is dict and all(k.isdecimal() and str(int(k)) == k and _is_count(v)
+                                   for k, v in h.items())
 
 
 def _deadline(budget: Optional[float]) -> Optional[float]:
@@ -420,7 +442,7 @@ def conjecture1_counts(n_max: int, budget: Optional[float] = None,
     rows = []
     for n in range(n_max + 1):
         tag = f"c1|n={n}"
-        counts = checkpoint.done.get(tag)
+        counts = checkpoint.get(tag, _is_count)
         if counts is None:
             counts = [count_avoiders(_query(DumontKind.D1, n, p), deadline=deadline)
                       for p in _C1_PATTERNS]
@@ -439,7 +461,7 @@ def conjecture2_distribution(n: int, budget: Optional[float] = None,
     deadline = _deadline(budget)
     checkpoint = _Checkpoint(checkpoint_path, "c2")
     tag = f"c2|n={n}"
-    hists = checkpoint.done.get(tag)
+    hists = checkpoint.get(tag, _is_histogram)
     if hists is None:
         hists = [{str(k): v for k, v in vincular_histogram(
                      DumontKind.D1, 2 * n, ClassicalPattern.parse(pat), stat,

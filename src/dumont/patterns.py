@@ -23,10 +23,10 @@ target has the generic transition :func:`_avoid_classical`, whose state is
 the occurrence count so far and the canonical multiset of live partial
 occurrences; plain avoidance is its target-0 case.  2143 alone and 3421
 alone keep smaller, faster transitions for plain avoidance.
-:func:`vincular_histogram` runs the same DP when the statistic has length
-3 and one adjacency (``2-31``, ``13-2``, ...): the occurrences that placing
-w adds then depend only on the used values, the previous value and w;
-other statistics are counted on the listed avoiders.  The plain walk of
+:func:`vincular_histogram` runs the same DP for a statistic of length 3
+with one adjacency (``2-31``, ``13-2``, ...): the occurrences that placing
+w adds then depend only on the used values, the previous value and w.  It
+refuses any other statistic.  The plain walk of
 :func:`dumont.kinds.generate` filtered by the matcher is the oracle the
 transitions are tested against.
 """
@@ -495,17 +495,18 @@ def _transition(query: AvoidanceQuery) -> tuple[_kinds.Step, Optional[int]]:
     return _avoid_classical(query.size, pats, target or 0)
 
 
-def _vincular_stat(stat: VincularPattern, size: int) -> Optional[_kinds.Stat]:
+def _vincular_stat(stat: VincularPattern, size: int) -> _kinds.Stat:
     """``add(used, prev, w)`` for a length-3 statistic with one adjacency.
 
     The adjacent pair is (prev, w).  For ``x-yz`` the free letter comes
     earlier, so placing w completes one occurrence per placed value in the
     free letter's range; for ``xy-z`` it comes later, and every unused value
     in its range will complete one, so they are all counted when the pair
-    forms.  Other statistics return None.
+    forms.  Any other statistic raises ``ValueError``.
     """
     if len(stat.perm) != 3 or len(stat.adjacent) != 1:
-        return None
+        raise ValueError(f"statistic {stat} has no DP form: it needs length 3 "
+                         f"and one adjacency, like 2-31")
     a, b, c = stat.perm.values
     if 2 in stat.adjacent:
         free, x, y, flip = a, b, c, 0  # pool: the placed values
@@ -557,18 +558,13 @@ def vincular_histogram(kind: DumontKind, size: int, forbidden: ClassicalPattern,
     """Distribution of a vincular statistic over a pruned avoider set.
 
     Returns {k: number of members of the kind avoiding ``forbidden`` whose
-    occurrence count of ``stat`` equals k}.  ``deadline`` is as for
-    :func:`count_avoiders`; a statistic with no DP form checks it per member.
+    occurrence count of ``stat`` equals k}, counted on the layered DP, so
+    ``stat`` must have length 3 and one adjacency (``ValueError`` otherwise).
+    ``deadline`` is as for :func:`count_avoiders`.
     """
     query = AvoidanceQuery(kind, size, frozenset([forbidden]))
     add = _vincular_stat(stat, size)
     hist: dict[int, int] = {}
-    if add is None:
-        for p in generate_avoiders(query):
-            _kinds._check_deadline(deadline)
-            k = _count(p.values, stat.perm.values, stat.adjacent)
-            hist[k] = hist.get(k, 0) + 1
-        return hist
     packed = _kinds._count_layers(kind, size, *_transition(query), add, deadline)
     width = _kinds._coefficient_bits(size)
     coeff = (1 << width) - 1

@@ -1,4 +1,4 @@
-"""Permutations in one-line notation, their symmetries, and positional statistics.
+"""Permutations in one-line notation and their symmetries.
 
 Conventions used across the whole package:
 
@@ -16,7 +16,6 @@ Conventions used across the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -128,68 +127,6 @@ class Permutation:
         for i, v in enumerate(self._vals):
             inv[v - 1] = i + 1
         return Permutation._wrap(tuple(inv))
-
-    def symmetry_class(self) -> frozenset["Permutation"]:
-        """All images under the dihedral symmetries of the diagram plus inversion.
-
-        At most eight permutations: the identity map, reverse, complement,
-        reverse-complement, and the inverses of those four.
-
-        >>> sorted(str(q) for q in Permutation.from_text("21").symmetry_class())
-        ['12', '21']
-        """
-        base = [self, self.reverse(), self.complement(), self.reverse().complement()]
-        return frozenset(base + [q.inverse() for q in base])
-
-    def stats(self) -> "StatProfile":
-        """Classify every position of the permutation.  See :class:`StatProfile`."""
-        vals = self._vals
-        n = len(vals)
-        fixed, exced, defic, descents, ltr = [], [], [], [], []
-        best = 0
-        for i in range(n):
-            v = vals[i]
-            pos = i + 1
-            if v == pos:
-                fixed.append(pos)
-            elif v > pos:
-                exced.append(pos)
-            else:
-                defic.append(pos)
-            if i + 1 < n and v > vals[i + 1]:
-                descents.append(pos)
-            if v > best:
-                best = v
-                ltr.append(pos)
-        return StatProfile(
-            fixed_points=frozenset(fixed),
-            excedances=frozenset(exced),
-            deficiencies=frozenset(defic),
-            descents=frozenset(descents),
-            ltr_maxima=frozenset(ltr),
-        )
-
-
-@dataclass(frozen=True)
-class StatProfile:
-    """Positional statistics of a permutation, all sets of 1-based positions.
-
-    ``fixed_points``, ``excedances`` and ``deficiencies`` partition ``{1..n}``
-    (position i with value equal to / above / below i).  ``descents`` holds the
-    positions i with p(i) > p(i+1); ``ltr_maxima`` the positions of
-    left-to-right maxima (position 1 is always one when n >= 1).
-    """
-
-    fixed_points: frozenset[int]
-    excedances: frozenset[int]
-    deficiencies: frozenset[int]
-    descents: frozenset[int]
-    ltr_maxima: frozenset[int]
-
-
-def make_permutation(values: Iterable[int]) -> Permutation:
-    """Validate a sequence and wrap it as a :class:`Permutation`."""
-    return Permutation(values)
 
 
 def flatten(values: Iterable[int]) -> Permutation:

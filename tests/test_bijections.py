@@ -68,12 +68,9 @@ def test_dyck_path_validation():
         DyckPath("EX")
 
 
-def test_dyck_path_styles():
+def test_dyck_path_text():
     path = DyckPath("EENN")
-    assert path.to_text() == "EENN"
-    assert path.to_text(style="UD") == "UUDD"
-    with pytest.raises(ValueError):
-        path.to_text(style="LR")
+    assert path.to_text() == str(path) == "EENN"
 
 
 def test_dyck_map_worked_example():

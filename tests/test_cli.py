@@ -294,6 +294,25 @@ def test_journal_of_another_experiment_exits_2(tmp_path, capsys):
     assert "error: checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which, record", [
+    ("1", "c1|n=0\t5"),
+    ("1", "c1|n=0\t[1]"),
+    ("1", "c1|n=0\t{}"),
+    ("2", "c2|n=2\t[1,2]"),
+], ids=["c1-number", "c1-short-list", "c1-object", "c2-list-of-numbers"])
+def test_malformed_journal_record_exits_2(tmp_path, capsys, which, record):
+    # The header is right, so the record itself must be refused.
+    journal = tmp_path / "j"
+    journal.write_text(f"# dumont-journal schema=2 experiment=c{which}\n{record}\n")
+    n = record.split("=")[1].split("\t")[0]
+    code, out = run_cli("conjecture", "--which", which, "--n", n,
+                        "--checkpoint", str(journal))
+    assert (code, out) == (2, "")
+    tag = record.split("\t")[0]
+    assert capsys.readouterr().err == (f"error: checkpoint {journal}: the record {tag} "
+                                       f"is malformed; pass another --checkpoint path\n")
+
+
 def test_conjecture_budget_exit_code(tmp_path):
     code, out = run_cli("conjecture", "--which", "1", "--n", "5",
                         "--budget", "0", "--checkpoint", str(tmp_path / "c"))

@@ -1,16 +1,15 @@
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import pytest
 
-from dumont import gfseries
-from dumont.gfseries import (BlockSystemSolution, RationalSeries, SequenceId,
+from dumont.gfseries import (BlockSystemSolution, SequenceId,
                              TruncatedSeries, a_elizalde, b7482, b_elizalde,
                              catalan_number, catalan_series, catalan_trunc,
                              central_binomial_series, closed_form,
                              d4_1423_series, genocchi, gf_identities_check,
-                             little_schroder, signed_genocchi_egf,
+                             little_schroder,
                              solve_prst_system, validity_range)
 
 A343795 = [1, 1, 3, 10, 39, 174, 872, 4805, 28474, 178099, 1160173, 7803860]
@@ -132,17 +131,15 @@ def seidel_genocchi(n_max):
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-def test_genocchi_matches_seidel_triangle(order, monkeypatch):
-    # Each order starts from an empty expansion of tan(x), which then grows
-    # by one term at a time, all at once, or in random jumps.
-    want = seidel_genocchi(60)
+def test_genocchi_matches_seidel_triangle(order):
+    # genocchi keeps nothing between calls, so every order gives the same values.
+    want = seidel_genocchi(150)
     assert want[:6] == [1, 1, 3, 17, 155, 2073]
-    ns = list(range(1, 61))
+    ns = list(range(1, 151))
     if order == "descending":
         ns.reverse()
     elif order == "shuffled":
-        random.Random(60).shuffle(ns)
-    monkeypatch.setattr(gfseries, "_tan_terms", [])
+        random.Random(150).shuffle(ns)
     assert {n: genocchi(n) for n in ns} == dict(enumerate(want, start=1))
 
 
@@ -151,26 +148,17 @@ def test_genocchi_positive_integers_through_12():
         assert genocchi(n) > 0
 
 
-def test_signed_genocchi_egf_identity():
-    # sum (-1)^n G(2n) x^(2n)/(2n)! agrees with -x*tanh(x/2).
-    order = 12
-    rhs = signed_genocchi_egf(order)
-    for n in range(1, order // 2 + 1):
-        lhs = Fraction((-1) ** n * genocchi(n), factorial(2 * n))
-        assert rhs.coefficient(2 * n) == lhs
-        assert rhs.coefficient(2 * n - 1) == 0
-
-
 def test_bernoulli_consistency():
     # Solving G(2n) = 2(1 - 2^(2n)) (-1)^n B(2n) for B must reproduce the
-    # Bernoulli numbers taken from the independent EGF x/(e^x - 1).
-    order = 16
-    expm1_over_x = RationalSeries(
-        [Fraction(1, factorial(k + 1)) for k in range(order + 1)])
-    bern = RationalSeries([1] + [0] * order) / expm1_over_x
+    # Bernoulli numbers of the EGF x/(e^x - 1), which satisfy
+    # sum_{k <= m} C(m+1, k) B(k) = 0 for m >= 1.
+    bern = [Fraction(1)]
+    for m in range(1, 13):
+        bern.append(-sum(comb(m + 1, k) * bern[k] for k in range(m)) / (m + 1))
+    assert bern[1:5] == [Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30)]
     for n in range(1, 7):
         from_genocchi = Fraction(genocchi(n) * (-1) ** n, 2 * (1 - 2 ** (2 * n)))
-        assert bern.coefficient(2 * n) * factorial(2 * n) == from_genocchi
+        assert bern[2 * n] == from_genocchi
 
 
 def test_little_schroder_prefix():
@@ -179,6 +167,23 @@ def test_little_schroder_prefix():
 
 def test_b7482_prefix():
     assert [b7482(n) for n in range(7)] == [1, 1, 3, 11, 39, 139, 495]
+
+
+def test_recurrences_reach_n_2000_from_a_cold_cache():
+    # A recursion on n would overflow the stack long before n = 2000.
+    little_schroder.cache_clear()
+    b7482.cache_clear()
+    s = [0, 1, 1]  # s[0] is unused
+    for n in range(2, 2000):
+        s.append((3 * (2 * n - 1) * s[n] - (n - 2) * s[n - 1]) // (n + 1))
+    # The defining convolution, on a prefix: s(n) = -s(n-1) + 2 sum s(k) s(n-k).
+    for n in range(3, 100):
+        assert s[n] == -s[n - 1] + 2 * sum(s[k] * s[n - k] for k in range(1, n))
+    assert closed_form(SequenceId.LITTLE_SCHRODER, 2000) == s[2000]
+    b = [1, 1, 3]
+    for n in range(3, 2001):
+        b.append(3 * b[n - 1] + 2 * b[n - 2])
+    assert closed_form(SequenceId.D1_PAIR_2341_1423, 2000) == b[2000]
 
 
 def test_elizalde_sequences():

@@ -189,8 +189,9 @@ def test_plain_counts_do_not_walk(monkeypatch):
 
 @pytest.mark.parametrize("pattern", ["2143", "3421", "123"])
 def test_a_passed_deadline_stops_the_dp(pattern):
-    # 2-31 is counted on the DP; 1-2-3 has no DP form and runs on the walk.
+    # 2-31 is counted on the DP; 1-2-3 has no DP form and is refused.
     q = cp(pattern)
+    stat = VincularPattern.parse("2-31")
     for size in (2, 8):
         query = AvoidanceQuery(DumontKind.D1, size, frozenset([q]))
         members = list(generate_avoiders(query))
@@ -198,12 +199,13 @@ def test_a_passed_deadline_stops_the_dp(pattern):
             count_avoiders(query, deadline=time.monotonic() - 1)
         assert count_avoiders(query, deadline=None) == len(members)
         assert count_avoiders(query, deadline=time.monotonic() + 3600) == len(members)
-        for stat in (VincularPattern.parse("2-31"), VincularPattern.parse("1-2-3")):
-            with pytest.raises(BudgetExceeded):
-                vincular_histogram(DumontKind.D1, size, q, stat,
-                                   deadline=time.monotonic() - 1)
-            assert vincular_histogram(DumontKind.D1, size, q, stat, deadline=None) == \
-                dict(Counter(count_vincular(p, stat) for p in members))
+        with pytest.raises(BudgetExceeded):
+            vincular_histogram(DumontKind.D1, size, q, stat, deadline=time.monotonic() - 1)
+        assert vincular_histogram(DumontKind.D1, size, q, stat, deadline=None) == \
+            dict(Counter(count_vincular(p, stat) for p in members))
+        with pytest.raises(ValueError, match="statistic 1-2-3 has no DP form"):
+            vincular_histogram(DumontKind.D1, size, q, VincularPattern.parse("1-2-3"),
+                               deadline=time.monotonic() + 3600)
 
 
 @pytest.mark.parametrize("pattern", ["2143", "3421"])

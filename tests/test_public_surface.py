@@ -1,0 +1,52 @@
+"""The package's public names, its docstring examples and the README's
+worked examples all run."""
+
+import doctest
+import io
+import pkgutil
+import shlex
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import dumont
+from dumont.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+MODULES = sorted(f"dumont.{m.name}" for m in pkgutil.iter_modules(dumont.__path__))
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in dumont.__all__ if not hasattr(dumont, name)]
+    assert missing == []
+    assert len(set(dumont.__all__)) == len(dumont.__all__)
+
+
+@pytest.mark.parametrize("name", ["dumont", *MODULES])
+def test_docstring_examples(name):
+    result = doctest.testmod(import_module(name))
+    assert result.failed == 0
+    if name == "dumont.permcore":
+        assert result.attempted >= 1
+
+
+def readme_claims():
+    """(argv, output) of each README command line with a ``# ->`` claim."""
+    out = []
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if "# ->" in line:
+            command, claim = line.split("# ->")
+            argv = shlex.split(command)
+            assert argv[0] == "dumont"
+            out.append((argv[1:], claim.strip()))
+    return out
+
+
+def test_readme_examples_print_what_they_claim():
+    claims = readme_claims()
+    assert [claim for _, claim in claims] == ["614352", "EENENNENEENN", "16325478"]
+    for argv, claim in claims:
+        stream = io.StringIO()
+        assert main(argv, out=stream) == 0
+        assert stream.getvalue() == claim + "\n"
