@@ -5,9 +5,8 @@ from .bijections import (Composition, DyckPath, SplitPair, composition_to_d4_134
                          d4_321_to_dyck, dyck_paths, dyck_to_d4_321, foata,
                          foata_inverse, reflect_1243_to_1324, reflect_1324_to_1243,
                          split_single_321)
-from .gfseries import (SequenceId, TruncatedSeries, catalan_number, catalan_trunc,
-                       closed_form, d4_1423_series, genocchi, gf_identities_check,
-                       solve_prst_system)
+from .gfseries import (SequenceId, TruncatedSeries, catalan_number, closed_form,
+                       d4_1423_series, genocchi, gf_identities_check, solve_prst_system)
 from .harness import (DistributionTable, VerificationReport, conjecture1_counts,
                       conjecture2_distribution, render_diagram, run_suite, sanity_s3)
 from .kinds import DumontKind, count, generate, is_dumont
@@ -22,7 +21,7 @@ __all__ = [
     "AvoidanceQuery", "ClassicalPattern", "Composition", "DistributionTable",
     "DumontKind", "DyckPath", "Permutation", "SequenceId", "SplitPair",
     "TruncatedSeries", "VerificationReport", "VincularPattern", "avoids",
-    "avoids_all", "catalan_number", "catalan_trunc", "closed_form",
+    "avoids_all", "catalan_number", "closed_form",
     "composition_to_d4_1342", "conjecture1_counts", "conjecture2_distribution",
     "construct_1324_avoider", "count", "count_avoiders",
     "count_exact_occurrences", "count_occurrences", "count_vincular",

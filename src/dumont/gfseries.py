@@ -5,15 +5,14 @@ module supplies
 
 * :class:`TruncatedSeries`, an exact integer power series cut at a fixed
   order, with ring operations and division by units;
-* its product and quotient kernels.  They read each operand as
-  z^r * A(z^s) (every nonzero index is r mod s), multiply only the residue
-  class a product can occupy, solve a quotient one residue class of the
-  divisor's stride at a time, and skip classes whose numerator is zero.
-  The arithmetic is the schoolbook one, term for term;
+* its product and quotient kernels: the schoolbook arithmetic, term for
+  term, over operands with their trailing zeros trimmed;
 * the Genocchi numbers, from the integer recurrence for the tangent numbers;
 * the continued-fraction evaluation producing the counting sequence of
   Dumont-4 permutations avoiding 1423 (OEIS A343795), plus an independent
-  sweep over the underlying P/R/S/T block system;
+  sweep over the underlying P/R/S/T block system.  Every series of both is
+  even or odd in z, so both sweeps run in x = z^2 and store no zero
+  coefficient forced by parity;
 * every closed-form counting formula used by the verification harness,
   each declared once as a :class:`SequenceId` member that carries its
   value string, its range of validity and its formula.
@@ -24,11 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress
-from math import comb, gcd
+from math import comb
 from operator import add, mul, sub
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import golden as _golden
 
@@ -37,77 +34,46 @@ from . import golden as _golden
 # Product and quotient kernels
 
 
-def _support(cs) -> Optional[tuple[int, int, int]]:
-    """``(r, s, top)``: every nonzero index of ``cs`` lies in r, r+s, ..., top.
-
-    ``s`` is the largest such stride, 0 when there is one nonzero term; the
-    result is None when every coefficient is zero.
-    """
-    nonzero = list(compress(range(len(cs)), cs))
-    if not nonzero:
-        return None
-    r = nonzero[0]
-    return r, gcd(*[i - r for i in nonzero]), nonzero[-1]
+def _top(cs, n: int) -> int:
+    """The index of the last nonzero coefficient of ``cs`` up to n, or -1."""
+    top = min(len(cs) - 1, n)
+    while top >= 0 and not cs[top]:
+        top -= 1
+    return top
 
 
 def _product(a, b, n: int) -> list:
-    """Coefficients 0..n of a*b.
-
-    With a = z^ra A(z^sa) and b = z^rb B(z^sb), the product is
-    z^(ra+rb) C(z^s) for s = gcd(sa, sb): only that class is multiplied,
-    each coefficient one C-level sum over slices of the trimmed operands.
-    """
+    """Coefficients 0..n of a*b, each one C-level sum over slices of the
+    operands with their trailing zeros trimmed."""
     out = [0] * (n + 1)
-    sa, sb = _support(a), _support(b)
-    if sa is None or sb is None:
+    ta, tb = _top(a, n), _top(b, n)
+    if ta < 0 or tb < 0:
         return out
-    (ra, pa, ta), (rb, pb, tb) = sa, sb
-    r, s = ra + rb, gcd(pa, pb) or 1
-    left = a[ra:min(ta, n) + 1:s]
-    rev = b[rb:min(tb, n) + 1:s][::-1]
-    last = len(rev) - 1
-    top = min(len(left) - 1 + last, (n - r) // s)
-    out[r:r + s * (top + 1):s] = [
-        sum(map(mul, left[max(k - last, 0):k + 1], rev[max(last - k, 0):]))
-        for k in range(top + 1)]
+    left, rev = a[:ta + 1], b[tb::-1]
+    top = min(ta + tb, n)
+    out[:top + 1] = [sum(map(mul, left[max(k - tb, 0):k + 1], rev[max(tb - k, 0):]))
+                     for k in range(top + 1)]
     return out
 
 
 def _quotient(a, b, n: int) -> list:
     """Coefficients 0..n of a/b, each of which must divide exactly by b[0].
 
-    A divisor B(z^s) couples only coefficients in one residue class mod s,
-    so each class is solved on its own against the trimmed divisor, and a
-    class whose numerator is zero stays zero.  An inexact division raises
-    at the smallest failing index, as the coefficient-by-coefficient loop
-    would.
+    An inexact division raises at the first failing index.
     """
     if not b[0]:
         raise ValueError("division by a series with zero constant term")
-    _, s, top = _support(b)
-    s = s or 1
-    den = b[:min(top, n) + 1:s]
-    d0, rev, last = den[0], den[::-1], len(den) - 1
-    out = [0] * (n + 1)
-    failed = n + 1
-    for c in range(min(s, n + 1)):
-        num = a[c:n + 1:s]
-        if not any(num):
-            continue
-        quot: list[int] = []
-        for k, x in enumerate(num):
-            # den[j] * quot[k-j] for j = min(k, last) down to 1.
-            acc = x - sum(map(mul, quot[max(k - last, 0):], rev[max(last - k, 0):last]))
-            term, rem = divmod(acc, d0)
-            if rem:
-                failed = min(failed, c + s * k)
-                break
-            quot.append(term)
-        else:
-            out[c::s] = quot
-    if failed <= n:
-        raise ValueError(f"inexact series division at coefficient {failed}")
-    return out
+    last = _top(b, n)
+    d0, rev = b[0], b[last::-1]
+    quot: list[int] = []
+    for k in range(n + 1):
+        # b[j] * quot[k-j] for j = min(k, last) down to 1.
+        acc = a[k] - sum(map(mul, quot[max(k - last, 0):], rev[max(last - k, 0):last]))
+        term, rem = divmod(acc, d0)
+        if rem:
+            raise ValueError(f"inexact series division at coefficient {k}")
+        quot.append(term)
+    return quot
 
 
 class TruncatedSeries:
@@ -115,9 +81,9 @@ class TruncatedSeries:
 
     Operations on mismatched orders truncate to the smaller one.  Division
     requires a nonzero constant term and checks exact divisibility at every
-    coefficient.  Products and quotients run the stride-aware kernels
-    :func:`_product` and :func:`_quotient`, which skip indices that are zero
-    by parity (or any other stride) and trailing zeros of short operands.
+    coefficient.  Products and quotients run the kernels :func:`_product`
+    and :func:`_quotient`, which skip the trailing zeros of short operands
+    (such as the Catalan truncations of the A343795 sweeps).
     """
 
     __slots__ = ("coeffs",)
@@ -242,26 +208,12 @@ def central_binomial_series(order: int) -> TruncatedSeries:
     return TruncatedSeries([central_binomial(i) for i in range(order + 1)])
 
 
-def catalan_trunc(parity: str, m: int, order: int) -> TruncatedSeries:
-    """Even or odd truncation of the Catalan generating function.
-
-    ``catalan_trunc("even", m, N)`` is  sum_{i<=m} C(2i) z^(2i)  and
-    ``catalan_trunc("odd", m, N)`` is  sum_{i<=m} C(2i+1) z^(2i+1),
-    both identically zero when m < 0.
-    """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    coeffs = [0] * (order + 1)
-    if m >= 0:
-        start = 0 if parity == "even" else 1
-        top = 2 * m + (0 if parity == "even" else 1)
-        for d in range(start, min(top, order) + 1, 2):
-            coeffs[d] = catalan_number(d)
-    return TruncatedSeries._of(coeffs)
-
-
 # ---------------------------------------------------------------------------
 # The continued fraction for Dumont-4 permutations avoiding 1423
+#
+# Every series of the continued fraction and of the block system it comes
+# from is even or odd in z, so both sweeps run in x = z^2: z*R and P are even
+# and kept as they are, the odd R is kept as R/z.
 
 
 def _cf_depth(nterms: int) -> int:
@@ -270,13 +222,25 @@ def _cf_depth(nterms: int) -> int:
     return -(-(nterms + 1) // 3) + 1
 
 
-def _sweep_bounds(nterms: int, depth: Optional[int]) -> tuple[int, int]:
-    """The series order and the top level of a downward sweep, validated."""
+def _catalan_levels(nterms: int, depth: Optional[int]) -> tuple[int, Iterator[tuple]]:
+    """The series order in x and, for each level k from the top down to 0,
+    ``(k, E_k, x*O_k, x*O_{k-1})`` at that order, where
+    E_k = sum_{i<=k} C(2i) x^i and O_k = sum_{i<=k} C(2i+1) x^i are the even
+    and odd Catalan truncations (O_{-1} = 0)."""
     if nterms < 0:
         raise ValueError("nterms must be >= 0")
     if depth is not None and depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    return 2 * nterms + 2, _cf_depth(nterms) if depth is None else depth
+    order = nterms + 1
+    cat = [catalan_number(d) for d in range(2 * order + 2)]
+    evens, odds, pad = cat[0::2], cat[1::2], [0] * order
+
+    def series(cs: list) -> TruncatedSeries:
+        return TruncatedSeries._of((cs + pad)[:order + 1])
+
+    top = _cf_depth(nterms) if depth is None else depth
+    return order, ((k, series(evens[:k + 1]), series([0] + odds[:k + 1]), series([0] + odds[:k]))
+                   for k in range(top, -1, -1))
 
 
 def d4_1423_series(nterms: int, depth: Optional[int] = None) -> TruncatedSeries:
@@ -287,78 +251,56 @@ def d4_1423_series(nterms: int, depth: Optional[int] = None) -> TruncatedSeries:
     recurrence downward from a truncation depth where the tail is replaced
     by zero; ``depth`` overrides the default level for stability testing.
     """
-    order, level = _sweep_bounds(nterms, depth)
+    order, levels = _catalan_levels(nterms, depth)
     one = TruncatedSeries.one(order)
     z_r = TruncatedSeries.zero(order)  # z * R at the level below the cut
-    for k in range(level, -1, -1):
-        ce = catalan_trunc("even", k, order)
-        co_lo = catalan_trunc("odd", k - 1, order)
-        co_hi = catalan_trunc("odd", k, order)
-        z2ce = ce.shift(2)
-        frac3 = (z2ce * ce) / (one - z_r)
-        frac2 = z2ce / ((one - co_hi.shift(1)) - frac3)
-        base = one - co_lo.shift(1)
-        z_r = z2ce / (base * base - frac2)
-    # z*R1 is an even function of z; its coefficient at z^(2n+2) counts size 2n.
-    for d in range(1, order + 1, 2):
-        if z_r.coefficient(d) != 0:
-            raise RuntimeError(f"odd-degree coefficient {d} is nonzero")
-    return TruncatedSeries([z_r.coefficient(2 * n + 2) for n in range(nterms + 1)])
+    for _, e, xo_hi, xo_lo in levels:
+        xe = e.shift(1)
+        frac3 = (xe * e) / (one - z_r)
+        frac2 = xe / ((one - xo_hi) - frac3)
+        base = one - xo_lo
+        z_r = xe / (base * base - frac2)
+    # The coefficient of x^(n+1) in z*R_1 counts size 2n.
+    return TruncatedSeries._of(z_r.coeffs[1:])
 
 
 @dataclass(frozen=True)
 class BlockSystemSolution:
-    """Series families from the block-decomposition system, keyed by index."""
+    """The P and R families of the block-decomposition system, keyed by
+    index, as series in x = z^2: ``p[i]`` is P_i and ``r[i]`` is R_i / z."""
 
     p: dict[int, TruncatedSeries]
     r: dict[int, TruncatedSeries]
-    s: dict[int, TruncatedSeries]
-    t: dict[int, TruncatedSeries]
     nterms: int
 
     def series(self) -> TruncatedSeries:
-        """The counting sequence extracted from R_1 (even-degree reindexing)."""
-        r1 = self.r[1]
-        for d in range(0, r1.order + 1, 2):
-            if r1.coefficient(d) != 0:
-                raise RuntimeError(f"even-degree coefficient {d} of R1 is nonzero")
-        return TruncatedSeries([r1.coefficient(2 * n + 1) for n in range(self.nterms + 1)])
+        """The counting sequence: coefficient n of R_1 / z counts size 2n."""
+        return TruncatedSeries._of(self.r[1].coeffs[:self.nterms + 1])
 
 
 def solve_prst_system(nterms: int, depth: Optional[int] = None) -> BlockSystemSolution:
-    """Solve the four-family block system by a downward sweep.
+    """Solve the block system by a downward sweep in x = z^2.
 
-    At each level the two 2-variable linear subsystems are solved exactly:
-    first (P, S) at the even index given the R one level deeper, then (T, R)
-    at the odd index given that P.  The tail R at the cut is set to zero.
-    The resulting R_1 reproduces :func:`d4_1423_series`, which checks the
-    continued fraction against the system it was derived from.
+    At each level, P at the even index is solved given R one level deeper,
+    then R at the odd index given that P; S and T feed neither, so they
+    are not formed.  The tail
+    R at the cut is set to zero.  The resulting R_1 reproduces
+    :func:`d4_1423_series`, which checks the continued fraction against the
+    system it was derived from.
     """
-    order, level = _sweep_bounds(nterms, depth)
+    order, levels = _catalan_levels(nterms, depth)
     one = TruncatedSeries.one(order)
     p_fam: dict[int, TruncatedSeries] = {}
     r_fam: dict[int, TruncatedSeries] = {}
-    s_fam: dict[int, TruncatedSeries] = {}
-    t_fam: dict[int, TruncatedSeries] = {}
-    r_next = TruncatedSeries.zero(order)  # R_{2k+3} above the loop body
-    for k in range(level, -1, -1):
-        ce = catalan_trunc("even", k, order)
-        co_lo = catalan_trunc("odd", k - 1, order)
-        co_hi = catalan_trunc("odd", k, order)
-        # P_{2k+2} and S_{2k+2} given R_{2k+3}.
-        tail = one - r_next.shift(1)
-        p_cur = one / ((one - co_hi.shift(1)) - (ce * ce).shift(2) / tail)
-        s_cur = ce.shift(1) * p_cur / tail
-        # T_{2k+1} and R_{2k+1} given P_{2k+2}.
-        base = one - co_lo.shift(1)
-        r_cur = ce.shift(1) / (base * base - (ce * p_cur).shift(2))
-        t_cur = (one + (p_cur * r_cur).shift(1)) / base
+    r_next = TruncatedSeries.zero(order)  # R_{2k+3} / z above the loop body
+    for k, e, xo_hi, xo_lo in levels:
+        # P_{2k+2} given R_{2k+3}: z * R_{2k+3} is x * r_next.
+        p_cur = one / ((one - xo_hi) - (e * e).shift(1) / (one - r_next.shift(1)))
+        # R_{2k+1} / z given P_{2k+2}.
+        base = one - xo_lo
+        r_next = r_fam[2 * k + 1] = e / (base * base - (e * p_cur).shift(1))
         p_fam[2 * k + 2] = p_cur
-        s_fam[2 * k + 2] = s_cur
-        r_fam[2 * k + 1] = r_cur
-        t_fam[2 * k + 1] = t_cur
-        r_next = r_cur
-    return BlockSystemSolution(p=p_fam, r=r_fam, s=s_fam, t=t_fam, nterms=nterms)
+    return BlockSystemSolution(p=p_fam, r=r_fam, nterms=nterms)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +338,6 @@ def genocchi(n: int) -> int:
 # Closed forms
 
 
-@lru_cache(maxsize=None)
 def little_schroder(n: int) -> int:
     """Little Schroeder numbers 1, 1, 3, 11, 45, 197, 903, ... (n >= 1), by
     (m+1) s(m+1) = 3(2m-1) s(m) - (m-2) s(m-1) from s(1) = s(2) = 1."""
@@ -408,7 +349,6 @@ def little_schroder(n: int) -> int:
     return cur
 
 
-@lru_cache(maxsize=None)
 def b7482(n: int) -> int:
     """1, 1, 3, 11, 39, 139, 495, ...: b(n) = 3 b(n-1) + 2 b(n-2) from n = 3."""
     if n < 0:

@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import permutations as _all_perms
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -85,17 +84,7 @@ def _perm_set_text(perms) -> str:
     return "{" + ",".join(sorted(p.to_text() for p in perms)) + "}"
 
 
-@dataclass
-class _Run:
-    """What the rows of one ``run_suite`` call share."""
-    n_max: int
-
-    @cached_property
-    def d4_1423(self):
-        return d4_1423_series(self.n_max)
-
-
-_RowBuilder = Callable[[int, _Run], Iterator[ReportRow]]  # one theorem's rows at one n
+_RowBuilder = Callable[[int], Iterator[ReportRow]]  # one theorem's rows at one n
 
 
 def _count(theorem: str, kind: DumontKind, pats: tuple[str, ...], seq: SequenceId,
@@ -103,7 +92,7 @@ def _count(theorem: str, kind: DumontKind, pats: tuple[str, ...], seq: SequenceI
     """Count row: the size-2n members of ``kind`` that avoid ``pats`` (or
     contain its one pattern exactly ``target`` times) against
     ``closed_form(seq, n)``, wherever ``seq`` is valid."""
-    def rows(n: int, run: _Run) -> Iterator[ReportRow]:
+    def rows(n: int) -> Iterator[ReportRow]:
         if not seq.covers(n):
             return
         t0 = time.perf_counter()
@@ -122,7 +111,7 @@ def _set(theorem: str, kind: DumontKind, pats: tuple[str, ...],
          n_min: int = 0) -> _RowBuilder:
     """Set row: the size-2n avoiders of ``pats``, listed, against
     ``expected(n)``, for n >= n_min wherever that is not None."""
-    def rows(n: int, run: _Run) -> Iterator[ReportRow]:
+    def rows(n: int) -> Iterator[ReportRow]:
         t0 = time.perf_counter()
         perms = expected(n) if n >= n_min else None
         if perms is None:
@@ -133,12 +122,12 @@ def _set(theorem: str, kind: DumontKind, pats: tuple[str, ...],
     return rows
 
 
-def _d4_1423(n: int, run: _Run) -> Iterator[ReportRow]:
+def _d4_1423(n: int) -> Iterator[ReportRow]:
     """The Dumont-4 avoiders of 1423 against the continued-fraction series,
     and the series against the vendored A343795 prefix where it reaches."""
     t0 = time.perf_counter()
     enum = count_avoiders(_query(DumontKind.D4, n, "1423"))
-    coeff = run.d4_1423.coefficient(n)
+    coeff = d4_1423_series(n).coefficient(n)
     yield ReportRow("d4_1423_series", n, str(enum), str(coeff), enum == coeff,
                     time.perf_counter() - t0)
     if SequenceId.A343795_D4_312.covers(n):
@@ -217,10 +206,9 @@ def run_suite(suite: str, n_max: int) -> VerificationReport:
         raise ValueError(f"max n must be >= 0, got {n_max}")
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}")
-    run = _Run(n_max)
     rows = [row for name in (_SUITE_TABLE if suite == "all" else (suite,))
             for builders in _SUITE_TABLE[name]  # the passes of one suite
-            for n in range(n_max + 1) for build in builders for row in build(n, run)]
+            for n in range(n_max + 1) for build in builders for row in build(n)]
     return VerificationReport(suite, rows)
 
 

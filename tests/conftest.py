@@ -59,6 +59,31 @@ def naive_count_vincular(host, pat, adjacent) -> int:
     return total
 
 
+# Series kernels term for term, with the errors of ``TruncatedSeries``.
+
+def schoolbook_product(a, b):
+    n = min(len(a), len(b)) - 1
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def schoolbook_quotient(a, b):
+    """a/b coefficient by coefficient."""
+    n = min(len(a), len(b)) - 1
+    if b[0] == 0:
+        raise ValueError("division by a series with zero constant term")
+    q = []
+    for i in range(n + 1):
+        acc = a[i] - sum(b[j] * q[i - j] for j in range(1, i + 1))
+        if acc % b[0]:
+            raise ValueError(f"inexact series division at coefficient {i}")
+        q.append(acc // b[0])
+    return q
+
+
 # Definition-level membership checks, written from the four definitions and
 # not shared with dumont.kinds.
 

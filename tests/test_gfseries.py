@@ -1,12 +1,12 @@
-import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from conftest import schoolbook_product, schoolbook_quotient
 from dumont.gfseries import (BlockSystemSolution, SequenceId,
-                             TruncatedSeries, a_elizalde, b7482, b_elizalde,
-                             catalan_number, catalan_series, catalan_trunc,
+                             TruncatedSeries, _catalan_levels, _cf_depth, a_elizalde,
+                             b7482, b_elizalde, catalan_number, catalan_series,
                              central_binomial_series, closed_form,
                              d4_1423_series, genocchi, gf_identities_check,
                              little_schroder,
@@ -60,14 +60,18 @@ def test_series_truncates_to_smaller_order():
 
 
 def test_catalan_trunc_values():
-    # C_{e,0} = 1, C_{o,1} = z, C_{e,4} = 1 + 2z^2 + 14z^4; zero below m = 0.
-    assert catalan_trunc("even", 0, 6) == TruncatedSeries([1], 6)
-    assert catalan_trunc("odd", 0, 6) == TruncatedSeries([0, 1], 6)
-    assert catalan_trunc("even", 2, 6) == TruncatedSeries([1, 0, 2, 0, 14, 0, 0])
-    assert catalan_trunc("even", -1, 6) == TruncatedSeries.zero(6)
-    assert catalan_trunc("odd", -1, 6) == TruncatedSeries.zero(6)
-    with pytest.raises(ValueError):
-        catalan_trunc("sideways", 2, 6)
+    # The truncations in x = z^2 at order 3, levels 2, 1, 0: E_0 = 1, x*O_0 = x,
+    # E_2 = 1 + 2x + 14x^2; x*O_{-1} = 0 below level 0.
+    order, levels = _catalan_levels(2, depth=2)
+    assert order == 3
+    levels = {k: rest for k, *rest in levels}
+    assert list(levels) == [2, 1, 0]
+    assert levels[0][0] == TruncatedSeries([1], 3)
+    assert levels[0][1] == TruncatedSeries([0, 1], 3)
+    assert levels[2][0] == TruncatedSeries([1, 2, 14, 0])
+    assert levels[2][1] == TruncatedSeries([0, 1, 5, 42])
+    assert levels[2][2] == levels[1][1] == TruncatedSeries([0, 1, 5, 0])
+    assert levels[0][2] == TruncatedSeries.zero(3)
 
 
 def test_d4_1423_series_reference_prefix():
@@ -77,7 +81,6 @@ def test_d4_1423_series_reference_prefix():
 
 def test_d4_1423_series_depth_stability():
     base = d4_1423_series(9)
-    from dumont.gfseries import _cf_depth
     for extra in (1, 2):
         assert d4_1423_series(9, depth=_cf_depth(9) + extra) == base
 
@@ -100,10 +103,40 @@ def test_prst_constant_terms():
     sol = solve_prst_system(6)
     for idx, series in sol.p.items():
         assert series.coefficient(0) == 1, f"P_{idx}"
-    for idx, series in sol.s.items():
-        assert series.coefficient(0) == 0, f"S_{idx}"
-    for idx, series in sol.t.items():
-        assert series.coefficient(0) == 1, f"T_{idx}"
+
+
+def z_space_continued_fraction(nterms):
+    """z*R_1 of the continued fraction in z itself, to order 2*nterms + 2,
+    on the schoolbook kernels: no parity is assumed anywhere."""
+    order = 2 * nterms + 2
+
+    def sub(a, b):
+        return [x - y for x, y in zip(a, b)]
+
+    def catalan_part(parity, m, shift):
+        # z^shift * sum of C(d) z^d over d <= 2m + parity of that parity.
+        out = [0] * (order + 1)
+        for d in range(parity, 2 * m + parity + 1, 2):
+            if d + shift <= order:
+                out[d + shift] = catalan_number(d)
+        return out
+
+    one = [1] + [0] * order
+    z_r = [0] * (order + 1)
+    for k in range(_cf_depth(nterms), -1, -1):
+        ce, z2ce = catalan_part(0, k, 0), catalan_part(0, k, 2)
+        frac3 = schoolbook_quotient(schoolbook_product(z2ce, ce), sub(one, z_r))
+        frac2 = schoolbook_quotient(z2ce, sub(sub(one, catalan_part(1, k, 1)), frac3))
+        base = sub(one, catalan_part(1, k - 1, 1))
+        z_r = schoolbook_quotient(z2ce, sub(schoolbook_product(base, base), frac2))
+    return z_r
+
+
+def test_x_sweep_matches_the_continued_fraction_in_z():
+    z_r = z_space_continued_fraction(40)
+    assert not any(z_r[1::2])
+    assert z_r[0] == 0
+    assert list(d4_1423_series(40).coeffs) == z_r[2::2]
 
 
 def test_genocchi_values():
@@ -130,17 +163,10 @@ def seidel_genocchi(n_max):
     return out
 
 
-@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-def test_genocchi_matches_seidel_triangle(order):
-    # genocchi keeps nothing between calls, so every order gives the same values.
+def test_genocchi_matches_seidel_triangle():
     want = seidel_genocchi(150)
     assert want[:6] == [1, 1, 3, 17, 155, 2073]
-    ns = list(range(1, 151))
-    if order == "descending":
-        ns.reverse()
-    elif order == "shuffled":
-        random.Random(150).shuffle(ns)
-    assert {n: genocchi(n) for n in ns} == dict(enumerate(want, start=1))
+    assert [genocchi(n) for n in range(1, 151)] == want
 
 
 def test_genocchi_positive_integers_through_12():
@@ -170,9 +196,8 @@ def test_b7482_prefix():
 
 
 def test_recurrences_reach_n_2000_from_a_cold_cache():
-    # A recursion on n would overflow the stack long before n = 2000.
-    little_schroder.cache_clear()
-    b7482.cache_clear()
+    # A recursion on n would overflow the stack long before n = 2000; the
+    # recurrences keep nothing between calls, so every call starts cold.
     s = [0, 1, 1]  # s[0] is unused
     for n in range(2, 2000):
         s.append((3 * (2 * n - 1) * s[n] - (n - 2) * s[n - 1]) // (n + 1))

@@ -1,0 +1,22 @@
+"""The benchmark's ``series`` workload runs in process on the package as it
+is, and every answer passes the workload's own check, so a change to the API
+the benchmark calls fails here first."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = str(ROOT / "perfbench")
+
+sys.path.insert(0, PERFBENCH)
+try:
+    import workloads
+finally:
+    sys.path.remove(PERFBENCH)
+
+
+def test_series_workload_passes_its_check(tmp_path):
+    answers = {op: fn() for op, fn in workloads.series_ops(0, str(tmp_path))}
+    verdicts = workloads.series_check(answers, str(ROOT), True)
+    assert verdicts
+    assert [v.op for v in verdicts if not v.ok] == []

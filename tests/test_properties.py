@@ -2,8 +2,8 @@
 the pattern transitions and the series kernels.
 
 Each property compares the package against the brute-force oracles in
-``conftest`` (or the DP against the walk, or the series kernels against a
-schoolbook loop written here) on random small inputs.
+``conftest`` (or the DP against the walk, or the series kernels against
+its schoolbook loops) on random small inputs.
 """
 
 from collections import Counter
@@ -11,7 +11,8 @@ from collections import Counter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_count, naive_count_vincular
+from conftest import (naive_count, naive_count_vincular, schoolbook_product,
+                      schoolbook_quotient)
 from dumont.gfseries import TruncatedSeries
 from dumont.kinds import DumontKind, generate
 from dumont.patterns import (_INF, AvoidanceQuery, ClassicalPattern, VincularPattern,
@@ -198,30 +199,6 @@ def test_exact_queries_agree_with_filtering(case, small_dumont_sets):
 # ---------------------------------------------------------------------------
 # Series kernels against the schoolbook loop
 
-
-def schoolbook_product(a, b):
-    n = min(len(a), len(b)) - 1
-    out = [0] * (n + 1)
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            out[i + j] += a[i] * b[j]
-    return out
-
-
-def schoolbook_quotient(a, b):
-    """a/b coefficient by coefficient; the errors of ``TruncatedSeries``."""
-    n = min(len(a), len(b)) - 1
-    if b[0] == 0:
-        raise ValueError("division by a series with zero constant term")
-    q = []
-    for i in range(n + 1):
-        acc = a[i] - sum(b[j] * q[i - j] for j in range(1, i + 1))
-        if acc % b[0]:
-            raise ValueError(f"inexact series division at coefficient {i}")
-        q.append(acc // b[0])
-    return q
-
-
 SHAPES = ("dense", "even", "odd", "stride3", "stride3+1", "zero", "short")
 
 
@@ -282,8 +259,7 @@ def test_truncated_quotient_matches_schoolbook(pair, multiple, nudge):
 
 
 def test_quotient_reports_the_smallest_inexact_index():
-    # 2 + 2z^2 splits the quotient into the even and the odd class.  Both
-    # fail: the even class (solved first) at z^6, the odd one at z^3.
+    # Both z^3 and z^6 fail to divide by 2; the error names the first.
     a = TruncatedSeries([2, 0, 4, 3, 0, 0, 1])
     b = TruncatedSeries([2, 0, 2], 6)
     want = outcome(lambda: schoolbook_quotient(list(a.coeffs), list(b.coeffs)))
