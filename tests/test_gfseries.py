@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import comb
+import random
 
 import pytest
 
@@ -163,10 +164,17 @@ def seidel_genocchi(n_max):
     return out
 
 
-def test_genocchi_matches_seidel_triangle():
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_genocchi_matches_seidel_triangle(order):
+    # genocchi keeps nothing between calls, so every order gives the same values.
     want = seidel_genocchi(150)
     assert want[:6] == [1, 1, 3, 17, 155, 2073]
-    assert [genocchi(n) for n in range(1, 151)] == want
+    ns = list(range(1, 151))
+    if order == "descending":
+        ns.reverse()
+    elif order == "shuffled":
+        random.Random(150).shuffle(ns)
+    assert {n: genocchi(n) for n in ns} == dict(enumerate(want, start=1))
 
 
 def test_genocchi_positive_integers_through_12():
