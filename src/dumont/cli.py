@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import bijections, harness
 from .gfseries import (SequenceId, closed_form, d4_1423_series, solve_prst_system,
@@ -29,7 +29,7 @@ def _kind(text: str) -> DumontKind:
         raise argparse.ArgumentTypeError(f"kind must be 1, 2, 3 or 4, got {text!r}")
 
 
-def _emit_rows(fmt: str, header: list[str], rows: list[list], out) -> None:
+def _emit_rows(fmt: str, header: list[str], rows: Iterable[list], out) -> None:
     if fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(header)
@@ -45,14 +45,9 @@ def _cmd_enumerate(args, out) -> int:
         json.dump({"kind": args.kind.value, "size": args.size,
                    "count": len(perms), "elements": perms}, out)
         out.write("\n")
-    elif args.format == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["permutation"])
-        for p in generate(args.kind, args.size):
-            writer.writerow([p.to_text()])
     else:
-        for p in generate(args.kind, args.size):
-            out.write(p.to_text() + "\n")
+        _emit_rows(args.format, ["permutation"],
+                   ([p.to_text()] for p in generate(args.kind, args.size)), out)
     return 0
 
 

@@ -18,13 +18,15 @@ All four kinds of size 2n are counted by the Genocchi number G(2n+2)
 Generation runs through one walk, :func:`_walk`: a position-by-position
 backtracking search that emits members in lexicographic order.  Prefix
 pruning applies each kind's constraints as soon as they become checkable,
-so the walk never descends into a subtree that cannot contain a member.
+but a subtree can still hold no member.  What lies below a prefix depends
+only on its key (see below), so the walk expands each key once, stores the
+next values that reached a member, and replays them when the key comes up
+again: it never re-enters an empty subtree, and listing costs about the
+number of distinct keys plus the output.
 
 Pattern queries plug in a transition ``step(state, w, used) -> state |
 None`` that summarises the prefix in a small int and rejects a placement
-the summary rules out.  The walk keeps a stack of states, one per
-position, and remembers the subtrees that yielded nothing by their key, so
-listing costs about the number of distinct keys plus the output.
+the summary rules out; the walk keeps its state in the key.
 :func:`generate` walks with no transition, and that plain walk filtered
 by a matcher is the oracle the pattern queries are tested against.
 
@@ -45,7 +47,7 @@ from __future__ import annotations
 import time
 from enum import Enum
 from math import factorial
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .permcore import Permutation
 
@@ -193,10 +195,10 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
     transition ``step`` accepts throughout.
 
     ``state`` is the transition's summary of the empty prefix; None yields
-    nothing.  With a transition, the walk records the key (used values, last
-    value, state) of every subtree that yielded nothing and never enters a
-    subtree with that key again.  The yielded list is the walk's own state:
-    read or copy it before advancing the iterator.
+    nothing.  Each key (used values, last value, state) is expanded by
+    :func:`_candidates` once; when it comes up again, the walk replays the
+    next values that reached a leaf.  The yielded list is the walk's own
+    state: read or copy it before advancing the iterator.
     """
     _require_even(size)
     kind_id = kind.value
@@ -207,18 +209,22 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
     if not size:
         yield h
         return
-    # Keys are packed as in :func:`_count_layers`.
+    # Keys are packed as in :func:`_count_layers`.  ``live`` maps each key
+    # the walk has left to its next values that reached a leaf, as bytes (a
+    # tuple past size 255); an empty one marks a key with no member below.
     p_shift = size + 1 if kind_id in (1, 3) else 0
     s_shift = size + 1 + size.bit_length()
-    dead: set[int] = set()
+    pack = bytes if size < 256 else tuple
+    live: dict[int, Sequence[int]] = {}
     leaves = 0
-    # ``it`` iterates the candidates for position len(h) + 1; ``stack`` holds
-    # the suspended iterators of the shallower positions and, with a
-    # transition, ``frames`` holds per entered subtree the state to restore
-    # on leaving it, its key and the leaf count on entering it.
+    new = 0
+    # ``it`` iterates the next values of the key being walked and ``rec``
+    # collects those that reached a leaf (None on a replay).  ``stack``
+    # holds per open position the suspended ``it``, ``rec`` and state of the
+    # shallower key, the key entered and the leaf count on entering it.
     it = iter(_candidates(kind_id, 1, size, 0, 0))
-    stack: list[Iterator[int]] = []
-    frames: list[tuple[int, int, int]] = []
+    rec: Optional[list[int]] = []
+    stack: list[tuple[Iterator[int], Optional[list[int]], int, int, int]] = []
     while True:
         for w in it:
             if step is not None:
@@ -230,27 +236,35 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
                 leaves += 1
                 yield h
                 h.pop()
+                if rec is not None:
+                    rec.append(w)
                 continue
             used |= 1 << w
-            if step is not None:
-                key = used | (w << p_shift if p_shift else 0) | new << s_shift
-                if key in dead:
-                    used &= ~(1 << h.pop())
-                    continue
-                frames.append((state, key, leaves))
-                state = new
-            stack.append(it)
-            it = iter(_candidates(kind_id, len(h) + 1, size, w, used))
+            key = used | (w << p_shift if p_shift else 0) | new << s_shift
+            nexts = live.get(key)
+            if nexts is not None and not nexts:
+                used &= ~(1 << h.pop())
+                continue
+            stack.append((it, rec, state, key, leaves))
+            state = new
+            if nexts is None:
+                it = iter(_candidates(kind_id, len(h) + 1, size, w, used))
+                rec = []
+            else:
+                it = iter(nexts)
+                rec = None
             break
         else:
             if not stack:
                 return
-            it = stack.pop()
-            used &= ~(1 << h.pop())
-            if step is not None:
-                state, key, before = frames.pop()
-                if leaves == before:
-                    dead.add(key)
+            done = rec
+            it, rec, state, key, before = stack.pop()
+            if done is not None:
+                live[key] = pack(done)
+            w = h.pop()
+            used &= ~(1 << w)
+            if rec is not None and leaves > before:
+                rec.append(w)
 
 
 def generate(kind: DumontKind, size: int) -> Iterator[Permutation]:

@@ -1,5 +1,8 @@
+from itertools import islice
+
 import pytest
 
+from dumont import kinds
 from dumont.gfseries import genocchi
 from dumont.kinds import DumontKind, count, generate, is_dumont
 from dumont.permcore import Permutation
@@ -56,6 +59,43 @@ def test_lexicographic_emission_order(kind):
     for size in (4, 6, 8):
         out = [p.values for p in generate(kind, size)]
         assert out == sorted(out)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("size", [10, 12])
+def test_generate_past_the_brute_force_oracle(kind, size):
+    # The walk replays the stored next values of a key it has walked before,
+    # which only happens at sizes the brute-force sets do not reach.  An
+    # increasing list of members as long as the Genocchi number is the set.
+    out = [p.values for p in generate(kind, size)]
+    assert all(a < b for a, b in zip(out, out[1:]))
+    assert all(is_dumont(kind, Permutation._wrap(v)) for v in out)
+    assert len(out) == genocchi(size // 2 + 1)
+
+
+def test_generate_replays_walked_keys(monkeypatch):
+    calls = 0
+    candidates = kinds._candidates
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return candidates(*args)
+
+    monkeypatch.setattr(kinds, "_candidates", counted)
+    assert sum(1 for _ in generate(DumontKind.D1, 10)) == genocchi(6)
+    # Each key is expanded once: 2,651 calls, where a walk of every live
+    # prefix makes 38,999.
+    assert calls < 5000
+
+
+@pytest.mark.parametrize("kind", [DumontKind.D2, DumontKind.D3, DumontKind.D4])
+def test_generate_stores_values_past_255(kind):
+    # Later members need the keys left behind by the first, whose next values
+    # run up to 300.
+    out = [p.values for p in islice(generate(kind, 300), 3)]
+    assert len(out) == 3 and out[0] < out[1] < out[2]
+    assert all(is_dumont(kind, Permutation._wrap(v)) for v in out)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

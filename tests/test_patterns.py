@@ -187,6 +187,21 @@ def test_plain_counts_do_not_walk(monkeypatch):
     assert count_exact_occurrences(DumontKind.D2, 8, cp("2143"), 1) == 19
 
 
+@pytest.mark.parametrize("kind, patterns, target", [
+    (DumontKind.D1, ["2143"], None), (DumontKind.D1, ["3421"], None),
+    (DumontKind.D1, ["1342", "2413"], None),
+    (DumontKind.D4, ["321"], 1), (DumontKind.D2, ["1423"], 1),
+])
+def test_replayed_walk_keeps_the_transition_state(kind, patterns, target):
+    # At size 10 the walk replays keys it has left, and each replay still
+    # steps the transition: the hand-written 2143 and 3421 ones, the generic
+    # one over a pair, and exact counts of one occurrence.
+    query = AvoidanceQuery(kind, 10, frozenset(cp(t) for t in patterns), target)
+    want = [p for p in generate(kind, 10)
+            if all(count_occurrences(p, cp(t)) == (target or 0) for t in patterns)]
+    assert list(generate_avoiders(query)) == want
+
+
 @pytest.mark.parametrize("pattern", ["2143", "3421", "123"])
 def test_a_passed_deadline_stops_the_dp(pattern):
     # 2-31 is counted on the DP; 1-2-3 has no DP form and is refused.

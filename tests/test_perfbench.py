@@ -1,6 +1,7 @@
-"""The benchmark's ``series`` workload runs in process on the package as it
-is, and every answer passes the workload's own check, so a change to the API
-the benchmark calls fails here first."""
+"""The benchmark's ``series`` and ``enumerate`` workloads run in process on
+the package as it is, and every answer passes the workload's own check, so a
+change to the API the benchmark calls, or to the bytes a listing prints,
+fails here first."""
 
 import sys
 from pathlib import Path
@@ -19,4 +20,11 @@ def test_series_workload_passes_its_check(tmp_path):
     answers = {op: fn() for op, fn in workloads.series_ops(0, str(tmp_path))}
     verdicts = workloads.series_check(answers, str(ROOT), True)
     assert verdicts
+    assert [v.op for v in verdicts if not v.ok] == []
+
+
+def test_enumerate_workload_passes_its_check(tmp_path):
+    answers = {op: fn() for op, fn in workloads.enumerate_ops(0, str(tmp_path))}
+    verdicts = workloads.enumerate_check(answers, str(ROOT), deep=True)
+    assert len(verdicts) == 4 * len(workloads.COMMANDS)
     assert [v.op for v in verdicts if not v.ok] == []
