@@ -11,8 +11,8 @@ from .harness import (DistributionTable, VerificationReport, conjecture1_counts,
                       conjecture2_distribution, render_diagram, run_suite, sanity_s3)
 from .kinds import DumontKind, count, generate, is_dumont
 from .patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern, avoids,
-                       avoids_all, count_avoiders, count_exact_occurrences,
-                       count_occurrences, count_vincular, generate_avoiders)
+                       count_avoiders, count_exact_occurrences, count_occurrences,
+                       count_vincular, generate_avoiders)
 from .permcore import Permutation, flatten
 
 __version__ = "0.1.0"
@@ -21,7 +21,7 @@ __all__ = [
     "AvoidanceQuery", "ClassicalPattern", "Composition", "DistributionTable",
     "DumontKind", "DyckPath", "Permutation", "SequenceId", "SplitPair",
     "TruncatedSeries", "VerificationReport", "VincularPattern", "avoids",
-    "avoids_all", "catalan_number", "closed_form",
+    "catalan_number", "closed_form",
     "composition_to_d4_1342", "conjecture1_counts", "conjecture2_distribution",
     "construct_1324_avoider", "count", "count_avoiders",
     "count_exact_occurrences", "count_occurrences", "count_vincular",

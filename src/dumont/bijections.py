@@ -13,10 +13,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .kinds import DumontKind, is_dumont
-from .patterns import ClassicalPattern, avoids
+from .patterns import ClassicalPattern, avoids, count_occurrences
 from .permcore import Permutation, flatten
 
 _P321 = ClassicalPattern(Permutation((3, 2, 1)))
@@ -375,22 +375,6 @@ def construct_1324_avoider(n: int, k: int | None = None,
 # Splitting a single 321 occurrence
 
 
-def _find_321_occurrences(vals: Sequence[int], limit: int) -> list[tuple[int, int, int]]:
-    """Up to ``limit`` index triples (0-based) forming 321, in lex order."""
-    n = len(vals)
-    out: list[tuple[int, int, int]] = []
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            if vals[j] >= vals[i]:
-                continue
-            for t in range(j + 1, n):
-                if vals[t] < vals[j]:
-                    out.append((i, j, t))
-                    if len(out) >= limit:
-                        return out
-    return out
-
-
 def split_single_321(p: Permutation) -> SplitPair:
     """Split a Dumont-4 permutation with exactly one 321 occurrence.
 
@@ -401,19 +385,23 @@ def split_single_321(p: Permutation) -> SplitPair:
     """
     if not is_dumont(DumontKind.D4, p):
         raise ValueError(f"{p.to_text()} is not a Dumont-4 permutation")
-    occs = _find_321_occurrences(p.values, 2)
-    if len(occs) != 1:
+    occs = count_occurrences(p, _P321)
+    if occs != 1:
         raise ValueError(
             f"{p.to_text()} must contain exactly one 321 occurrence, "
             f"found {'none' if not occs else 'several'}")
-    i1, i2, i3 = occs[0]
+    # With one occurrence, b is the only entry with a larger one before it
+    # and a smaller one after it: c is the largest entry before b, and a the
+    # smallest after it.
     vals = p.values
+    i2 = next(j for j in range(1, len(vals) - 1)
+              if max(vals[:j]) > vals[j] > min(vals[j + 1:]))
     b = vals[i2]
     if b != i2 + 1:
         raise RuntimeError(f"middle entry of the occurrence is not fixed in {p.to_text()}")
     # pi1: everything before b, then a.  pi2: c, then everything after b.
-    pi1 = flatten(vals[:i2] + (vals[i3],))
-    pi2 = flatten((vals[i1],) + vals[i2 + 1:])
+    pi1 = flatten(vals[:i2] + (min(vals[i2 + 1:]),))
+    pi2 = flatten((max(vals[:i2]),) + vals[i2 + 1:])
     if b % 2 == 0:
         rho1 = pi1
         rho2 = Permutation((1,) + tuple(v + 1 for v in pi2.values))

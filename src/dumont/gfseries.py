@@ -388,11 +388,6 @@ def _zeilberger(n: int) -> int:
     return catalan_number(n + 2) - 4 * catalan_number(n + 1) + 3 * catalan_number(n)
 
 
-def _d4_321_1(n: int) -> int:
-    return (catalan_number(n + 3) - 3 * catalan_number(n + 2)
-            - catalan_number(n + 1) + 3 * catalan_number(n))
-
-
 class SequenceId(str, Enum):
     """A closed form, declared once.  Each member is its value string, the
     first n it holds for, the last (None when unbounded) and the formula."""
@@ -454,7 +449,8 @@ class SequenceId(str, Enum):
     D2_2143_1 = "d2_2143_1", 2, None, lambda n: (a_elizalde(n) * b_elizalde(n + 1)
                                                  + b_elizalde(n) * a_elizalde(n + 1)
                                                  + a_elizalde(n - 1) * a_elizalde(n))
-    D4_321_1 = "d4_321_1", 1, None, _d4_321_1
+    D4_321_1 = "d4_321_1", 1, None, lambda n: (catalan_number(n + 3) - 3 * catalan_number(n + 2)
+                                               - catalan_number(n + 1) + 3 * catalan_number(n))
 
 
 def validity_range(seq: SequenceId) -> tuple[int, Optional[int]]:
@@ -519,21 +515,12 @@ def gf_identities_check(order: int) -> list[IdentityCheck]:
           lhs * lhs == TruncatedSeries([1, -6, 1], order))
 
     c6 = c.pow(6)
-    gf_single = c6.shift(2) + c6.shift(3)
-    check("(z^2+z^3)C^6 matches d4_321_1",
-          all(gf_single.coefficient(n) == _d4_321_1(n) for n in range(1, order + 1)))
-    check("z^3BC^4 matches d1_231_1",
-          all((b * c.pow(4)).shift(3).coefficient(n) == _binom0(2 * n - 2, n - 3)
-              for n in range(order + 1)))
-    check("z^2C^5 matches d2_321_1",
-          all(c.pow(5).shift(2).coefficient(n)
-              == _exact_ratio(5 * _binom0(2 * n, n - 2), n + 3)
-              for n in range(2, order + 1)))
-    check("z^2BC^3 matches d2_3142_1",
-          all((b * c.pow(3)).shift(2).coefficient(n) == _binom0(2 * n - 1, n - 2)
-              for n in range(2, order + 1)))
-    check("z^2C + z^4BC^4 matches d1_213_1",
-          all((c.shift(2) + (b * c.pow(4)).shift(4)).coefficient(n)
-              == catalan_number(n - 2) + _binom0(2 * n - 4, n - 4)
-              for n in range(4, order + 1)))
+    for name, series, seq in (
+            ("(z^2+z^3)C^6", c6.shift(2) + c6.shift(3), SequenceId.D4_321_1),
+            ("z^3BC^4", (b * c.pow(4)).shift(3), SequenceId.D1_231_1),
+            ("z^2C^5", c.pow(5).shift(2), SequenceId.D2_321_1),
+            ("z^2BC^3", (b * c.pow(3)).shift(2), SequenceId.D2_3142_1),
+            ("z^2C + z^4BC^4", c.shift(2) + (b * c.pow(4)).shift(4), SequenceId.D1_213_1)):
+        check(f"{name} matches {seq.value}",
+              all(series.coefficient(n) == closed_form(seq, n) for n in range(seq.lo, order + 1)))
     return out

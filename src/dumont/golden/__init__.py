@@ -55,7 +55,3 @@ def d4_1342_size8_compositions() -> dict[str, list[int]]:
 
 def d4_1324_size16_example() -> dict[str, str]:
     return dict(_load("avoider_sets.json")["d4_1324_size16_example"])
-
-
-def d4_1432_size12_example() -> dict[str, str]:
-    return dict(_load("avoider_sets.json")["d4_1432_size12_example"])

@@ -15,14 +15,20 @@ even-size one with the fixed point 2n+1 appended, so odd sizes are rejected.
 All four kinds of size 2n are counted by the Genocchi number G(2n+2)
 (see :mod:`dumont.gfseries`).
 
+The rules are stated once, in :func:`_candidates`: the values that may
+come next after a prefix, given its placed values and its last value.  They
+apply each kind's constraints as soon as they become checkable and refuse a
+value that leaves a dead subtree they can see at once (an even smallest
+unplaced value in kind 1, an odd one below the position in kind 4).
+:func:`is_dumont` replays them position by position.
+
 Generation runs through one walk, :func:`_walk`: a position-by-position
-backtracking search that emits members in lexicographic order.  Prefix
-pruning applies each kind's constraints as soon as they become checkable,
-but a subtree can still hold no member.  What lies below a prefix depends
-only on its key (see below), so the walk expands each key once, stores the
-next values that reached a member, and replays them when the key comes up
-again: it never re-enters an empty subtree, and listing costs about the
-number of distinct keys plus the output.
+backtracking search that emits members in lexicographic order.  A subtree
+can still hold no member, but what lies below a prefix depends only on its
+key (see below), so the walk expands each key once, stores the next values
+that reached a member, and replays them when the key comes up again: it
+never re-enters an empty subtree, and listing costs about the number of
+distinct keys plus the output.
 
 Pattern queries plug in a transition ``step(state, w, used) -> state |
 None`` that summarises the prefix in a small int and rejects a placement
@@ -47,7 +53,7 @@ from __future__ import annotations
 import time
 from enum import Enum
 from math import factorial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from .permcore import Permutation
 
@@ -69,73 +75,50 @@ def _require_even(size: int) -> None:
 
 
 def is_dumont(kind: DumontKind, p: Permutation) -> bool:
-    """Membership test for an even-size permutation; odd sizes raise."""
+    """Membership test for an even-size permutation; odd sizes raise.
+
+    A value belongs when it is among :func:`_candidates` after the values
+    before it, so the walk, the DP and this test read one statement of the
+    kinds' rules.
+    """
     n = len(p)
     _require_even(n)
-    vals = p.values
-    if kind is DumontKind.D1:
-        for i, v in enumerate(vals):
-            if v % 2 == 0:
-                if i + 1 == n or vals[i + 1] > v:
-                    return False
-            else:
-                if i + 1 < n and vals[i + 1] < v:
-                    return False
-        return True
-    if kind is DumontKind.D2:
-        for i, v in enumerate(vals):
-            pos = i + 1
-            if pos % 2 == 0:
-                if v >= pos:
-                    return False
-            elif v < pos:
-                return False
-        return True
-    if kind is DumontKind.D3:
-        for i in range(n - 1):
-            if vals[i] > vals[i + 1] and (vals[i] % 2 or vals[i + 1] % 2):
-                return False
-        return True
-    # D4: deficiencies must be even values in even positions.
-    for i, v in enumerate(vals):
-        pos = i + 1
-        if v < pos and (pos % 2 or v % 2):
+    used = prev = 0
+    for pos, v in enumerate(p.values, 1):
+        if v not in _candidates(kind.value, pos, n, prev, used):
             return False
+        used |= 1 << v
+        prev = v
     return True
 
 
-# In the walk below, ``h`` is the list of already placed values (the prefix,
-# positions 1..len(h)) and ``used`` a bitmask with bit v set when value v is
-# placed.  Candidates for the next position are produced in increasing order,
-# which makes the depth-first emission order lexicographic.
-
-_ODD_BITS = [0] * 32
-for _v in range(1, 32, 2):
-    for _s in range(_v, 32):
-        _ODD_BITS[_s] |= 1 << _v
-_ODD_MASK = _ODD_BITS[31]
+# ``used`` is a bitmask with bit v set when value v is placed, and ``prev``
+# the last value placed (0 before the first).  Candidates for the next
+# position are produced in increasing order, which makes the depth-first
+# emission order lexicographic.
 
 
 def _candidates(kind_id: int, pos: int, size: int, prev: int, used: int) -> list[int]:
     """Admissible values for the next position, in increasing order."""
     out = []
     if kind_id == 1:
-        if pos == 1:
-            lo, hi = 1, size
-        elif prev % 2 == 0:
+        if prev and prev % 2 == 0:
             lo, hi = 1, prev - 1
         else:
             lo, hi = prev + 1, size
-        last = pos == size
-        below_mask = ~used
+        # The smallest unused value stays odd, since an even one could never
+        # be followed by a smaller entry.  So an even entry always has a
+        # smaller one left to fall to (and is never last), and the smallest
+        # unused value goes only when the next smallest is odd (or past size).
+        # ``low`` is the bit of the smallest unused value; ``skip`` is that
+        # value when the next smallest is even (a bit of odd length).
+        x = used | 1
+        low = ~x & (x + 1)
+        x |= low
+        skip = low.bit_length() - 1 if (~x & (x + 1)).bit_length() % 2 else 0
         for w in range(lo, hi + 1):
-            if used >> w & 1:
-                continue
-            if w % 2 == 0:
-                # An even entry needs a smaller entry after it.
-                if last or not (below_mask & ((1 << w) - 2)):
-                    continue
-            out.append(w)
+            if not (used >> w & 1) and w != skip:
+                out.append(w)
     elif kind_id == 2:
         if pos % 2 == 0:
             lo, hi = 1, pos - 1
@@ -145,19 +128,18 @@ def _candidates(kind_id: int, pos: int, size: int, prev: int, used: int) -> list
             if not (used >> w & 1):
                 out.append(w)
     elif kind_id == 3:
-        if pos > 1 and prev % 2 == 0:
+        if prev % 2 == 0:
             # Descent allowed only onto an even value.
             for w in range(2, prev, 2):
                 if not (used >> w & 1):
                     out.append(w)
-        lo = 1 if pos == 1 else prev + 1
-        for w in range(lo, size + 1):
+        for w in range(prev + 1, size + 1):
             if not (used >> w & 1):
                 out.append(w)
     else:
         # D4.  Any odd value still unplaced below the current position could
         # only land as an odd deficiency later, so the subtree is dead.
-        if (~used) & _odd_below(pos):
+        if ~used & ((1 << (pos & ~1)) - 1) // 3 << 1:
             return out
         if pos % 2 == 0:
             for w in range(2, pos, 2):
@@ -169,15 +151,6 @@ def _candidates(kind_id: int, pos: int, size: int, prev: int, used: int) -> list
     return out
 
 
-def _odd_below(pos: int) -> int:
-    if pos - 1 < 32:
-        return _ODD_BITS[pos - 1]
-    m = _ODD_MASK
-    for v in range(33, pos, 2):
-        m |= 1 << v
-    return m
-
-
 # A transition ``step(state, w, used) -> state | None`` summarises a prefix
 # in a small non-negative int and rejects (None) a placement that the
 # summary rules out; ``used`` is the mask of the values placed before w.
@@ -187,6 +160,14 @@ def _odd_below(pos: int) -> int:
 # occurrences that placing w right after prev adds to the final count.
 Step = Callable[[int, int, int], Optional[int]]
 Stat = Callable[[int, int, int], int]
+
+
+def _key_layout(kind_id: int, size: int, stat: Optional[Stat] = None) -> tuple[bool, int, int]:
+    """How a prefix is packed into a key: the used mask in bits 0..size, the
+    last value from bit ``p_shift`` (kept only when the kind's rules or the
+    statistic read it), the state from bit ``s_shift``.  Returns
+    ``(keep_prev, p_shift, s_shift)``."""
+    return kind_id in (1, 3) or stat is not None, size + 1, size + 1 + size.bit_length()
 
 
 def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
@@ -209,13 +190,11 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
     if not size:
         yield h
         return
-    # Keys are packed as in :func:`_count_layers`.  ``live`` maps each key
-    # the walk has left to its next values that reached a leaf, as bytes (a
-    # tuple past size 255); an empty one marks a key with no member below.
-    p_shift = size + 1 if kind_id in (1, 3) else 0
-    s_shift = size + 1 + size.bit_length()
-    pack = bytes if size < 256 else tuple
-    live: dict[int, Sequence[int]] = {}
+    # Keys are packed by :func:`_key_layout`.  ``live`` maps each key
+    # the walk has left to its next values that reached a leaf; an empty
+    # tuple marks a key with no member below.
+    keep_prev, p_shift, s_shift = _key_layout(kind_id, size)
+    live: dict[int, tuple[int, ...]] = {}
     leaves = 0
     new = 0
     # ``it`` iterates the next values of the key being walked and ``rec``
@@ -240,7 +219,7 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
                     rec.append(w)
                 continue
             used |= 1 << w
-            key = used | (w << p_shift if p_shift else 0) | new << s_shift
+            key = used | (w << p_shift if keep_prev else 0) | new << s_shift
             nexts = live.get(key)
             if nexts is not None and not nexts:
                 used &= ~(1 << h.pop())
@@ -260,7 +239,7 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
             done = rec
             it, rec, state, key, before = stack.pop()
             if done is not None:
-                live[key] = pack(done)
+                live[key] = tuple(done)
             w = h.pop()
             used &= ~(1 << w)
             if rec is not None and leaves > before:
@@ -283,6 +262,21 @@ def _coefficient_bits(size: int) -> int:
     :func:`_count_layers`: no count over a set of size ``size`` reaches
     ``2 ** _coefficient_bits(size)``."""
     return factorial(size).bit_length()
+
+
+def _unpack_histogram(packed: int, size: int) -> dict[int, int]:
+    """{k: count} of a histogram packed by :func:`_count_layers`, without
+    the zero counts."""
+    width = _coefficient_bits(size)
+    coeff = (1 << width) - 1
+    hist: dict[int, int] = {}
+    k = 0
+    while packed:
+        if packed & coeff:
+            hist[k] = packed & coeff
+        packed >>= width
+        k += 1
+    return hist
 
 
 def _check_deadline(deadline: Optional[float]) -> None:
@@ -310,11 +304,7 @@ def _count_layers(kind: DumontKind, size: int, step: Optional[Step] = None,
     if state is None:
         return 0
     width = _coefficient_bits(size)
-    # Key layout: used mask in bits 0..size, the last value above it (kept
-    # only when the kind's rules or the statistic read it), then the state.
-    keep_prev = kind_id in (1, 3) or stat is not None
-    p_shift = size + 1
-    s_shift = p_shift + size.bit_length()
+    keep_prev, p_shift, s_shift = _key_layout(kind_id, size, stat)
     used_mask = (1 << p_shift) - 1
     prev_mask = (1 << size.bit_length()) - 1
     layer = {state << s_shift: 1}

@@ -34,7 +34,7 @@ transitions are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import kinds as _kinds
 from .kinds import DumontKind
@@ -209,10 +209,6 @@ def avoids(p: Permutation, q: ClassicalPattern) -> bool:
     """True when ``p`` has no occurrence of the pattern (early exit)."""
     _check_host_size(len(p), len(q.perm))
     return not _count(p.values, q.perm.values, limit=1)
-
-
-def avoids_all(p: Permutation, patterns: Iterable[ClassicalPattern]) -> bool:
-    return all(avoids(p, q) for q in patterns)
 
 
 def count_vincular(p: Permutation, vq: VincularPattern) -> int:
@@ -564,14 +560,5 @@ def vincular_histogram(kind: DumontKind, size: int, forbidden: ClassicalPattern,
     """
     query = AvoidanceQuery(kind, size, frozenset([forbidden]))
     add = _vincular_stat(stat, size)
-    hist: dict[int, int] = {}
     packed = _kinds._count_layers(kind, size, *_transition(query), add, deadline)
-    width = _kinds._coefficient_bits(size)
-    coeff = (1 << width) - 1
-    k = 0
-    while packed:
-        if packed & coeff:
-            hist[k] = packed & coeff
-        packed >>= width
-        k += 1
-    return hist
+    return _kinds._unpack_histogram(packed, size)

@@ -9,7 +9,7 @@ from conftest import naive_contains, naive_count, naive_count_vincular
 from dumont import kinds
 from dumont.kinds import BudgetExceeded, DumontKind, generate
 from dumont.patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern,
-                             avoids, avoids_all, count_avoiders,
+                             avoids, count_avoiders,
                              count_exact_occurrences, count_occurrences,
                              count_vincular, generate_avoiders, vincular_histogram)
 from dumont.permcore import Permutation
@@ -37,7 +37,6 @@ def test_avoids_examples():
     assert not avoids(Permutation.from_text("435621"), cp("321"))
     assert not avoids(Permutation.from_text("435621"), cp("231"))
     assert avoids(Permutation(()), cp("12"))
-    assert avoids_all(Permutation.from_text("21"), [cp("123"), cp("12")])
 
 
 def test_envelope_guard():
