@@ -197,9 +197,10 @@ def foata_inverse(p: Permutation) -> Permutation:
 # 321-avoiding Dumont-4 permutations <-> Dyck paths
 
 
-def _require_member(p: Permutation, pattern: ClassicalPattern, label: str) -> None:
+def _require_member(p: Permutation, pattern: ClassicalPattern) -> None:
     if not is_dumont(DumontKind.D4, p) or not avoids(p, pattern):
-        raise ValueError(f"{p.to_text() or 'empty permutation'} is not {label}")
+        raise ValueError(f"{p.to_text() or 'empty permutation'} is not a "
+                         f"{pattern.perm.to_text()}-avoiding Dumont-4 permutation")
 
 
 def d4_321_to_dyck(p: Permutation) -> DyckPath:
@@ -210,7 +211,7 @@ def d4_321_to_dyck(p: Permutation) -> DyckPath:
     a_i - a_{i-1} and the north runs b_{i+1} - b_i; all are even, and halving
     them gives a Dyck path of semilength n.
     """
-    _require_member(p, _P321, "a 321-avoiding Dumont-4 permutation")
+    _require_member(p, _P321)
     positions = []
     values = []
     for i, v in enumerate(p.values):
@@ -272,7 +273,7 @@ def d4_1342_to_composition(p: Permutation) -> Composition:
     consecutive blocks (k, 1, 2, ..., k-1); the block sizes, in order, give a
     composition of n.
     """
-    _require_member(p, _P1342, "a 1342-avoiding Dumont-4 permutation")
+    _require_member(p, _P1342)
     n = len(p) // 2
     halved = []
     for i in range(n):
@@ -316,8 +317,12 @@ def composition_to_d4_1342(comp: Composition, n: int) -> Permutation:
 # 1324-avoiding <-> 1243-avoiding Dumont-4 permutations
 
 
-def _antidiagonal_reflect_tail(p: Permutation) -> Permutation:
-    """Drop the leading 1, reflect the rest about the antidiagonal, put it back."""
+def _reflect(p: Permutation, source: ClassicalPattern,
+             target: ClassicalPattern) -> Permutation:
+    """Check that ``p`` is in the source class, drop its leading 1, reflect
+    the rest about the antidiagonal, put it back, and check the image is in
+    the target class."""
+    _require_member(p, source)
     if len(p) == 0:
         return p
     if p.values[0] != 1:
@@ -328,23 +333,19 @@ def _antidiagonal_reflect_tail(p: Permutation) -> Permutation:
     for i, v in enumerate(tail):
         # Dot (i+1, v) goes to (m+1-v, m+1-(i+1)).
         image[m - v] = m - i
-    return Permutation([1] + [v + 1 for v in image])
+    out = Permutation([1] + [v + 1 for v in image])
+    _require_member(out, target)
+    return out
 
 
 def reflect_1324_to_1243(p: Permutation) -> Permutation:
     """Antidiagonal reflection sending the 1324-avoiding class onto 1243."""
-    _require_member(p, _P1324, "a 1324-avoiding Dumont-4 permutation")
-    out = _antidiagonal_reflect_tail(p)
-    _require_member(out, _P1243, "a 1243-avoiding Dumont-4 permutation")
-    return out
+    return _reflect(p, _P1324, _P1243)
 
 
 def reflect_1243_to_1324(p: Permutation) -> Permutation:
     """Inverse direction; the reflection is an involution."""
-    _require_member(p, _P1243, "a 1243-avoiding Dumont-4 permutation")
-    out = _antidiagonal_reflect_tail(p)
-    _require_member(out, _P1324, "a 1324-avoiding Dumont-4 permutation")
-    return out
+    return _reflect(p, _P1243, _P1324)
 
 
 def construct_1324_avoider(n: int, k: int | None = None,

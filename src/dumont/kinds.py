@@ -15,20 +15,22 @@ even-size one with the fixed point 2n+1 appended, so odd sizes are rejected.
 All four kinds of size 2n are counted by the Genocchi number G(2n+2)
 (see :mod:`dumont.gfseries`).
 
-The rules are stated once, in :func:`_candidates`: the values that may
-come next after a prefix, given its placed values and its last value.  They
-apply each kind's constraints as soon as they become checkable and refuse a
-value that leaves a dead subtree they can see at once (an even smallest
-unplaced value in kind 1, an odd one below the position in kind 4).
-:func:`is_dumont` replays them position by position.
+The rules are stated once, in :func:`_candidates`: a bitmask of the values
+that may come next after a prefix, given its placed values and its last
+value, written as a few lines of mask arithmetic per kind.  They apply each
+kind's constraints as soon as they become checkable and refuse a value that
+leaves a dead subtree they can see at once (an even smallest unplaced value
+in kind 1, an odd one below the position in kind 4).  :func:`is_dumont`
+replays them position by position, one bit test per value.
 
 Generation runs through one walk, :func:`_walk`: a position-by-position
 backtracking search that emits members in lexicographic order.  A subtree
 can still hold no member, but what lies below a prefix depends only on its
-key (see below), so the walk expands each key once, stores the next values
-that reached a member, and replays them when the key comes up again: it
-never re-enters an empty subtree, and listing costs about the number of
-distinct keys plus the output.
+key (see below), so the walk expands each key once, stores the mask of the
+next values that reached a member, and walks that mask in place of the
+candidates when the key comes up again: it never re-enters an empty
+subtree, and listing costs about the number of distinct keys plus the
+output.
 
 Pattern queries plug in a transition ``step(state, w, used) -> state |
 None`` that summarises the prefix in a small int and rejects a placement
@@ -77,15 +79,15 @@ def _require_even(size: int) -> None:
 def is_dumont(kind: DumontKind, p: Permutation) -> bool:
     """Membership test for an even-size permutation; odd sizes raise.
 
-    A value belongs when it is among :func:`_candidates` after the values
-    before it, so the walk, the DP and this test read one statement of the
-    kinds' rules.
+    A value belongs when its bit is set in :func:`_candidates` after the
+    values before it, so the walk, the DP and this test read one statement
+    of the kinds' rules.
     """
     n = len(p)
     _require_even(n)
     used = prev = 0
     for pos, v in enumerate(p.values, 1):
-        if v not in _candidates(kind.value, pos, n, prev, used):
+        if not _candidates(kind.value, pos, n, prev, used) >> v & 1:
             return False
         used |= 1 << v
         prev = v
@@ -93,62 +95,42 @@ def is_dumont(kind: DumontKind, p: Permutation) -> bool:
 
 
 # ``used`` is a bitmask with bit v set when value v is placed, and ``prev``
-# the last value placed (0 before the first).  Candidates for the next
-# position are produced in increasing order, which makes the depth-first
-# emission order lexicographic.
+# the last value placed (0 before the first).  The candidates for the next
+# position are a mask of the same form; taking its set bits from the lowest
+# up makes the depth-first emission order lexicographic.
 
 
-def _candidates(kind_id: int, pos: int, size: int, prev: int, used: int) -> list[int]:
-    """Admissible values for the next position, in increasing order."""
-    out = []
+def _candidates(kind_id: int, pos: int, size: int, prev: int, used: int) -> int:
+    """Mask of the admissible values for the next position: bit v is set
+    when value v may come next.  ``(1 << k) - 1`` holds the values below k
+    and ``-(1 << k)`` those from k up; every rule is intersected with
+    ``free`` (the unused values 1..size), so such a range may run past
+    either end."""
+    free = ~used & ((2 << size) - 2)
     if kind_id == 1:
-        if prev and prev % 2 == 0:
-            lo, hi = 1, prev - 1
-        else:
-            lo, hi = prev + 1, size
         # The smallest unused value stays odd, since an even one could never
         # be followed by a smaller entry.  So an even entry always has a
         # smaller one left to fall to (and is never last), and the smallest
         # unused value goes only when the next smallest is odd (or past size).
-        # ``low`` is the bit of the smallest unused value; ``skip`` is that
-        # value when the next smallest is even (a bit of odd length).
-        x = used | 1
-        low = ~x & (x + 1)
-        x |= low
-        skip = low.bit_length() - 1 if (~x & (x + 1)).bit_length() % 2 else 0
-        for w in range(lo, hi + 1):
-            if not (used >> w & 1) and w != skip:
-                out.append(w)
-    elif kind_id == 2:
-        if pos % 2 == 0:
-            lo, hi = 1, pos - 1
-        else:
-            lo, hi = pos, size
-        for w in range(lo, hi + 1):
-            if not (used >> w & 1):
-                out.append(w)
-    elif kind_id == 3:
-        if prev % 2 == 0:
-            # Descent allowed only onto an even value.
-            for w in range(2, prev, 2):
-                if not (used >> w & 1):
-                    out.append(w)
-        for w in range(prev + 1, size + 1):
-            if not (used >> w & 1):
-                out.append(w)
-    else:
-        # D4.  Any odd value still unplaced below the current position could
-        # only land as an odd deficiency later, so the subtree is dead.
-        if ~used & ((1 << (pos & ~1)) - 1) // 3 << 1:
-            return out
-        if pos % 2 == 0:
-            for w in range(2, pos, 2):
-                if not (used >> w & 1):
-                    out.append(w)
-        for w in range(pos, size + 1):
-            if not (used >> w & 1):
-                out.append(w)
-    return out
+        # ``low`` is the bit of the smallest unused value; the lowest bit of
+        # ``rest`` has odd length when the next smallest is even.
+        low = free & -free
+        rest = free ^ low
+        if (rest & -rest).bit_length() % 2:
+            free = rest
+        return free & ((1 << prev) - 1 if prev and prev % 2 == 0 else -(2 << prev))
+    if kind_id == 2:
+        return free & ((1 << pos) - 1 if pos % 2 == 0 else -(1 << pos))
+    if kind_id == 3:
+        # A descent is allowed only from an even value onto an even value.
+        return free & (-(2 << prev) | (((1 << prev) - 1) // 3 if prev % 2 == 0 else 0))
+    # D4.  ``evens`` has bits 0, 2, ... below pos rounded down to even.  Any
+    # odd value still unplaced below the current position could only land
+    # as an odd deficiency later, so the subtree is dead.
+    evens = ((1 << (pos & ~1)) - 1) // 3
+    if free & evens << 1:
+        return 0
+    return free & (-(1 << pos) | (evens if pos % 2 == 0 else 0))
 
 
 # A transition ``step(state, w, used) -> state | None`` summarises a prefix
@@ -177,9 +159,10 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
 
     ``state`` is the transition's summary of the empty prefix; None yields
     nothing.  Each key (used values, last value, state) is expanded by
-    :func:`_candidates` once; when it comes up again, the walk replays the
-    next values that reached a leaf.  The yielded list is the walk's own
-    state: read or copy it before advancing the iterator.
+    :func:`_candidates` once; the walk stores the mask of its next values
+    that reached a leaf and, when the key comes up again, walks that mask
+    in place of the candidates.  The yielded list is the walk's own state:
+    read or copy it before advancing the iterator.
     """
     _require_even(size)
     kind_id = kind.value
@@ -190,66 +173,63 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
     if not size:
         yield h
         return
-    # Keys are packed by :func:`_key_layout`.  ``live`` maps each key
-    # the walk has left to its next values that reached a leaf; an empty
-    # tuple marks a key with no member below.
+    # Keys are packed by :func:`_key_layout`.  ``live`` maps each key the
+    # walk has left to the mask of its next values that reached a leaf; 0
+    # marks a key with no member below.
     keep_prev, p_shift, s_shift = _key_layout(kind_id, size)
-    live: dict[int, tuple[int, ...]] = {}
-    leaves = 0
+    live: dict[int, int] = {}
     new = 0
-    # ``it`` iterates the next values of the key being walked and ``rec``
-    # collects those that reached a leaf (None on a replay).  ``stack``
-    # holds per open position the suspended ``it``, ``rec`` and state of the
-    # shallower key, the key entered and the leaf count on entering it.
-    it = iter(_candidates(kind_id, 1, size, 0, 0))
-    rec: Optional[list[int]] = []
-    stack: list[tuple[Iterator[int], Optional[list[int]], int, int, int]] = []
+    # ``todo`` is the mask of next values still to try at the key being
+    # walked and ``rec`` the mask of those that reached a leaf.  ``stack``
+    # holds per open position the suspended ``todo``, ``rec`` and state of
+    # the shallower key, and the key entered.
+    todo = _candidates(kind_id, 1, size, 0, 0)
+    rec = 0
+    stack: list[tuple[int, int, int, int]] = []
     while True:
-        for w in it:
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            w = bit.bit_length() - 1
             if step is not None:
                 new = step(state, w, used)
                 if new is None:
                     continue
             h.append(w)
             if len(h) == size:
-                leaves += 1
                 yield h
                 h.pop()
-                if rec is not None:
-                    rec.append(w)
+                rec |= bit
                 continue
-            used |= 1 << w
+            used |= bit
             key = used | (w << p_shift if keep_prev else 0) | new << s_shift
             nexts = live.get(key)
-            if nexts is not None and not nexts:
-                used &= ~(1 << h.pop())
+            if nexts == 0:
+                used ^= bit
+                h.pop()
                 continue
-            stack.append((it, rec, state, key, leaves))
+            stack.append((todo, rec, state, key))
             state = new
-            if nexts is None:
-                it = iter(_candidates(kind_id, len(h) + 1, size, w, used))
-                rec = []
-            else:
-                it = iter(nexts)
-                rec = None
+            todo = _candidates(kind_id, len(h) + 1, size, w, used) if nexts is None else nexts
+            rec = 0
             break
         else:
             if not stack:
                 return
             done = rec
-            it, rec, state, key, before = stack.pop()
-            if done is not None:
-                live[key] = tuple(done)
-            w = h.pop()
-            used &= ~(1 << w)
-            if rec is not None and leaves > before:
-                rec.append(w)
+            todo, rec, state, key = stack.pop()
+            live[key] = done
+            bit = 1 << h.pop()
+            used ^= bit
+            if done:
+                rec |= bit
 
 
 def generate(kind: DumontKind, size: int) -> Iterator[Permutation]:
-    """Yield the members of the kind in lexicographic order."""
-    for h in _walk(kind, size):
-        yield Permutation._wrap(tuple(h))
+    """Iterate over the members of the kind in lexicographic order.  An odd
+    or negative size raises here, before the first member is asked for."""
+    _require_even(size)
+    return (Permutation._wrap(tuple(h)) for h in _walk(kind, size))
 
 
 def count(kind: DumontKind, size: int) -> int:
@@ -316,7 +296,11 @@ def _count_layers(kind: DumontKind, size: int, step: Optional[Step] = None,
             used = key & used_mask
             prev = key >> p_shift & prev_mask
             state = key >> s_shift
-            for w in _candidates(kind_id, pos, size, prev, used):
+            todo = _candidates(kind_id, pos, size, prev, used)
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                w = bit.bit_length() - 1
                 if step is None:
                     new = 0
                 else:
@@ -326,7 +310,7 @@ def _count_layers(kind: DumontKind, size: int, step: Optional[Step] = None,
                 out = weight
                 if stat is not None:
                     out <<= width * stat(used, prev, w)
-                k = used | 1 << w | (w << p_shift if keep_prev else 0) | new << s_shift
+                k = used | bit | (w << p_shift if keep_prev else 0) | new << s_shift
                 nxt[k] = get(k, 0) + out
         layer = nxt
     return sum(layer.values())

@@ -110,6 +110,9 @@ _SERIES_ERRORS = {
     ["diagram", "1,2,"],
     ["series", "--id", "a343795_d4_312", "--order", "3"],
     ["series", "--id", "a343795_d4_312", "--cross-check", "--upto", "3"],
+    # The size is checked before the csv header is written.
+    ["enumerate", "--kind", "1", "--size", "3", "--format", "csv"],
+    ["enumerate", "--kind", "1", "--size", "-2", "--format", "csv"],
 ])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     journal = tmp_path / "journal"

@@ -101,10 +101,31 @@ def test_generate_replays_walked_keys(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+def test_candidate_masks_hold_only_unused_values(kind, monkeypatch):
+    # Range masks such as ``-(2 << prev)`` run past both ends of 1..size;
+    # only the intersection with the unused values keeps them in range.
+    candidates = kinds._candidates
+    calls = 0
+
+    def checked(kind_id, pos, size, prev, used):
+        nonlocal calls
+        calls += 1
+        mask = candidates(kind_id, pos, size, prev, used)
+        assert isinstance(mask, int) and mask >= 0
+        assert not mask & (1 | used) and not mask >> size + 1
+        return mask
+
+    monkeypatch.setattr(kinds, "_candidates", checked)
+    for size in range(0, 11, 2):
+        assert sum(1 for _ in generate(kind, size)) == genocchi(size // 2 + 1)
+    assert calls
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_generate_stores_values_past_255(kind):
-    # Later members need the keys left behind by the first, whose next values
-    # run up to 300.  D1 gets there only because its walk never places a
-    # value that leaves an even smallest value unplaced.
+    # Later members replay the masks stored for keys left behind by the
+    # first, whose bits run up to 300.  D1 gets there only because its walk
+    # never places a value that leaves an even smallest value unplaced.
     out = [p.values for p in islice(generate(kind, 300), 3)]
     assert len(out) == 3 and out[0] < out[1] < out[2]
     assert all(map(DEF_CHECKS[kind.value], out))
