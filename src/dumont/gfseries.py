@@ -12,7 +12,10 @@ module supplies
   Dumont-4 permutations avoiding 1423 (OEIS A343795), plus an independent
   sweep over the underlying P/R/S/T block system.  Every series of both is
   even or odd in z, so both sweeps run in x = z^2 and store no zero
-  coefficient forced by parity;
+  coefficient forced by parity.  Level k of either sweep reaches the result
+  (level 0) only through a factor x^3 per level in between, so it is
+  computed only to order ``order - 3k``, and a level whose order would be
+  negative is skipped;
 * every closed-form counting formula used by the verification harness,
   each declared once as a :class:`SequenceId` member that carries its
   value string, its range of validity and its formula.
@@ -20,6 +23,7 @@ module supplies
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -219,6 +223,8 @@ def central_binomial_series(order: int) -> TruncatedSeries:
 def _cf_depth(nterms: int) -> int:
     # Dropping the continued-fraction tail at level k leaves coefficients up
     # to index 3k-1 untouched; one extra level is kept as a safety margin.
+    # The same x^3 per level lets level k stop at order - 3k (see
+    # _cut_levels), so the margin level, whose order is negative, is skipped.
     return -(-(nterms + 1) // 3) + 1
 
 
@@ -243,6 +249,27 @@ def _catalan_levels(nterms: int, depth: Optional[int]) -> tuple[int, Iterator[tu
                    for k in range(top, -1, -1))
 
 
+def _cut_levels(order: int, levels: Iterator[tuple]) -> Iterator[tuple]:
+    """``(k, 1, E_k, x*O_k, x*O_{k-1})`` of each level of
+    :func:`_catalan_levels`, cut to order ``order - 3k``; a level whose order
+    would be negative is skipped.
+
+    The cut is exact.  Each sweep carries one series from level k+1 to level
+    k (z*R, or R/z), and the three nested fractions it passes through each
+    multiply a change in it by x, so a change at coefficient c of level k+1
+    moves level k only from coefficient c+3 on (Flajolet's convergent
+    argument, "Combinatorial aspects of continued fractions", 1980).  So a
+    coefficient above ``order - 3k`` at level k reaches only coefficients
+    above ``order`` of the result.  The sweep pads the carried series, cut
+    one level higher, with zeros to the next level's order.
+    """
+    for k, *series in levels:
+        cut = order - 3 * k
+        if cut >= 0:
+            yield (k, TruncatedSeries.one(cut),
+                   *(TruncatedSeries._of(s.coeffs[:cut + 1]) for s in series))
+
+
 def d4_1423_series(nterms: int, depth: Optional[int] = None) -> TruncatedSeries:
     """Counting sequence of Dumont-4 permutations avoiding 1423.
 
@@ -250,11 +277,14 @@ def d4_1423_series(nterms: int, depth: Optional[int] = None) -> TruncatedSeries:
     2n, for 0 <= n <= nterms.  Evaluated by running the continued-fraction
     recurrence downward from a truncation depth where the tail is replaced
     by zero; ``depth`` overrides the default level for stability testing.
+    Level k is computed only to order ``nterms + 1 - 3k`` (see
+    :func:`_cut_levels`), so levels above about ``nterms / 3`` are skipped
+    and a deeper ``depth`` gives the same result without more work.
     """
     order, levels = _catalan_levels(nterms, depth)
-    one = TruncatedSeries.one(order)
-    z_r = TruncatedSeries.zero(order)  # z * R at the level below the cut
-    for _, e, xo_hi, xo_lo in levels:
+    z_r = TruncatedSeries.zero(0)  # z * R at the level below the cut
+    for _, one, e, xo_hi, xo_lo in _cut_levels(order, levels):
+        z_r = TruncatedSeries(z_r.coeffs, one.order)
         xe = e.shift(1)
         frac3 = (xe * e) / (one - z_r)
         frac2 = xe / ((one - xo_hi) - frac3)
@@ -267,7 +297,10 @@ def d4_1423_series(nterms: int, depth: Optional[int] = None) -> TruncatedSeries:
 @dataclass(frozen=True)
 class BlockSystemSolution:
     """The P and R families of the block-decomposition system, keyed by
-    index, as series in x = z^2: ``p[i]`` is P_i and ``r[i]`` is R_i / z."""
+    index, as series in x = z^2: ``p[i]`` is P_i and ``r[i]`` is R_i / z.
+
+    The members of level k, P_{2k+2} and R_{2k+1}, are held to that level's
+    order ``nterms + 1 - 3k``; only the levels the sweep computes appear."""
 
     p: dict[int, TruncatedSeries]
     r: dict[int, TruncatedSeries]
@@ -283,17 +316,18 @@ def solve_prst_system(nterms: int, depth: Optional[int] = None) -> BlockSystemSo
 
     At each level, P at the even index is solved given R one level deeper,
     then R at the odd index given that P; S and T feed neither, so they
-    are not formed.  The tail
-    R at the cut is set to zero.  The resulting R_1 reproduces
+    are not formed.  The tail R at the cut is set to zero, and level k is
+    computed only to order ``nterms + 1 - 3k``, as in
+    :func:`d4_1423_series`.  The resulting R_1 reproduces
     :func:`d4_1423_series`, which checks the continued fraction against the
     system it was derived from.
     """
     order, levels = _catalan_levels(nterms, depth)
-    one = TruncatedSeries.one(order)
     p_fam: dict[int, TruncatedSeries] = {}
     r_fam: dict[int, TruncatedSeries] = {}
-    r_next = TruncatedSeries.zero(order)  # R_{2k+3} / z above the loop body
-    for k, e, xo_hi, xo_lo in levels:
+    r_next = TruncatedSeries.zero(0)  # R_{2k+3} / z above the loop body
+    for k, one, e, xo_hi, xo_lo in _cut_levels(order, levels):
+        r_next = TruncatedSeries(r_next.coeffs, one.order)
         # P_{2k+2} given R_{2k+3}: z * R_{2k+3} is x * r_next.
         p_cur = one / ((one - xo_hi) - (e * e).shift(1) / (one - r_next.shift(1)))
         # R_{2k+1} / z given P_{2k+2}.
@@ -338,27 +372,35 @@ def genocchi(n: int) -> int:
 # Closed forms
 
 
+# The finished terms of the two recurrences below, s(m) or b(m) at index m.
+# Each call extends its list up to n, so a run over n = 1..N costs O(N) steps.
+# The lock keeps two threads from appending the same index twice.
+_little_schroder_terms = [0, 1, 1]  # index 0 is unused
+_b7482_terms = [1, 1, 3]
+_terms_lock = threading.Lock()
+
+
 def little_schroder(n: int) -> int:
     """Little Schroeder numbers 1, 1, 3, 11, 45, 197, 903, ... (n >= 1), by
     (m+1) s(m+1) = 3(2m-1) s(m) - (m-2) s(m-1) from s(1) = s(2) = 1."""
     if n < 1:
         raise ValueError("little_schroder(n) requires n >= 1")
-    prev, cur = 1, 1
-    for m in range(2, n):
-        prev, cur = cur, _exact_ratio(3 * (2 * m - 1) * cur - (m - 2) * prev, m + 1)
-    return cur
+    s = _little_schroder_terms
+    with _terms_lock:
+        for m in range(len(s) - 1, n):
+            s.append(_exact_ratio(3 * (2 * m - 1) * s[m] - (m - 2) * s[m - 1], m + 1))
+    return s[n]
 
 
 def b7482(n: int) -> int:
     """1, 1, 3, 11, 39, 139, 495, ...: b(n) = 3 b(n-1) + 2 b(n-2) from n = 3."""
     if n < 0:
         raise ValueError("b7482(n) requires n >= 0")
-    if n <= 1:
-        return 1
-    prev, cur = 1, 3
-    for _ in range(n - 2):
-        prev, cur = cur, 3 * cur + 2 * prev
-    return cur
+    b = _b7482_terms
+    with _terms_lock:
+        for m in range(len(b), n + 1):
+            b.append(3 * b[m - 1] + 2 * b[m - 2])
+    return b[n]
 
 
 def a_elizalde(n: int) -> int:

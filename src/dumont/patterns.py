@@ -527,9 +527,11 @@ def _vincular_stat(stat: VincularPattern, size: int) -> _kinds.Stat:
 
 def generate_avoiders(query: AvoidanceQuery) -> Iterator[Permutation]:
     """Members of the query's set (avoiders, or exact-occurrence members),
-    lexicographically."""
-    for h in _kinds._walk(query.kind, query.size, *_transition(query)):
-        yield Permutation._wrap(tuple(h))
+    lexicographically.  An odd or negative size raises here, before the
+    first member is asked for."""
+    _kinds._require_even(query.size)
+    return (Permutation._wrap(tuple(h))
+            for h in _kinds._walk(query.kind, query.size, *_transition(query)))
 
 
 def count_avoiders(query: AvoidanceQuery, *, deadline: Optional[float] = None) -> int:

@@ -1,10 +1,13 @@
 from fractions import Fraction
 from math import comb
 import random
+import sys
+import threading
 
 import pytest
 
 from conftest import schoolbook_product, schoolbook_quotient
+from dumont import gfseries
 from dumont.gfseries import (BlockSystemSolution, SequenceId,
                              TruncatedSeries, _catalan_levels, _cf_depth, a_elizalde,
                              b7482, b_elizalde, catalan_number, catalan_series,
@@ -106,9 +109,11 @@ def test_prst_constant_terms():
         assert series.coefficient(0) == 1, f"P_{idx}"
 
 
-def z_space_continued_fraction(nterms):
+def z_space_continued_fraction(nterms, depth=None):
     """z*R_1 of the continued fraction in z itself, to order 2*nterms + 2,
-    on the schoolbook kernels: no parity is assumed anywhere."""
+    on the schoolbook kernels: no parity is assumed anywhere, and every
+    level from ``depth`` (default ``_cf_depth(nterms)``) down is computed at
+    full order."""
     order = 2 * nterms + 2
 
     def sub(a, b):
@@ -124,7 +129,7 @@ def z_space_continued_fraction(nterms):
 
     one = [1] + [0] * order
     z_r = [0] * (order + 1)
-    for k in range(_cf_depth(nterms), -1, -1):
+    for k in range(_cf_depth(nterms) if depth is None else depth, -1, -1):
         ce, z2ce = catalan_part(0, k, 0), catalan_part(0, k, 2)
         frac3 = schoolbook_quotient(schoolbook_product(z2ce, ce), sub(one, z_r))
         frac2 = schoolbook_quotient(z2ce, sub(sub(one, catalan_part(1, k, 1)), frac3))
@@ -138,6 +143,20 @@ def test_x_sweep_matches_the_continued_fraction_in_z():
     assert not any(z_r[1::2])
     assert z_r[0] == 0
     assert list(d4_1423_series(40).coeffs) == z_r[2::2]
+
+
+@pytest.mark.parametrize("nterms", [0, 1, 2, 3, 7, 20, 40])
+def test_cut_sweeps_match_every_level_at_full_order(nterms):
+    # Both sweeps compute level k only to order nterms + 1 - 3k and skip the
+    # levels above; the reference computes every level at full order, also
+    # one and two levels deeper, where the result must not move.
+    cf, block = d4_1423_series(nterms).coeffs, solve_prst_system(nterms).series().coeffs
+    for extra in (0, 1, 2):
+        depth = _cf_depth(nterms) + extra
+        want = tuple(z_space_continued_fraction(nterms, depth)[2::2])
+        assert cf == block == want
+        assert d4_1423_series(nterms, depth=depth).coeffs == want
+        assert solve_prst_system(nterms, depth=depth).series().coeffs == want
 
 
 def test_genocchi_values():
@@ -203,20 +222,70 @@ def test_b7482_prefix():
     assert [b7482(n) for n in range(7)] == [1, 1, 3, 11, 39, 139, 495]
 
 
-def test_recurrences_reach_n_2000_from_a_cold_cache():
-    # A recursion on n would overflow the stack long before n = 2000; the
-    # recurrences keep nothing between calls, so every call starts cold.
-    s = [0, 1, 1]  # s[0] is unused
-    for n in range(2, 2000):
+def cold_recurrences(monkeypatch):
+    """Reset the lists of finished terms of little_schroder and b7482 to
+    their seeds, s(1) = s(2) = 1 and b(0..2) = 1, 1, 3, for this test."""
+    for name in ("_little_schroder_terms", "_b7482_terms"):
+        monkeypatch.setattr(gfseries, name, getattr(gfseries, name)[:3])
+
+
+def plain_recurrences(top):
+    """s(0..top) (s[0] unused) and b(0..top), by the plain recurrences."""
+    s, b = [0, 1, 1], [1, 1, 3]
+    for n in range(2, top):
         s.append((3 * (2 * n - 1) * s[n] - (n - 2) * s[n - 1]) // (n + 1))
+    for n in range(3, top + 1):
+        b.append(3 * b[n - 1] + 2 * b[n - 2])
+    return s, b
+
+
+def test_recurrences_reach_n_2000_from_a_cold_cache(monkeypatch):
+    # A recursion on n would overflow the stack long before n = 2000; the
+    # recurrences extend their lists of terms in a loop, so a cold call
+    # reaches it in one go.
+    cold_recurrences(monkeypatch)
+    s, b = plain_recurrences(2000)
     # The defining convolution, on a prefix: s(n) = -s(n-1) + 2 sum s(k) s(n-k).
     for n in range(3, 100):
         assert s[n] == -s[n - 1] + 2 * sum(s[k] * s[n - k] for k in range(1, n))
     assert closed_form(SequenceId.LITTLE_SCHRODER, 2000) == s[2000]
-    b = [1, 1, 3]
-    for n in range(3, 2001):
-        b.append(3 * b[n - 1] + 2 * b[n - 2])
     assert closed_form(SequenceId.D1_PAIR_2341_1423, 2000) == b[2000]
+
+
+def test_recurrences_called_in_descending_order(monkeypatch):
+    # The first call fills each list up to n = 300; every later one reads it.
+    cold_recurrences(monkeypatch)
+    s, b = plain_recurrences(300)
+    assert {n: little_schroder(n) for n in range(300, 0, -1)} == dict(enumerate(s[1:], start=1))
+    assert {n: b7482(n) for n in range(300, -1, -1)} == dict(enumerate(b))
+
+
+def test_recurrences_from_threads_that_race(monkeypatch):
+    # Four threads extend the same cold lists at once, each from its own n
+    # downward, with the interpreter switching threads every microsecond.
+    cold_recurrences(monkeypatch)
+    s, b = plain_recurrences(300)
+    got = []
+
+    def run(top):
+        got.append(({n: little_schroder(n) for n in range(top, 0, -1)},
+                    {n: b7482(n) for n in range(top, -1, -1)}))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(top,)) for top in (300, 200, 250, 150)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 4  # no thread raised
+    for gs, gb in got:
+        assert gs == {n: s[n] for n in gs} and gb == {n: b[n] for n in gb}
+    assert (gfseries._little_schroder_terms, gfseries._b7482_terms) == (s, b)
 
 
 def test_elizalde_sequences():

@@ -139,6 +139,12 @@ def test_query_validation():
         count_avoiders(AvoidanceQuery(DumontKind.D1, 5, frozenset({cp("123")})))
 
 
+def test_generate_avoiders_refuses_an_odd_size_at_the_call():
+    # The error comes from the call itself, before anything is iterated.
+    with pytest.raises(ValueError, match="odd size: 3"):
+        generate_avoiders(AvoidanceQuery(DumontKind.D4, 3, frozenset({cp("321")})))
+
+
 def test_generate_avoiders_examples():
     got = {p.to_text() for p in generate_avoiders(
         AvoidanceQuery(DumontKind.D4, 8, frozenset({cp("1342")})))}
