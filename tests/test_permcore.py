@@ -36,6 +36,19 @@ def test_text_roundtrip_both_grammars():
     assert Permutation.from_text("1,3,6,5,7,2,8,4").values == (1, 3, 6, 5, 7, 2, 8, 4)
 
 
+def test_to_text_names_every_value():
+    # Nine values are written as digits, ten with commas; the first D1
+    # member of size 300 has values past the table of small names.
+    from dumont.kinds import DumontKind, generate
+    big = next(generate(DumontKind.D1, 300))
+    for p in (Permutation([9, 1, 8, 2, 7, 3, 6, 4, 5]),
+              Permutation([10, 1, 9, 2, 8, 3, 7, 4, 6, 5]), big):
+        sep = "" if len(p) <= 9 else ","
+        assert p.to_text() == sep.join(map(str, p.values))
+        assert Permutation.from_text(p.to_text()) == p
+    assert max(big) == 300
+
+
 @pytest.mark.parametrize("text", ["1,2,", "1,,2", "1,a", "12x"])
 def test_from_text_rejects_malformed_text(text):
     with pytest.raises(ValueError) as err:
