@@ -14,8 +14,8 @@ module supplies
   even or odd in z, so both sweeps run in x = z^2 and store no zero
   coefficient forced by parity.  Level k of either sweep reaches the result
   (level 0) only through a factor x^3 per level in between, so it is
-  computed only to order ``order - 3k``, and a level whose order would be
-  negative is skipped;
+  computed only to order ``nterms + 1 - 3k``, and the sweep starts at level
+  (nterms + 1) // 3, the deepest whose order is not negative;
 * every closed-form counting formula used by the verification harness,
   each declared once as a :class:`SequenceId` member that carries its
   value string, its range of validity and its formula.
@@ -94,16 +94,19 @@ class TruncatedSeries:
 
     def __init__(self, coeffs, order: Optional[int] = None):
         cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise ValueError(f"non-integer coefficient {c!r}")
         if order is not None:
             cs = cs[: order + 1] + [0] * (order + 1 - len(cs))
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
-        self.coeffs = tuple(int(c) for c in cs)
+        self.coeffs = tuple(cs)
 
     @classmethod
     def _of(cls, coeffs) -> "TruncatedSeries":
         """Wrap coefficients that are already ints, skipping ``__init__``'s
-        per-coefficient normalisation."""
+        per-coefficient check."""
         out = object.__new__(cls)
         out.coeffs = tuple(coeffs)
         return out
@@ -220,70 +223,47 @@ def central_binomial_series(order: int) -> TruncatedSeries:
 # and kept as they are, the odd R is kept as R/z.
 
 
-def _cf_depth(nterms: int) -> int:
-    # Dropping the continued-fraction tail at level k leaves coefficients up
-    # to index 3k-1 untouched; one extra level is kept as a safety margin.
-    # The same x^3 per level lets level k stop at order - 3k (see
-    # _cut_levels), so the margin level, whose order is negative, is skipped.
-    return -(-(nterms + 1) // 3) + 1
-
-
-def _catalan_levels(nterms: int, depth: Optional[int]) -> tuple[int, Iterator[tuple]]:
-    """The series order in x and, for each level k from the top down to 0,
-    ``(k, E_k, x*O_k, x*O_{k-1})`` at that order, where
+def _levels(nterms: int) -> Iterator[tuple]:
+    """``(k, 1, E_k, x*O_k, x*O_{k-1})`` for each level k of the sweeps, from
+    k = (nterms + 1) // 3 down to 0, each at order ``nterms + 1 - 3k``, where
     E_k = sum_{i<=k} C(2i) x^i and O_k = sum_{i<=k} C(2i+1) x^i are the even
-    and odd Catalan truncations (O_{-1} = 0)."""
-    if nterms < 0:
-        raise ValueError("nterms must be >= 0")
-    if depth is not None and depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    order = nterms + 1
-    cat = [catalan_number(d) for d in range(2 * order + 2)]
-    evens, odds, pad = cat[0::2], cat[1::2], [0] * order
-
-    def series(cs: list) -> TruncatedSeries:
-        return TruncatedSeries._of((cs + pad)[:order + 1])
-
-    top = _cf_depth(nterms) if depth is None else depth
-    return order, ((k, series(evens[:k + 1]), series([0] + odds[:k + 1]), series([0] + odds[:k]))
-                   for k in range(top, -1, -1))
-
-
-def _cut_levels(order: int, levels: Iterator[tuple]) -> Iterator[tuple]:
-    """``(k, 1, E_k, x*O_k, x*O_{k-1})`` of each level of
-    :func:`_catalan_levels`, cut to order ``order - 3k``; a level whose order
-    would be negative is skipped.
+    and odd Catalan truncations (O_{-1} = 0).
 
     The cut is exact.  Each sweep carries one series from level k+1 to level
     k (z*R, or R/z), and the three nested fractions it passes through each
     multiply a change in it by x, so a change at coefficient c of level k+1
     moves level k only from coefficient c+3 on (Flajolet's convergent
     argument, "Combinatorial aspects of continued fractions", 1980).  So a
-    coefficient above ``order - 3k`` at level k reaches only coefficients
-    above ``order`` of the result.  The sweep pads the carried series, cut
+    coefficient above ``nterms + 1 - 3k`` at level k reaches only
+    coefficients above ``nterms + 1`` of the result, and the zero tail that
+    stands in for every level above the top one moves only coefficients from
+    3 * (top + 1) > nterms + 1 on.  The sweep pads the carried series, cut
     one level higher, with zeros to the next level's order.
     """
-    for k, *series in levels:
+    if nterms < 0:
+        raise ValueError("nterms must be >= 0")
+    order = nterms + 1
+    top = order // 3
+    cat = [catalan_number(d) for d in range(2 * top + 2)]
+    evens, odds = cat[0::2], cat[1::2]
+    for k in range(top, -1, -1):
         cut = order - 3 * k
-        if cut >= 0:
-            yield (k, TruncatedSeries.one(cut),
-                   *(TruncatedSeries._of(s.coeffs[:cut + 1]) for s in series))
+        yield (k, TruncatedSeries.one(cut),
+               *(TruncatedSeries._of((cs + [0] * cut)[:cut + 1])
+                 for cs in (evens[:k + 1], [0] + odds[:k + 1], [0] + odds[:k])))
 
 
-def d4_1423_series(nterms: int, depth: Optional[int] = None) -> TruncatedSeries:
+def d4_1423_series(nterms: int) -> TruncatedSeries:
     """Counting sequence of Dumont-4 permutations avoiding 1423.
 
     Coefficient n of the result is the number of such permutations of size
     2n, for 0 <= n <= nterms.  Evaluated by running the continued-fraction
-    recurrence downward from a truncation depth where the tail is replaced
-    by zero; ``depth`` overrides the default level for stability testing.
-    Level k is computed only to order ``nterms + 1 - 3k`` (see
-    :func:`_cut_levels`), so levels above about ``nterms / 3`` are skipped
-    and a deeper ``depth`` gives the same result without more work.
+    recurrence downward from level (nterms + 1) // 3, above which the tail
+    is replaced by zero; level k is computed only to order
+    ``nterms + 1 - 3k`` (see :func:`_levels`).
     """
-    order, levels = _catalan_levels(nterms, depth)
-    z_r = TruncatedSeries.zero(0)  # z * R at the level below the cut
-    for _, one, e, xo_hi, xo_lo in _cut_levels(order, levels):
+    z_r = TruncatedSeries.zero(0)  # z * R above the top level
+    for _, one, e, xo_hi, xo_lo in _levels(nterms):
         z_r = TruncatedSeries(z_r.coeffs, one.order)
         xe = e.shift(1)
         frac3 = (xe * e) / (one - z_r)
@@ -300,7 +280,7 @@ class BlockSystemSolution:
     index, as series in x = z^2: ``p[i]`` is P_i and ``r[i]`` is R_i / z.
 
     The members of level k, P_{2k+2} and R_{2k+1}, are held to that level's
-    order ``nterms + 1 - 3k``; only the levels the sweep computes appear."""
+    order ``nterms + 1 - 3k``, for k from (nterms + 1) // 3 down to 0."""
 
     p: dict[int, TruncatedSeries]
     r: dict[int, TruncatedSeries]
@@ -311,22 +291,21 @@ class BlockSystemSolution:
         return TruncatedSeries._of(self.r[1].coeffs[:self.nterms + 1])
 
 
-def solve_prst_system(nterms: int, depth: Optional[int] = None) -> BlockSystemSolution:
+def solve_prst_system(nterms: int) -> BlockSystemSolution:
     """Solve the block system by a downward sweep in x = z^2.
 
     At each level, P at the even index is solved given R one level deeper,
     then R at the odd index given that P; S and T feed neither, so they
-    are not formed.  The tail R at the cut is set to zero, and level k is
-    computed only to order ``nterms + 1 - 3k``, as in
-    :func:`d4_1423_series`.  The resulting R_1 reproduces
+    are not formed.  The sweep starts at level (nterms + 1) // 3 with the
+    tail R above it set to zero, and level k is computed only to order
+    ``nterms + 1 - 3k``, as in :func:`d4_1423_series`.  The resulting R_1 reproduces
     :func:`d4_1423_series`, which checks the continued fraction against the
     system it was derived from.
     """
-    order, levels = _catalan_levels(nterms, depth)
     p_fam: dict[int, TruncatedSeries] = {}
     r_fam: dict[int, TruncatedSeries] = {}
     r_next = TruncatedSeries.zero(0)  # R_{2k+3} / z above the loop body
-    for k, one, e, xo_hi, xo_lo in _cut_levels(order, levels):
+    for k, one, e, xo_hi, xo_lo in _levels(nterms):
         r_next = TruncatedSeries(r_next.coeffs, one.order)
         # P_{2k+2} given R_{2k+3}: z * R_{2k+3} is x * r_next.
         p_cur = one / ((one - xo_hi) - (e * e).shift(1) / (one - r_next.shift(1)))

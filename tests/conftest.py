@@ -8,6 +8,7 @@ are checked against a second route.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -82,6 +83,42 @@ def schoolbook_quotient(a, b):
             raise ValueError(f"inexact series division at coefficient {i}")
         q.append(acc // b[0])
     return q
+
+
+def cf_reference_depth(nterms: int) -> int:
+    """The level at which :func:`z_space_continued_fraction` cuts the tail:
+    dropping it at level k leaves coefficients up to index 3k-1 in x
+    untouched, and one extra level is kept as a margin."""
+    return -(-(nterms + 1) // 3) + 1
+
+
+def z_space_continued_fraction(nterms, depth=None):
+    """z*R_1 of the 1423 continued fraction in z itself, to order
+    2*nterms + 2, on the schoolbook kernels: no parity is assumed anywhere,
+    and every level from ``depth`` (default ``cf_reference_depth(nterms)``)
+    down is computed at full order."""
+    order = 2 * nterms + 2
+
+    def sub(a, b):
+        return [x - y for x, y in zip(a, b)]
+
+    def catalan_part(parity, m, shift):
+        # z^shift * sum of C(d) z^d over d <= 2m + parity of that parity.
+        out = [0] * (order + 1)
+        for d in range(parity, 2 * m + parity + 1, 2):
+            if d + shift <= order:
+                out[d + shift] = comb(2 * d, d) // (d + 1)
+        return out
+
+    one = [1] + [0] * order
+    z_r = [0] * (order + 1)
+    for k in range(cf_reference_depth(nterms) if depth is None else depth, -1, -1):
+        ce, z2ce = catalan_part(0, k, 0), catalan_part(0, k, 2)
+        frac3 = schoolbook_quotient(schoolbook_product(z2ce, ce), sub(one, z_r))
+        frac2 = schoolbook_quotient(z2ce, sub(sub(one, catalan_part(1, k, 1)), frac3))
+        base = sub(one, catalan_part(1, k - 1, 1))
+        z_r = schoolbook_quotient(z2ce, sub(schoolbook_product(base, base), frac2))
+    return z_r
 
 
 # Definition-level membership checks, written from the four definitions and

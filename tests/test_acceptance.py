@@ -21,7 +21,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import naive_count_vincular
+from conftest import cf_reference_depth, naive_count_vincular, z_space_continued_fraction
 from dumont import golden
 from dumont.bijections import (composition_to_d4_1342, d4_1342_to_composition,
                                d4_321_to_dyck, dyck_paths, dyck_to_d4_321, foata,
@@ -342,11 +342,11 @@ def test_criterion_10_property_suite():
     # Series identities, including the functional equations and the
     # single-occurrence generating function.
     assert all(c.ok for c in gf_identities_check(12))
-    # Depth stability of the continued fraction.
-    from dumont.gfseries import _cf_depth
-    base = d4_1423_series(10)
-    assert d4_1423_series(10, depth=_cf_depth(10) + 1) == base
-    assert d4_1423_series(10, depth=_cf_depth(10) + 2) == base
+    # The continued fraction against the full-order reference in z, cut
+    # one and two levels deeper than the reference's own depth.
+    base = d4_1423_series(10).coeffs
+    for extra in (1, 2):
+        assert base == tuple(z_space_continued_fraction(10, cf_reference_depth(10) + extra)[2::2])
     # Determinism: two full verification runs serialize identically.
     first = run_suite("all", 5).to_text()
     second = run_suite("all", 5).to_text()

@@ -202,6 +202,21 @@ def test_series_values():
     assert rows[-1] == "11,7803860"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("series", "--id", "a343795_d4_312", "--upto", "150", "--format", "json"),
+     "bb5fcaba0ad017d22c04dad33c4afd1e7fd462ddef21950cbe44ceeb9a0c4d01"),
+    (("series", "--id", "a343795_d4_312", "--order", "150", "--cross-check",
+      "--format", "json"),
+     "fad90473ed4a5cfb6ee71108591ab7745ab48cf4e3340a3cdf03a002759a67e3"),
+])
+def test_a343795_to_order_150_is_pinned(argv, digest):
+    # The two sweeps share one level source, so the cross-check alone cannot
+    # catch a fault in it; the bytes pin every coefficient to order 150.
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_series_cross_check():
     code, out = run_cli("series", "--id", "a343795_d4_312", "--order", "24",
                         "--cross-check")

@@ -6,10 +6,10 @@ import threading
 
 import pytest
 
-from conftest import schoolbook_product, schoolbook_quotient
+from conftest import cf_reference_depth, z_space_continued_fraction
 from dumont import gfseries
 from dumont.gfseries import (BlockSystemSolution, SequenceId,
-                             TruncatedSeries, _catalan_levels, _cf_depth, a_elizalde,
+                             TruncatedSeries, _levels, a_elizalde,
                              b7482, b_elizalde, catalan_number, catalan_series,
                              central_binomial_series, closed_form,
                              d4_1423_series, genocchi, gf_identities_check,
@@ -56,6 +56,18 @@ def test_negative_shift_and_power_are_refused():
     assert s.pow(0) == TruncatedSeries.one(3)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: TruncatedSeries([1.5, 2.9]),
+    lambda: TruncatedSeries([Fraction(1, 2), 1]),
+    lambda: TruncatedSeries(['3']),
+    lambda: TruncatedSeries([1, 2]).scale(Fraction(1, 2)),
+    lambda: TruncatedSeries([1, True]),
+])
+def test_non_integer_coefficients_are_refused(make):
+    with pytest.raises(ValueError, match="non-integer coefficient"):
+        make()
+
+
 def test_series_truncates_to_smaller_order():
     a = TruncatedSeries([1, 2, 3], 8)
     b = TruncatedSeries([1, 1], 3)
@@ -64,18 +76,16 @@ def test_series_truncates_to_smaller_order():
 
 
 def test_catalan_trunc_values():
-    # The truncations in x = z^2 at order 3, levels 2, 1, 0: E_0 = 1, x*O_0 = x,
-    # E_2 = 1 + 2x + 14x^2; x*O_{-1} = 0 below level 0.
-    order, levels = _catalan_levels(2, depth=2)
-    assert order == 3
-    levels = {k: rest for k, *rest in levels}
-    assert list(levels) == [2, 1, 0]
-    assert levels[0][0] == TruncatedSeries([1], 3)
-    assert levels[0][1] == TruncatedSeries([0, 1], 3)
-    assert levels[2][0] == TruncatedSeries([1, 2, 14, 0])
-    assert levels[2][1] == TruncatedSeries([0, 1, 5, 42])
-    assert levels[2][2] == levels[1][1] == TruncatedSeries([0, 1, 5, 0])
-    assert levels[0][2] == TruncatedSeries.zero(3)
+    # At nterms = 8 (order 9 in x = z^2) the sweep runs levels 3, 2, 1, 0 at
+    # orders 0, 3, 6, 9: E_2 = 1 + 2x + 14x^2, x*O_2 = x + 5x^2 + 42x^3,
+    # x*O_1 = x + 5x^2, E_0 = 1, x*O_0 = x; x*O_{-1} = 0 below level 0.
+    levels = {k: rest for k, *rest in _levels(8)}
+    assert list(levels) == [3, 2, 1, 0]
+    assert [levels[k][0] for k in levels] == [TruncatedSeries.one(n) for n in (0, 3, 6, 9)]
+    assert levels[2][1:] == [TruncatedSeries([1, 2, 14, 0]), TruncatedSeries([0, 1, 5, 42]),
+                             TruncatedSeries([0, 1, 5, 0])]
+    assert levels[0][1:] == [TruncatedSeries([1], 9), TruncatedSeries([0, 1], 9),
+                             TruncatedSeries.zero(9)]
 
 
 def test_d4_1423_series_reference_prefix():
@@ -83,18 +93,11 @@ def test_d4_1423_series_reference_prefix():
     assert d4_1423_series(0).coeffs == (1,)
 
 
-def test_d4_1423_series_depth_stability():
-    base = d4_1423_series(9)
-    for extra in (1, 2):
-        assert d4_1423_series(9, depth=_cf_depth(9) + extra) == base
-
-
-def test_negative_depth_is_refused():
-    with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
-        d4_1423_series(4, depth=-1)
-    with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
-        solve_prst_system(4, depth=-1)
-    assert d4_1423_series(4, depth=0).coefficient(0) == 1
+def test_negative_nterms_is_refused():
+    with pytest.raises(ValueError, match="nterms must be >= 0"):
+        d4_1423_series(-1)
+    with pytest.raises(ValueError, match="nterms must be >= 0"):
+        solve_prst_system(-1)
 
 
 def test_prst_system_matches_continued_fraction():
@@ -109,35 +112,6 @@ def test_prst_constant_terms():
         assert series.coefficient(0) == 1, f"P_{idx}"
 
 
-def z_space_continued_fraction(nterms, depth=None):
-    """z*R_1 of the continued fraction in z itself, to order 2*nterms + 2,
-    on the schoolbook kernels: no parity is assumed anywhere, and every
-    level from ``depth`` (default ``_cf_depth(nterms)``) down is computed at
-    full order."""
-    order = 2 * nterms + 2
-
-    def sub(a, b):
-        return [x - y for x, y in zip(a, b)]
-
-    def catalan_part(parity, m, shift):
-        # z^shift * sum of C(d) z^d over d <= 2m + parity of that parity.
-        out = [0] * (order + 1)
-        for d in range(parity, 2 * m + parity + 1, 2):
-            if d + shift <= order:
-                out[d + shift] = catalan_number(d)
-        return out
-
-    one = [1] + [0] * order
-    z_r = [0] * (order + 1)
-    for k in range(_cf_depth(nterms) if depth is None else depth, -1, -1):
-        ce, z2ce = catalan_part(0, k, 0), catalan_part(0, k, 2)
-        frac3 = schoolbook_quotient(schoolbook_product(z2ce, ce), sub(one, z_r))
-        frac2 = schoolbook_quotient(z2ce, sub(sub(one, catalan_part(1, k, 1)), frac3))
-        base = sub(one, catalan_part(1, k - 1, 1))
-        z_r = schoolbook_quotient(z2ce, sub(schoolbook_product(base, base), frac2))
-    return z_r
-
-
 def test_x_sweep_matches_the_continued_fraction_in_z():
     z_r = z_space_continued_fraction(40)
     assert not any(z_r[1::2])
@@ -147,16 +121,13 @@ def test_x_sweep_matches_the_continued_fraction_in_z():
 
 @pytest.mark.parametrize("nterms", [0, 1, 2, 3, 7, 20, 40])
 def test_cut_sweeps_match_every_level_at_full_order(nterms):
-    # Both sweeps compute level k only to order nterms + 1 - 3k and skip the
-    # levels above; the reference computes every level at full order, also
-    # one and two levels deeper, where the result must not move.
+    # Both sweeps start at level (nterms + 1) // 3 and compute level k only
+    # to order nterms + 1 - 3k; the reference computes every level at full
+    # order from its own depth, also one and two levels deeper.
     cf, block = d4_1423_series(nterms).coeffs, solve_prst_system(nterms).series().coeffs
     for extra in (0, 1, 2):
-        depth = _cf_depth(nterms) + extra
-        want = tuple(z_space_continued_fraction(nterms, depth)[2::2])
+        want = tuple(z_space_continued_fraction(nterms, cf_reference_depth(nterms) + extra)[2::2])
         assert cf == block == want
-        assert d4_1423_series(nterms, depth=depth).coeffs == want
-        assert solve_prst_system(nterms, depth=depth).series().coeffs == want
 
 
 def test_genocchi_values():
