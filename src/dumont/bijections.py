@@ -296,10 +296,8 @@ def d4_1342_to_composition(p: Permutation) -> Composition:
     return Composition(tuple(parts))
 
 
-def composition_to_d4_1342(comp: Composition, n: int) -> Permutation:
+def composition_to_d4_1342(comp: Composition) -> Permutation:
     """Rebuild the avoider with all odd entries fixed from its composition."""
-    if comp.total != n:
-        raise ValueError(f"composition {comp} does not sum to {n}")
     halved: list[int] = []
     offset = 0
     for k in comp.parts:
@@ -307,9 +305,9 @@ def composition_to_d4_1342(comp: Composition, n: int) -> Permutation:
         halved.extend(range(offset + 1, offset + k))
         offset += k
     vals: list[int] = []
-    for i in range(n):
+    for i, half in enumerate(halved):
         vals.append(2 * i + 1)
-        vals.append(2 * halved[i])
+        vals.append(2 * half)
     return Permutation(vals)
 
 

@@ -17,8 +17,7 @@ from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from . import bijections, harness
-from .gfseries import (SequenceId, closed_form, d4_1423_series, solve_prst_system,
-                       validity_range)
+from .gfseries import SequenceId, closed_form, d4_1423_series, solve_prst_system
 from .kinds import DumontKind, generate
 from .patterns import AvoidanceQuery, ClassicalPattern, count_avoiders, generate_avoiders
 from .permcore import Permutation
@@ -97,78 +96,65 @@ def _cmd_avoid(args, out) -> int:
     return 0
 
 
-_PERM_MAPS = {
-    "foata": bijections.foata,
-    "foata-inv": bijections.foata_inverse,
-    "comp": bijections.d4_1342_to_composition,
-    "dyck": bijections.d4_321_to_dyck,
-    "reflect": bijections.reflect_1324_to_1243,
-    "reflect-inv": bijections.reflect_1243_to_1324,
+# name -> (input parser, map); ``split321`` returns a pair and a case instead.
+_MAPS = {
+    "foata": (Permutation.from_text, bijections.foata),
+    "foata-inv": (Permutation.from_text, bijections.foata_inverse),
+    "dyck": (Permutation.from_text, bijections.d4_321_to_dyck),
+    "dyck-inv": (bijections.DyckPath.parse, bijections.dyck_to_d4_321),
+    "comp": (Permutation.from_text, bijections.d4_1342_to_composition),
+    "comp-inv": (bijections.Composition.parse, bijections.composition_to_d4_1342),
+    "reflect": (Permutation.from_text, bijections.reflect_1324_to_1243),
+    "reflect-inv": (Permutation.from_text, bijections.reflect_1243_to_1324),
 }
 
 
 def _cmd_map(args, out) -> int:
-    name = args.name
-    raw = args.input
-    if name == "split321":
-        pair = bijections.split_single_321(Permutation.from_text(raw))
-        if args.format == "json":
-            json.dump({"rho1": pair.rho1.to_text(), "rho2": pair.rho2.to_text(),
-                       "case": pair.parity_case}, out)
-            out.write("\n")
-            return 0
-        result = f"{pair.rho1.to_text()} {pair.rho2.to_text()} {pair.parity_case}"
-    elif name == "dyck-inv":
-        result = bijections.dyck_to_d4_321(bijections.DyckPath.parse(raw)).to_text()
-    elif name == "comp-inv":
-        comp = bijections.Composition.parse(raw)
-        result = bijections.composition_to_d4_1342(comp, comp.total).to_text()
+    if args.name == "split321":
+        pair = bijections.split_single_321(Permutation.from_text(args.input))
+        row = {"rho1": pair.rho1.to_text(), "rho2": pair.rho2.to_text(),
+               "case": pair.parity_case}
+        payload = row
     else:
-        result = _PERM_MAPS[name](Permutation.from_text(raw)).to_text()
+        parse, fn = _MAPS[args.name]
+        row = {"output": fn(parse(args.input)).to_text()}
+        payload = {"name": args.name, "input": args.input, **row}
     if args.format == "json":
-        json.dump({"name": name, "input": raw, "output": result}, out)
+        json.dump(payload, out)
         out.write("\n")
     else:
-        out.write(result + "\n")
+        _emit_rows(args.format, list(row), [list(row.values())], out)
     return 0
 
 
 def _cmd_series(args, out) -> int:
     seq = SequenceId(args.id)
-    if args.cross_check:
-        if args.upto is not None:
-            raise ValueError("--upto does not apply to --cross-check; use --order")
-        order = args.order if args.order is not None else 24
-        if order < 0:
-            raise ValueError(f"--order must be >= 0, got {order}")
-        if seq is not SequenceId.A343795_D4_312:
-            raise ValueError("--cross-check applies to a343795_d4_312")
-        direct = d4_1423_series(order)
-        swept = solve_prst_system(order).series()
-        ok = direct == swept
-        if args.format == "json":
-            json.dump({"id": seq.value, "order": order, "consistent": ok,
-                       "values": list(direct.coeffs)}, out)
-            out.write("\n")
-        else:
-            out.write(f"continued fraction vs block system to order {order}: "
-                      f"{'consistent' if ok else 'MISMATCH'}\n")
-        return 0 if ok else 1
-    if args.order is not None:
-        raise ValueError("--order applies only to --cross-check; use --upto")
-    upto = args.upto if args.upto is not None else 10
+    upto = args.upto
     if upto < 0:
         raise ValueError(f"--upto must be >= 0, got {upto}")
+    if args.cross_check:
+        if seq is not SequenceId.A343795_D4_312:
+            raise ValueError("--cross-check applies to a343795_d4_312")
+        direct = d4_1423_series(upto)
+        ok = direct == solve_prst_system(upto).series()
+        if args.format == "json":
+            json.dump({"id": seq.value, "order": upto, "consistent": ok,
+                       "values": list(direct.coeffs)}, out)
+            out.write("\n")
+        elif args.format == "csv":
+            _emit_rows("csv", ["order", "consistent"], [[upto, ok]], out)
+        else:
+            out.write(f"continued fraction vs block system to order {upto}: "
+                      f"{'consistent' if ok else 'MISMATCH'}\n")
+        return 0 if ok else 1
     if seq is SequenceId.A343795_D4_312:
         series = d4_1423_series(upto)
-        lo = 0
         values = [(n, series.coefficient(n)) for n in range(upto + 1)]
     else:
-        lo, hi = validity_range(seq)
-        top = upto if hi is None else min(upto, hi)
-        values = [(n, closed_form(seq, n)) for n in range(lo, top + 1)]
+        top = upto if seq.hi is None else min(upto, seq.hi)
+        values = [(n, closed_form(seq, n)) for n in range(seq.lo, top + 1)]
     if args.format == "json":
-        json.dump({"id": seq.value, "start": values[0][0] if values else lo,
+        json.dump({"id": seq.value, "start": values[0][0] if values else seq.lo,
                    "values": [v for _, v in values]}, out)
         out.write("\n")
     else:
@@ -213,6 +199,7 @@ def _cmd_conjecture(args, out) -> int:
                            [[r.n, r.count_2143, r.count_3421,
                              r.reference if r.reference is not None else "-"]
                             for r in rows], out)
+            if args.format == "lines":  # csv holds the table alone
                 out.write("verdict: " +
                           ("equinumerous over the computed range\n"
                            if payload["equinumerous"] else "SEQUENCES DIFFER\n"))
@@ -235,6 +222,7 @@ def _cmd_conjecture(args, out) -> int:
                        [[k, a, b, rel] for k, (a, b, rel) in
                         enumerate(zip(table.a_row, table.b_row,
                                       table.pointwise_relation()))], out)
+        if args.format == "lines":
             out.write(f"verdict: {json.dumps(verdict, sort_keys=True)}\n")
         # As for conjecture 1: the verdict is reported, a table off the
         # vendored data fails.
@@ -282,9 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_avoid)
 
     sp = sub.add_parser("map", help="apply one of the constructive bijections")
-    sp.add_argument("--name", required=True,
-                    choices=("foata", "foata-inv", "dyck", "dyck-inv", "comp",
-                             "comp-inv", "reflect", "reflect-inv", "split321"))
+    sp.add_argument("--name", required=True, choices=(*_MAPS, "split321"))
     sp.add_argument("--input", required=True,
                     help="permutation, E/N path, or +-joined composition")
     add_format(sp)
@@ -292,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("series", help="print sequence values or cross-check the series")
     sp.add_argument("--id", required=True, choices=[s.value for s in SequenceId])
-    sp.add_argument("--upto", type=int, default=None)
-    sp.add_argument("--order", type=int, default=None)
+    sp.add_argument("--upto", type=int, default=10,
+                    help="last index printed, or the order of --cross-check")
     sp.add_argument("--cross-check", action="store_true",
                     help="compare the continued fraction against the block system")
     add_format(sp)

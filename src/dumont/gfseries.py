@@ -474,11 +474,6 @@ class SequenceId(str, Enum):
                                                - catalan_number(n + 1) + 3 * catalan_number(n))
 
 
-def validity_range(seq: SequenceId) -> tuple[int, Optional[int]]:
-    seq = SequenceId(seq)
-    return seq.lo, seq.hi
-
-
 def closed_form(seq: SequenceId, n: int) -> int:
     """Exact value of the named sequence at index n; errors outside validity."""
     seq = SequenceId(seq)

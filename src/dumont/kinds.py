@@ -35,9 +35,8 @@ subtree is expanded; when it comes up again the walk yields prefix plus
 suffix for each, pushing, placing and stepping nothing.  The walk never
 re-enters an empty subtree, and listing costs about the number of keys
 above the cut plus the output.  With ``_TAIL = 4``, listing D1 at size 12
-makes 29,464 pushes and 57,301 placements, against 162,392 and 203,149
-with masks alone; a deeper cut is faster still but holds more suffixes
-(measured at ``_TAIL``).
+makes 29,464 pushes and 57,301 placements; a deeper cut is faster still
+but holds more suffixes (measured at ``_TAIL``).
 
 Pattern queries plug in a transition ``step(state, w, used) -> state |
 None`` that summarises the prefix in a small int and rejects a placement

@@ -28,8 +28,7 @@ from dumont.bijections import (composition_to_d4_1342, d4_1342_to_composition,
                                foata_inverse, reflect_1243_to_1324,
                                reflect_1324_to_1243, split_single_321)
 from dumont.gfseries import (SequenceId, closed_form, d4_1423_series, genocchi,
-                             gf_identities_check, solve_prst_system,
-                             validity_range)
+                             gf_identities_check, solve_prst_system)
 from dumont.harness import (conjecture1_counts, conjecture2_distribution,
                             run_suite)
 from dumont.kinds import DumontKind, count, generate, is_dumont
@@ -197,8 +196,7 @@ def test_criterion_6_single_occurrence():
         (DumontKind.D2, "2143", SequenceId.D2_2143_1),
     )
     for kind, pat, seq in specs:
-        lo, _ = validity_range(seq)
-        for n in range(lo, 6):
+        for n in range(seq.lo, 6):
             got = count_exact_occurrences(kind, 2 * n, cp(pat), 1)
             ok &= got == closed_form(seq, n)
     elapsed = time.perf_counter() - t0
@@ -257,7 +255,7 @@ def test_criterion_8_bijection_roundtrips():
                        if avoids(p, cp("1342"))]
             comps = [d4_1342_to_composition(p) for p in members]
             assert len({c.parts for c in comps}) == 2 ** (n - 1)
-            assert all(composition_to_d4_1342(c, n) == p
+            assert all(composition_to_d4_1342(c) == p
                        for p, c in zip(members, comps))
 
         left = [p for p in generate(DumontKind.D4, 2 * n) if avoids(p, cp("1324"))]

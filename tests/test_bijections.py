@@ -170,15 +170,13 @@ def test_composition_map_worked_examples():
         Permutation.from_text("16325478")).to_text() == "3+1"
     assert d4_1342_to_composition(
         Permutation.from_text("12345678")).to_text() == "1+1+1+1"
-    assert composition_to_d4_1342(Composition((4,)), 4).to_text() == "18325476"
+    assert composition_to_d4_1342(Composition((4,))).to_text() == "18325476"
 
 
 def test_composition_map_rejects_non_member():
     # 13425678 is Dumont-4 but contains 1342.
     with pytest.raises(ValueError, match="not a 1342-avoiding"):
         d4_1342_to_composition(Permutation.from_text("13425678"))
-    with pytest.raises(ValueError, match="does not sum"):
-        composition_to_d4_1342(Composition((2, 1)), 4)
 
 
 def test_composition_figure_panel_values():
@@ -186,7 +184,7 @@ def test_composition_figure_panel_values():
     for text, parts in golden.d4_1342_size8_compositions().items():
         p = Permutation.from_text(text)
         assert d4_1342_to_composition(p).parts == tuple(parts)
-        assert composition_to_d4_1342(Composition(tuple(parts)), 4) == p
+        assert composition_to_d4_1342(Composition(tuple(parts))) == p
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -197,7 +195,7 @@ def test_composition_bijection_exhaustive(n):
     assert len({c.parts for c in comps}) == len(members)
     assert all(c.total == n for c in comps)
     for p, c in zip(members, comps):
-        assert composition_to_d4_1342(c, n) == p
+        assert composition_to_d4_1342(c) == p
 
 
 # -- Antidiagonal reflection -------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -59,6 +60,17 @@ def test_enumerate_odd_size_is_an_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["5", "x"])
+def test_bad_kind_is_a_usage_error(kind, capsys):
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as stop:
+        main(["enumerate", "--kind", kind, "--size", "2"], out=out)
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert out.getvalue() == captured.out == ""
+    assert f"kind must be 1, 2, 3 or 4, got {kind!r}" in captured.err
+
+
 def test_avoid_count_and_list():
     code, out = run_cli("avoid", "--kind", "4", "--size", "8",
                         "--pattern", "1342", "--format", "json")
@@ -106,12 +118,8 @@ def test_avoid_exactly_list_comes_from_the_pruned_walk():
 
 
 _SERIES_ERRORS = {
-    ("series", "--id", "a343795_d4_312", "--cross-check", "--order", "-1"):
-        "--order must be >= 0, got -1",
-    ("series", "--id", "a343795_d4_312", "--order", "3"):
-        "--order applies only to --cross-check; use --upto",
-    ("series", "--id", "a343795_d4_312", "--cross-check", "--upto", "3"):
-        "--upto does not apply to --cross-check; use --order",
+    ("series", "--id", "a343795_d4_312", "--cross-check", "--upto", "-1"):
+        "--upto must be >= 0, got -1",
 }
 
 
@@ -127,10 +135,8 @@ _SERIES_ERRORS = {
     ["conjecture", "--which", "1", "--n", "2", "--budget", "-1", "--checkpoint", "JOURNAL"],
     ["conjecture", "--which", "2", "--n", "-1", "--checkpoint", "JOURNAL"],
     ["conjecture", "--which", "2", "--n", "3", "--budget", "nan", "--checkpoint", "JOURNAL"],
-    ["series", "--id", "a343795_d4_312", "--cross-check", "--order", "-1"],
+    ["series", "--id", "a343795_d4_312", "--cross-check", "--upto", "-1"],
     ["diagram", "1,2,"],
-    ["series", "--id", "a343795_d4_312", "--order", "3"],
-    ["series", "--id", "a343795_d4_312", "--cross-check", "--upto", "3"],
     # The size is checked before the csv header is written.
     ["enumerate", "--kind", "1", "--size", "3", "--format", "csv"],
     ["enumerate", "--kind", "1", "--size", "-2", "--format", "csv"],
@@ -169,6 +175,9 @@ def test_map_subcommands():
         (["map", "--name", "reflect-inv",
           "--input", "1,8,3,4,5,6,7,9,10,11,12,2,13,14,15,16"],
          "1,2,3,4,5,7,8,9,10,16,11,12,13,14,15,6"),
+        (["map", "--name", "split321", "--input", "135462"], "1342 1342 even_b"),
+        (["map", "--name", "foata", "--input", "435621", "--format", "json"],
+         '{"name": "foata", "input": "435621", "output": "614352"}'),
     ]
     for argv, expected in cases:
         code, out = run_cli(*argv)
@@ -205,7 +214,7 @@ def test_series_values():
 @pytest.mark.parametrize("argv, digest", [
     (("series", "--id", "a343795_d4_312", "--upto", "150", "--format", "json"),
      "bb5fcaba0ad017d22c04dad33c4afd1e7fd462ddef21950cbe44ceeb9a0c4d01"),
-    (("series", "--id", "a343795_d4_312", "--order", "150", "--cross-check",
+    (("series", "--id", "a343795_d4_312", "--upto", "150", "--cross-check",
       "--format", "json"),
      "fad90473ed4a5cfb6ee71108591ab7745ab48cf4e3340a3cdf03a002759a67e3"),
 ])
@@ -218,10 +227,12 @@ def test_a343795_to_order_150_is_pinned(argv, digest):
 
 
 def test_series_cross_check():
-    code, out = run_cli("series", "--id", "a343795_d4_312", "--order", "24",
+    code, out = run_cli("series", "--id", "a343795_d4_312", "--upto", "24",
                         "--cross-check")
     assert code == 0
     assert "consistent" in out
+    assert run_cli("series", "--id", "a343795_d4_312", "--cross-check") == (
+        0, "continued fraction vs block system to order 10: consistent\n")
 
 
 def test_verify_suite():
@@ -240,6 +251,29 @@ def test_verify_csv():
     assert code == 0
     assert out.splitlines()[0] == "theorem,n,enumerated,formula,match"
     assert "d4_321_once,2,1,1,True" in out
+
+
+@pytest.mark.parametrize("argv, header", [
+    (("enumerate", "--kind", "4", "--size", "4"), ["permutation"]),
+    (("avoid", "--kind", "4", "--size", "8", "--pattern", "1342"), ["count"]),
+    (("avoid", "--kind", "4", "--size", "8", "--pattern", "1342", "--list"), ["permutation"]),
+    (("map", "--name", "foata", "--input", "435621"), ["output"]),
+    (("map", "--name", "split321", "--input", "135462"), ["rho1", "rho2", "case"]),
+    (("series", "--id", "genocchi", "--upto", "5"), ["n", "value"]),
+    (("series", "--id", "a343795_d4_312", "--cross-check"), ["order", "consistent"]),
+    (("verify", "--suite", "d4_single", "--max-n", "2"),
+     ["theorem", "n", "enumerated", "formula", "match"]),
+    (("conjecture", "--which", "1", "--n", "3"), ["n", "avoid_2143", "avoid_3421", "reference"]),
+    (("conjecture", "--which", "2", "--n", "3"), ["k", "a", "b", "rel"]),
+], ids=["enumerate", "avoid", "avoid-list", "map", "map-split321", "series",
+        "series-cross-check", "verify", "conjecture-1", "conjecture-2"])
+def test_csv_output_is_one_table(argv, header):
+    code, out = run_cli(*argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert rows[0] == header and len(rows) >= 2
+    assert all(len(row) == len(header) for row in rows)
+    assert out.count("\n") == out.count("\r\n") == len(rows)  # every line ends as csv's
 
 
 def test_verify_sanity_s3():

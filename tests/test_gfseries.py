@@ -14,7 +14,7 @@ from dumont.gfseries import (BlockSystemSolution, SequenceId,
                              central_binomial_series, closed_form,
                              d4_1423_series, genocchi, gf_identities_check,
                              little_schroder,
-                             solve_prst_system, validity_range)
+                             solve_prst_system)
 
 A343795 = [1, 1, 3, 10, 39, 174, 872, 4805, 28474, 178099, 1160173, 7803860]
 
@@ -276,8 +276,8 @@ def test_closed_form_validity_errors():
         closed_form(SequenceId.D1_213, 0)
     with pytest.raises(ValueError, match="0 <= n <= 10"):
         closed_form(SequenceId.D1_2143_TABLE, 11)
-    lo, hi = validity_range(SequenceId.D4_321_1)
-    assert (lo, hi) == (1, None)
+    seq = SequenceId.D4_321_1
+    assert (seq.lo, seq.hi) == (1, None)
 
 
 def test_single_occurrence_identity_to_30():
@@ -294,7 +294,8 @@ def test_sequence_ids_keep_their_names_values_and_order():
     ids = list(SequenceId)
     assert len(ids) == len({s.value for s in ids}) == 46  # no member is an alias
     assert (ids[0], ids[-1]) == (SequenceId.CATALAN, SequenceId.D4_321_1)
-    assert validity_range(SequenceId.A343795_D4_312) == (0, 11)
+    seq = SequenceId.A343795_D4_312
+    assert (seq.lo, seq.hi) == (0, 11)
     assert closed_form("d1_213", 4) == closed_form(SequenceId.D1_213, 4) == 5
 
 
