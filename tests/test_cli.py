@@ -137,6 +137,9 @@ _SERIES_ERRORS = {
     ["conjecture", "--which", "2", "--n", "3", "--budget", "nan", "--checkpoint", "JOURNAL"],
     ["series", "--id", "a343795_d4_312", "--cross-check", "--upto", "-1"],
     ["diagram", "1,2,"],
+    # Each map parses its input with the parser that the map table gives it.
+    ["map", "--name", "dyck-inv", "--input", "UUD"],
+    ["map", "--name", "comp-inv", "--input", "2,0,1"],
     # The size is checked before the csv header is written.
     ["enumerate", "--kind", "1", "--size", "3", "--format", "csv"],
     ["enumerate", "--kind", "1", "--size", "-2", "--format", "csv"],
