@@ -3,7 +3,7 @@
 Subcommands: enumerate, avoid, map, series, verify, conjecture, diagram.
 Output formats: lines (default), json, csv.  Exit code 0 when every hard
 assertion passes, 1 on a verification mismatch, 2 on bad input, 3 when a
-budgeted run stops early (state is kept in the checkpoint file).
+budgeted run stops early (its finished n are kept only in a checkpoint file).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from itertools import islice
 from typing import Iterable, Optional, Sequence
 
@@ -184,55 +185,40 @@ def _cmd_conjecture(args, out) -> int:
         if args.which == 1:
             rows = harness.conjecture1_counts(args.n, budget=args.budget,
                                               checkpoint_path=args.checkpoint)
-            payload = {
-                "conjecture": 1,
-                "rows": [{"n": r.n, "count_2143": r.count_2143,
-                          "count_3421": r.count_3421, "reference": r.reference,
-                          "match": r.match} for r in rows],
-                "equinumerous": all(r.count_2143 == r.count_3421 for r in rows),
-            }
-            if args.format == "json":
-                json.dump(payload, out, indent=2, sort_keys=True)
-                out.write("\n")
-            else:
-                _emit_rows(args.format, ["n", "avoid_2143", "avoid_3421", "reference"],
-                           [[r.n, r.count_2143, r.count_3421,
-                             r.reference if r.reference is not None else "-"]
-                            for r in rows], out)
-            if args.format == "lines":  # csv holds the table alone
-                out.write("verdict: " +
-                          ("equinumerous over the computed range\n"
-                           if payload["equinumerous"] else "SEQUENCES DIFFER\n"))
-            # The verdict is reported; a count off its vendored reference fails.
-            off = any(r.reference is not None and c != r.reference
-                      for r in rows for c in (r.count_2143, r.count_3421))
-            return 1 if off else 0
-        table = harness.conjecture2_distribution(args.n, budget=args.budget,
-                                                 checkpoint_path=args.checkpoint)
-        verdict = table.verdict()
-        if args.format == "json":
-            json.dump({"conjecture": 2, "n": table.n, "a_row": list(table.a_row),
-                       "b_row": list(table.b_row),
-                       "pointwise": list(table.pointwise_relation()),
-                       "cumulative": list(table.cumulative_relation()),
-                       "verdict": verdict}, out, indent=2, sort_keys=True)
-            out.write("\n")
+            equal = all(r.count_2143 == r.count_3421 for r in rows)
+            payload = {"conjecture": 1, "equinumerous": equal, "rows": list(map(asdict, rows))}
+            header = ["n", "avoid_2143", "avoid_3421", "reference"]
+            table = [[r.n, r.count_2143, r.count_3421,
+                      "-" if r.reference is None else r.reference] for r in rows]
+            verdict = "equinumerous over the computed range" if equal else "SEQUENCES DIFFER"
+            mismatches = harness.count_mismatches(rows)
         else:
-            _emit_rows(args.format, ["k", "a", "b", "rel"],
-                       [[k, a, b, rel] for k, (a, b, rel) in
-                        enumerate(zip(table.a_row, table.b_row,
-                                      table.pointwise_relation()))], out)
-        if args.format == "lines":
-            out.write(f"verdict: {json.dumps(verdict, sort_keys=True)}\n")
-        # As for conjecture 1: the verdict is reported, a table off the
-        # vendored data fails.
-        mismatches = harness.distribution_mismatches(table)
-        for reason in mismatches:
-            print(f"mismatch: {reason}", file=sys.stderr)
-        return 1 if mismatches else 0
+            dist = harness.conjecture2_distribution(args.n, budget=args.budget,
+                                                    checkpoint_path=args.checkpoint)
+            rel = dist.pointwise_relation()
+            payload = {"conjecture": 2, "n": dist.n, "a_row": list(dist.a_row),
+                       "b_row": list(dist.b_row), "pointwise": list(rel),
+                       "cumulative": list(dist.cumulative_relation()),
+                       "verdict": dist.verdict()}
+            header = ["k", "a", "b", "rel"]
+            table = [[k, *cells] for k, cells in enumerate(zip(dist.a_row, dist.b_row, rel))]
+            verdict = json.dumps(payload["verdict"], sort_keys=True)
+            mismatches = harness.distribution_mismatches(dist)
     except harness.BudgetExceeded:
-        out.write("budget exhausted; rerun with the same --checkpoint to resume\n")
+        print("budget exhausted" + ("; rerun with the same --checkpoint to resume"
+                                    if args.checkpoint else ""), file=sys.stderr)
         return 3
+    if args.format == "json":
+        json.dump(payload, out, indent=2, sort_keys=True)
+        out.write("\n")
+    else:
+        _emit_rows(args.format, header, table, out)
+    if args.format == "lines":  # csv holds the table alone
+        out.write(f"verdict: {verdict}\n")
+    # The verdict is reported; a count or table off the vendored data fails.
+    for reason in mismatches:
+        print(f"mismatch: {reason}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 def _cmd_diagram(args, out) -> int:

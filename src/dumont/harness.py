@@ -19,8 +19,10 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import permutations as _all_perms
+from pathlib import Path
+from itertools import accumulate, permutations as _all_perms
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import golden
@@ -266,18 +268,15 @@ class DistributionTable:
     def total(self) -> int:
         return sum(self.a_row)
 
+    @staticmethod
+    def _relation(xs: Iterable[int], ys: Iterable[int]) -> tuple[str, ...]:
+        return tuple("=" if a == b else (">" if a > b else "<") for a, b in zip(xs, ys))
+
     def pointwise_relation(self) -> tuple[str, ...]:
-        return tuple("=" if a == b else (">" if a > b else "<")
-                     for a, b in zip(self.a_row, self.b_row))
+        return self._relation(self.a_row, self.b_row)
 
     def cumulative_relation(self) -> tuple[str, ...]:
-        out = []
-        ca = cb = 0
-        for a, b in zip(self.a_row, self.b_row):
-            ca += a
-            cb += b
-            out.append("=" if ca == cb else (">" if ca > cb else "<"))
-        return tuple(out)
+        return self._relation(accumulate(self.a_row), accumulate(self.b_row))
 
     @staticmethod
     def _unimodal(row: Sequence[int]) -> bool:
@@ -312,6 +311,14 @@ class DistributionTable:
         }
 
 
+def count_mismatches(rows: Iterable[ConjectureCountRow]) -> list[str]:
+    """Why the counts disagree with the vendored data ([] when they agree):
+    one reason per count that differs from ``d1_wilf_pair``."""
+    return [f"count_{pat} at n={r.n} is {c}, but d1_wilf_pair gives {r.reference} avoiders"
+            for r in rows for pat, c in zip(_C1_PATTERNS, (r.count_2143, r.count_3421))
+            if r.reference is not None and c != r.reference]
+
+
 def distribution_mismatches(table: DistributionTable) -> list[str]:
     """Why the table disagrees with the vendored data ([] when it agrees):
     each row must sum to the avoider count of ``d1_wilf_pair`` and, where
@@ -336,12 +343,13 @@ class _Checkpoint:
     finished n.
 
     The header ``# dumont-journal schema=S experiment=E`` is written when
-    the journal is created; a non-empty journal whose first line differs
-    (another experiment, another version) raises ``ValueError`` rather than
-    being mixed with this run's records.
-    A crash mid-append leaves a torn last line; it is dropped (and cut from
-    the file, so the next record starts on a line of its own) with a warning
-    on stderr.  A malformed line anywhere else raises ``ValueError``.
+    the journal is created (or holds only a torn start of that header); a
+    journal whose first line differs (another experiment, another version)
+    raises ``ValueError`` rather than being mixed with this run's records.
+    A last line without its newline, left by a crash mid-append, is torn:
+    it is dropped (and cut from the file, so the next record starts on a
+    line of its own) with a warning on stderr.  Any other malformed line,
+    and a path that cannot be opened, read or created, raise ``ValueError``.
     """
 
     def __init__(self, path: Optional[str], experiment: str):
@@ -350,54 +358,55 @@ class _Checkpoint:
         if not path:
             return
         header = f"# dumont-journal schema={_JOURNAL_SCHEMA} experiment={experiment}"
-        lines = [b""]
-        if os.path.exists(path):
-            with open(path, "rb") as fh:
-                lines = fh.read().split(b"\n")
-        if not any(lines):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(header + "\n")
-            return
-        first = lines[0].decode("utf-8", errors="replace")
-        if first != header:
-            found = (f"its header is {first!r}" if first.startswith("# dumont-journal")
-                     else "it has no dumont-journal header")
-            raise ValueError(f"checkpoint {path}: {found}, this run writes {header!r}; "
-                             f"pass another --checkpoint path")
-        good = len(lines[0]) + 1  # bytes up to the end of the last parsed line
-        for number, raw in enumerate(lines[1:], start=2):
-            line = raw.decode("utf-8", errors="replace")
-            if line:
-                try:
-                    tag, payload = line.split("\t", 1)
-                    self.done[tag] = json.loads(payload)
-                except ValueError as exc:
-                    if any(lines[number:]):
+        with self._usable():
+            data = Path(path).read_bytes() if os.path.exists(path) else b""
+            if header.encode().startswith(data):  # new, or its header torn mid-write
+                Path(path).write_text(header + "\n", encoding="utf-8")
+                return
+            lines = data.split(b"\n")
+            first = lines[0].decode("utf-8", errors="replace")
+            if first != header:
+                found = (f"its header is {first!r}" if first.startswith("# dumont-journal")
+                         else "it has no dumont-journal header")
+                raise ValueError(f"checkpoint {path}: {found}, this run writes {header!r}; "
+                                 f"pass another --checkpoint path")
+            for number, raw in enumerate(lines[1:-1], start=2):
+                if raw:
+                    try:
+                        tag, payload = raw.decode("utf-8", errors="replace").split("\t", 1)
+                        self.done[tag] = json.loads(payload)
+                    except ValueError as exc:
                         raise ValueError(f"checkpoint {path}: line {number} is "
                                          f"malformed ({exc})") from None
-                    print(f"warning: checkpoint {path}: dropped the torn last "
-                          f"line {number}", file=sys.stderr)
-                    os.truncate(path, good)
-                    break
-            good += len(raw) + 1
+            if lines[-1]:
+                print(f"warning: checkpoint {path}: dropped the torn last "
+                      f"line {len(lines)}", file=sys.stderr)
+                os.truncate(path, len(data) - len(lines[-1]))
 
-    def get(self, tag: str, valid: Callable[[object], bool]) -> Optional[list]:
-        """The pair recorded for ``tag``, None when there is none.  Both
-        experiments record a list of two entries; any other payload, or an
-        entry that ``valid`` refuses, raises ``ValueError``."""
-        if tag not in self.done:
-            return None
-        payload = self.done[tag]
-        if not (type(payload) is list and len(payload) == 2 and all(map(valid, payload))):
-            raise ValueError(f"checkpoint {self.path}: the record {tag} is malformed; "
-                             f"pass another --checkpoint path")
-        return payload
+    @contextmanager
+    def _usable(self) -> Iterator[None]:
+        """Report an ``OSError`` on the journal as a bad path, not a crash."""
+        try:
+            yield
+        except OSError as exc:
+            raise ValueError(f"checkpoint {self.path}: {exc.strerror or exc}; "
+                             f"pass another --checkpoint path") from None
 
-    def record(self, tag: str, payload) -> None:
-        self.done[tag] = payload
+    def run(self, tag: str, valid: Callable[[object], bool], compute: Callable[[], list]) -> list:
+        """The pair journaled for ``tag``, else ``compute()``, journaled.  A
+        record other than a list of two entries that ``valid`` accepts raises
+        ``ValueError``."""
+        if tag in self.done:
+            payload = self.done[tag]
+            if not (type(payload) is list and len(payload) == 2 and all(map(valid, payload))):
+                raise ValueError(f"checkpoint {self.path}: the record {tag} is malformed; "
+                                 f"pass another --checkpoint path")
+            return payload
+        payload = self.done[tag] = compute()
         if self.path:
-            with open(self.path, "a", encoding="utf-8") as fh:
+            with self._usable(), open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(f"{tag}\t{json.dumps(payload)}\n")
+        return payload
 
 
 def _is_count(x) -> bool:
@@ -429,12 +438,9 @@ def conjecture1_counts(n_max: int, budget: Optional[float] = None,
     reference = golden.d1_wilf_pair_counts()
     rows = []
     for n in range(n_max + 1):
-        tag = f"c1|n={n}"
-        counts = checkpoint.get(tag, _is_count)
-        if counts is None:
-            counts = [count_avoiders(_query(DumontKind.D1, n, p), deadline=deadline)
-                      for p in _C1_PATTERNS]
-            checkpoint.record(tag, counts)
+        counts = checkpoint.run(f"c1|n={n}", _is_count, lambda: [
+            count_avoiders(_query(DumontKind.D1, n, p), deadline=deadline)
+            for p in _C1_PATTERNS])
         ref = reference[n] if n < len(reference) else None
         ok = counts[0] == counts[1] and (ref is None or counts[0] == ref)
         rows.append(ConjectureCountRow(n, counts[0], counts[1], ref, ok))
@@ -448,14 +454,10 @@ def conjecture2_distribution(n: int, budget: Optional[float] = None,
         raise ValueError(f"n must be >= 0, got {n}")
     deadline = _deadline(budget)
     checkpoint = _Checkpoint(checkpoint_path, "c2")
-    tag = f"c2|n={n}"
-    hists = checkpoint.get(tag, _is_histogram)
-    if hists is None:
-        hists = [{str(k): v for k, v in vincular_histogram(
-                     DumontKind.D1, 2 * n, ClassicalPattern.parse(pat), stat,
-                     deadline=deadline).items()}
-                 for pat, stat in (("2143", _STAT_2_31), ("3421", _STAT_13_2))]
-        checkpoint.record(tag, hists)
+    hists = checkpoint.run(f"c2|n={n}", _is_histogram, lambda: [
+        {str(k): v for k, v in vincular_histogram(
+            DumontKind.D1, 2 * n, ClassicalPattern.parse(pat), stat, deadline=deadline).items()}
+        for pat, stat in (("2143", _STAT_2_31), ("3421", _STAT_13_2))])
     hist_a, hist_b = ({int(k): v for k, v in h.items()} for h in hists)
     top = max([n * (n - 1) // 2] + list(hist_a) + list(hist_b))  # k = 0..C(n,2)
     a_row = tuple(hist_a.get(k, 0) for k in range(top + 1))

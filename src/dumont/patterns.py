@@ -100,25 +100,9 @@ class VincularPattern:
             start += len(g)
         return cls(perm, frozenset(adjacent))
 
-    def runs(self) -> list[tuple[int, int]]:
-        """Maximal blocks of pattern positions that must be host-adjacent.
-
-        Returns (start, length) pairs with 0-based starts, in order.
-        """
-        out = []
-        k = len(self.perm)
-        start = 0
-        for i in range(1, k + 1):
-            if i == k or i not in self.adjacent:
-                out.append((start, i - start))
-                start = i
-        return out
-
     def __str__(self) -> str:
-        parts = []
-        for start, length in self.runs():
-            parts.append("".join(str(v) for v in self.perm.values[start:start + length]))
-        return "-".join(parts)
+        return "".join(("" if i == 0 or i in self.adjacent else "-") + str(v)
+                       for i, v in enumerate(self.perm.values))
 
 
 @dataclass(frozen=True)

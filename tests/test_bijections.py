@@ -251,6 +251,18 @@ def test_construct_range_errors():
         construct_1324_avoider(3, 1, None)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((-1,), "n must be >= 0"),
+    ((3, 3, 5), "k must satisfy 1 <= k <= 2, got 3"),
+    ((3, 1, 1), "l must satisfy 2 <= l <= 5, got 1"),
+    ((3, None, 4), "give both k and l, or neither"),
+], ids=["n", "k", "l", "k-missing"])
+def test_construct_validation(args, message):
+    with pytest.raises(ValueError) as err:
+        construct_1324_avoider(*args)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_construct_covers_avoider_set(n):
     built = {construct_1324_avoider(n)}

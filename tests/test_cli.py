@@ -306,10 +306,11 @@ def test_conjecture_1():
                                   "reference": 7, "match": True}
 
 
-def test_conjecture_1_count_off_its_reference_exits_1(tmp_path):
+def test_conjecture_1_count_off_its_reference_exits_1(tmp_path, capsys):
     journal = tmp_path / "c1"
     code, _ = run_cli("conjecture", "--which", "1", "--n", "3", "--checkpoint", str(journal))
     assert code == 0
+    assert capsys.readouterr().err == ""
     text = journal.read_text()
     assert "c1|n=3\t[7, 7]\n" in text
     journal.write_text(text.replace("c1|n=3\t[7, 7]", "c1|n=3\t[1006, 1006]"))
@@ -317,6 +318,9 @@ def test_conjecture_1_count_off_its_reference_exits_1(tmp_path):
     assert code == 1
     assert "3 1006 1006 7" in out
     assert "verdict: equinumerous" in out  # reported, not asserted
+    assert capsys.readouterr().err == (
+        "mismatch: count_2143 at n=3 is 1006, but d1_wilf_pair gives 7 avoiders\n"
+        "mismatch: count_3421 at n=3 is 1006, but d1_wilf_pair gives 7 avoiders\n")
 
 
 def test_conjecture_2():
@@ -389,11 +393,55 @@ def test_malformed_journal_record_exits_2(tmp_path, capsys, which, record):
                                        f"is malformed; pass another --checkpoint path\n")
 
 
-def test_conjecture_budget_exit_code(tmp_path):
-    code, out = run_cli("conjecture", "--which", "1", "--n", "5",
-                        "--budget", "0", "--checkpoint", str(tmp_path / "c"))
-    assert code == 3
-    assert "resume" in out
+def test_conjecture_budget_exit_code(tmp_path, capsys):
+    # The budget message goes to stderr in every format; stdout stays empty.
+    for fmt in ("lines", "json", "csv"):
+        code, out = run_cli("conjecture", "--which", "1", "--n", "5", "--budget", "0",
+                            "--checkpoint", str(tmp_path / fmt), "--format", fmt)
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == \
+            "budget exhausted; rerun with the same --checkpoint to resume\n"
+        # Without a checkpoint there is nothing to resume from.
+        code, out = run_cli("conjecture", "--which", "2", "--n", "5", "--budget", "0",
+                            "--format", fmt)
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == "budget exhausted\n"
+
+
+def test_torn_journal_lines_are_not_extended(tmp_path, capsys):
+    # A record or a header left without its newline is torn: the next run
+    # drops it (or starts a new journal) instead of appending to it.
+    journal = tmp_path / "c1"
+    argv = ("conjecture", "--which", "1", "--n", "2", "--checkpoint", str(journal))
+    header = "# dumont-journal schema=2 experiment=c1\n"
+    whole = header + "c1|n=0\t[1, 1]\nc1|n=1\t[1, 1]\nc1|n=2\t[2, 2]\n"
+    journal.write_text(header + "c1|n=0\t[1, 1]")
+    assert run_cli(*argv) == (0, "0 1 1 1\n1 1 1 1\n2 2 2 2\n"
+                                 "verdict: equinumerous over the computed range\n")
+    assert capsys.readouterr().err == \
+        f"warning: checkpoint {journal}: dropped the torn last line 2\n"
+    assert journal.read_text() == whole
+    for torn in (header[:-1], header[:9]):
+        journal.write_text(torn)
+        assert run_cli(*argv)[0] == 0
+        assert journal.read_text() == whole
+        assert run_cli(*argv)[0] == 0  # resumed, not refused
+        assert journal.read_text() == whole
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("where, reason", [
+    ("dir", "Is a directory"),
+    ("missing/c1", "No such file or directory"),
+], ids=["directory", "missing-parent"])
+def test_unusable_checkpoint_path_exits_2(tmp_path, capsys, where, reason):
+    (tmp_path / "dir").mkdir()
+    path = tmp_path / where
+    code, out = run_cli("conjecture", "--which", "1", "--n", "2", "--checkpoint", str(path))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == \
+        f"error: checkpoint {path}: {reason}; pass another --checkpoint path\n"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_diagram():

@@ -93,6 +93,25 @@ def test_d4_1423_series_reference_prefix():
     assert d4_1423_series(0).coeffs == (1,)
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: TruncatedSeries([]), ValueError,
+     "a series needs at least the constant coefficient"),
+    (lambda: TruncatedSeries([1, 2]).coefficient(2), IndexError,
+     "coefficient 2 beyond truncation order 1"),
+    (lambda: little_schroder(0), ValueError, "little_schroder(n) requires n >= 1"),
+    (lambda: b7482(-1), ValueError, "b7482(n) requires n >= 0"),
+    (lambda: a_elizalde(-1), ValueError, "a_elizalde(n) requires n >= 0"),
+    (lambda: b_elizalde(-1), ValueError, "b_elizalde(n) requires n >= 0"),
+], ids=["empty-series", "coefficient-past-order", "little-schroder-0", "b7482",
+        "a-elizalde", "b-elizalde"])
+def test_series_validation(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == message
+    # Below the constant term a series reads 0 rather than raising.
+    assert TruncatedSeries([1, 2]).coefficient(-1) == 0
+
+
 def test_negative_nterms_is_refused():
     with pytest.raises(ValueError, match="nterms must be >= 0"):
         d4_1423_series(-1)

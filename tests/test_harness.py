@@ -125,6 +125,10 @@ def test_malformed_journal_line_is_refused(tmp_path):
     path.write_text("".join(lines))
     with pytest.raises(ValueError, match=rf"{path.name}: line 2 is malformed"):
         conjecture1_counts(3, checkpoint_path=str(path))
+    # A malformed last line that ends in its newline was not torn mid-append.
+    path.write_text("# dumont-journal schema=2 experiment=c1\nc1|n=0\t[1, 1\n")
+    with pytest.raises(ValueError, match=rf"{path.name}: line 2 is malformed"):
+        conjecture1_counts(3, checkpoint_path=str(path))
 
 
 def test_journal_header_is_written_and_checked(tmp_path):

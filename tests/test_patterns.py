@@ -57,6 +57,8 @@ def test_vincular_parse_and_str():
     assert str(vq) == "2-31"
     assert VincularPattern.parse("13-2").adjacent == frozenset({1})
     assert VincularPattern.parse("1-2-3").adjacent == frozenset()
+    for text in ("1", "13-2", "1-2-3", "1234", "21-4-3", "1-423"):
+        assert str(VincularPattern.parse(text)) == text
     with pytest.raises(ValueError):
         VincularPattern.parse("2--31")
 
@@ -347,6 +349,20 @@ def test_d4_containing_each_length4_pattern_once():
         for n, perms in members.items():
             expected = sum(1 for p in perms if count_occurrences(p, q) == 1)
             assert count_exact_occurrences(DumontKind.D4, 2 * n, q, 1) == expected
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ClassicalPattern(Permutation([])), "pattern must have length >= 1"),
+    (lambda: VincularPattern(Permutation([])), "pattern must have length >= 1"),
+    (lambda: VincularPattern(Permutation([2, 1]), frozenset({0})),
+     "adjacency indices must satisfy 1 <= i < k"),
+    (lambda: VincularPattern(Permutation([2, 3, 1]), frozenset({3})),
+     "adjacency indices must satisfy 1 <= i < k"),
+], ids=["classical-empty", "vincular-empty", "adjacency-0", "adjacency-k"])
+def test_pattern_validation(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_exact_count_rejects_negative_target():

@@ -27,6 +27,17 @@ def test_out_of_range_value_rejected():
         Permutation([1, 5, 2])
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Permutation([True]), ValueError, "non-integer entry True"),
+    (lambda: Permutation([1.0]), ValueError, "non-integer entry 1.0"),
+    (lambda: Permutation([2, 1]).at(0), IndexError, "position 0 out of range"),
+], ids=["bool-entry", "float-entry", "position-0"])
+def test_permutation_validation(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_text_roundtrip_both_grammars():
     short = Permutation.from_text("435621")
     assert Permutation.from_text(short.to_text()) == short
