@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: enumerate, avoid, map, series, verify, conjecture, diagram.
-Output formats: lines (default), json, csv.  Exit code 0 when every hard
-assertion passes, 1 on a verification mismatch, 2 on bad input, 3 when a
-budgeted run stops early (its finished n are kept only in a checkpoint file).
+Output formats: lines (default), json, csv.  Every report is written by
+``_report``; diagnostics (errors, warnings, mismatch reasons, a budget stop)
+go to stderr.  Exit code 0 when every hard assertion passes, 1 on a
+verification mismatch, 2 on bad input, 3 when a budgeted run stops early (its
+finished n are kept only in a checkpoint file).
 """
 
 from __future__ import annotations
@@ -58,16 +60,33 @@ def _emit_rows(fmt: str, header: list[str], rows: Iterable[list], out) -> None:
             return
 
 
-def _cmd_enumerate(args, out) -> int:
-    if args.format == "json":
-        perms = [p.to_text() for p in generate(args.kind, args.size)]
-        json.dump({"kind": args.kind.value, "size": args.size,
-                   "count": len(perms), "elements": perms}, out)
+def _report(fmt: str, out, payload, header: list[str], rows: Iterable[Sequence],
+            lines: Optional[str] = None, pretty: bool = False) -> None:
+    """Write one report: ``payload`` as json (indented and sorted keys when
+    ``pretty``), ``rows`` as csv under ``header``, or ``lines`` as text
+    (the rows, space-separated, when ``lines`` is None)."""
+    if fmt == "json":
+        json.dump(payload, out, indent=2 if pretty else None, sort_keys=pretty)
         out.write("\n")
+    elif fmt == "lines" and lines is not None:
+        out.write(lines)
     else:
-        _emit_rows(args.format, ["permutation"],
-                   ([p.to_text()] for p in generate(args.kind, args.size)), out)
+        _emit_rows(fmt, header, rows, out)
+
+
+def _members(args, out, payload: dict, perms: Iterable[Permutation]) -> int:
+    """List ``perms``, streamed one row per member, or in json as the
+    ``count`` and ``elements`` added to ``payload``."""
+    if args.format == "json":
+        elements = [p.to_text() for p in perms]
+        payload.update(count=len(elements), elements=elements)
+    _report(args.format, out, payload, ["permutation"], ([p.to_text()] for p in perms))
     return 0
+
+
+def _cmd_enumerate(args, out) -> int:
+    return _members(args, out, {"kind": args.kind.value, "size": args.size},
+                    generate(args.kind, args.size))
 
 
 def _cmd_avoid(args, out) -> int:
@@ -75,25 +94,12 @@ def _cmd_avoid(args, out) -> int:
     query = AvoidanceQuery(args.kind, args.size,
                            frozenset(ClassicalPattern.parse(s) for s in pats),
                            occurrence_target=args.exactly)
-    if args.list and args.format != "json":
-        _emit_rows(args.format, ["permutation"],
-                   ([p.to_text()] for p in generate_avoiders(query)), out)
-        return 0
-    if args.list:
-        elements = [p.to_text() for p in generate_avoiders(query)]
-        count = len(elements)
-    else:
-        elements = None
-        count = count_avoiders(query)
     payload = {"kind": args.kind.value, "size": args.size, "patterns": pats,
-               "exactly": args.exactly, "count": count}
-    if elements is not None:
-        payload["elements"] = elements
-    if args.format == "json":
-        json.dump(payload, out)
-        out.write("\n")
-    else:
-        _emit_rows(args.format, ["count"], [[count]], out)
+               "exactly": args.exactly}
+    if args.list:
+        return _members(args, out, payload, generate_avoiders(query))
+    payload["count"] = count_avoiders(query)
+    _report(args.format, out, payload, ["count"], [[payload["count"]]])
     return 0
 
 
@@ -113,18 +119,13 @@ _MAPS = {
 def _cmd_map(args, out) -> int:
     if args.name == "split321":
         pair = bijections.split_single_321(Permutation.from_text(args.input))
-        row = {"rho1": pair.rho1.to_text(), "rho2": pair.rho2.to_text(),
-               "case": pair.parity_case}
-        payload = row
+        payload = row = {"rho1": pair.rho1.to_text(), "rho2": pair.rho2.to_text(),
+                         "case": pair.parity_case}
     else:
         parse, fn = _MAPS[args.name]
         row = {"output": fn(parse(args.input)).to_text()}
         payload = {"name": args.name, "input": args.input, **row}
-    if args.format == "json":
-        json.dump(payload, out)
-        out.write("\n")
-    else:
-        _emit_rows(args.format, list(row), [list(row.values())], out)
+    _report(args.format, out, payload, list(row), [list(row.values())])
     return 0
 
 
@@ -138,14 +139,10 @@ def _cmd_series(args, out) -> int:
             raise ValueError("--cross-check applies to a343795_d4_312")
         direct = d4_1423_series(upto)
         ok = direct == solve_prst_system(upto).series()
-        if args.format == "json":
-            json.dump({"id": seq.value, "order": upto, "consistent": ok,
-                       "values": list(direct.coeffs)}, out)
-            out.write("\n")
-        elif args.format == "csv":
-            _emit_rows("csv", ["order", "consistent"], [[upto, ok]], out)
-        else:
-            out.write(f"continued fraction vs block system to order {upto}: "
+        _report(args.format, out, {"id": seq.value, "order": upto, "consistent": ok,
+                                   "values": list(direct.coeffs)},
+                ["order", "consistent"], [[upto, ok]],
+                lines=f"continued fraction vs block system to order {upto}: "
                       f"{'consistent' if ok else 'MISMATCH'}\n")
         return 0 if ok else 1
     if seq is SequenceId.A343795_D4_312:
@@ -154,12 +151,8 @@ def _cmd_series(args, out) -> int:
     else:
         top = upto if seq.hi is None else min(upto, seq.hi)
         values = [(n, closed_form(seq, n)) for n in range(seq.lo, top + 1)]
-    if args.format == "json":
-        json.dump({"id": seq.value, "start": values[0][0] if values else seq.lo,
-                   "values": [v for _, v in values]}, out)
-        out.write("\n")
-    else:
-        _emit_rows(args.format, ["n", "value"], [[n, v] for n, v in values], out)
+    _report(args.format, out, {"id": seq.value, "start": seq.lo, "values": [v for _, v in values]},
+            ["n", "value"], values)
     return 0
 
 
@@ -168,15 +161,10 @@ def _cmd_verify(args, out) -> int:
         report = harness.sanity_s3(args.sanity_s3)
     else:
         report = harness.run_suite(args.suite, args.max_n)
-    if args.format == "json":
-        json.dump(report.to_json(), out, indent=2, sort_keys=True)
-        out.write("\n")
-    elif args.format == "csv":
-        _emit_rows("csv", ["theorem", "n", "enumerated", "formula", "match"],
-                   [[r.theorem, r.n, r.enumerated, r.formula, r.match]
-                    for r in report.rows], out)
-    else:
-        out.write(report.to_text(include_timing=args.timings))
+    _report(args.format, out, report.to_json(),
+            ["theorem", "n", "enumerated", "formula", "match"],
+            ([r.theorem, r.n, r.enumerated, r.formula, r.match] for r in report.rows),
+            lines=report.to_text(include_timing=args.timings), pretty=True)
     return 0 if report.overall else 1
 
 
@@ -208,11 +196,7 @@ def _cmd_conjecture(args, out) -> int:
         print("budget exhausted" + ("; rerun with the same --checkpoint to resume"
                                     if args.checkpoint else ""), file=sys.stderr)
         return 3
-    if args.format == "json":
-        json.dump(payload, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        _emit_rows(args.format, header, table, out)
+    _report(args.format, out, payload, header, table, pretty=True)
     if args.format == "lines":  # csv holds the table alone
         out.write(f"verdict: {verdict}\n")
     # The verdict is reported; a count or table off the vendored data fails.

@@ -5,9 +5,11 @@ layered-DP count of the Dumont permutations of size 2n that avoid some
 patterns (or contain one exactly r times) against a closed form, set rows
 check the avoiders listed by the transition walk against a set known
 independently, and the ``d4_1423`` pair checks counts against a series and
-the series against the vendored OEIS prefix.  The two conjecture experiments
-(2143 ~ 3421 on Dumont-1 permutations, and 2-31 against 13-2 on the two
-avoider classes) are reported with machine-readable verdicts, never
+the series against the vendored OEIS prefix.  A builder yields only the two
+values a row compares: the row's verdict is whether their strings are equal,
+and ``run_suite`` measures the time of each builder call.  The two conjecture
+experiments (2143 ~ 3421 on Dumont-1 permutations, and 2-31 against 13-2 on
+the two avoider classes) are reported with machine-readable verdicts, never
 hard-asserted.  Each n is one layered DP per pattern; a run stops on a
 wall-clock budget, checked between the layers of the DP, and resumes from a
 plain-text journal that records each finished n.
@@ -39,12 +41,17 @@ _STAT_13_2 = VincularPattern.parse("13-2")
 
 @dataclass(frozen=True)
 class ReportRow:
+    """``enumerated`` against ``formula`` at one n, as text: the verdict is
+    whether the two strings are equal.  ``run_suite`` measures ``elapsed``."""
     theorem: str
     n: int
     enumerated: str
     formula: str
-    match: bool
     elapsed: float = 0.0
+
+    @property
+    def match(self) -> bool:
+        return self.enumerated == self.formula
 
 
 @dataclass
@@ -86,7 +93,17 @@ def _perm_set_text(perms) -> str:
     return "{" + ",".join(sorted(p.to_text() for p in perms)) + "}"
 
 
-_RowBuilder = Callable[[int], Iterator[ReportRow]]  # one theorem's rows at one n
+# One theorem's rows at one n, each (theorem, enumerated, formula).
+_RowBuilder = Callable[[int], Iterable[tuple[str, object, object]]]
+
+
+def _timed(n: int, build: _RowBuilder) -> list[ReportRow]:
+    """The rows of ``build(n)``, each with the time the whole call took."""
+    t0 = time.perf_counter()
+    checked = list(build(n))
+    elapsed = time.perf_counter() - t0
+    return [ReportRow(theorem, n, str(got), str(want), elapsed)
+            for theorem, got, want in checked]
 
 
 def _count(theorem: str, kind: DumontKind, pats: tuple[str, ...], seq: SequenceId,
@@ -94,17 +111,12 @@ def _count(theorem: str, kind: DumontKind, pats: tuple[str, ...], seq: SequenceI
     """Count row: the size-2n members of ``kind`` that avoid ``pats`` (or
     contain its one pattern exactly ``target`` times) against
     ``closed_form(seq, n)``, wherever ``seq`` is valid."""
-    def rows(n: int) -> Iterator[ReportRow]:
+    def rows(n: int):
         if not seq.covers(n):
             return
-        t0 = time.perf_counter()
-        if target is None:
-            enum = count_avoiders(_query(kind, n, *pats))
-        else:
-            enum = count_exact_occurrences(kind, 2 * n, ClassicalPattern.parse(pats[0]), target)
-        formula = closed_form(seq, n)
-        yield ReportRow(theorem, n, str(enum), str(formula), enum == formula,
-                        time.perf_counter() - t0)
+        enum = (count_avoiders(_query(kind, n, *pats)) if target is None else
+                count_exact_occurrences(kind, 2 * n, ClassicalPattern.parse(pats[0]), target))
+        yield theorem, enum, closed_form(seq, n)
     return rows
 
 
@@ -113,28 +125,22 @@ def _set(theorem: str, kind: DumontKind, pats: tuple[str, ...],
          n_min: int = 0) -> _RowBuilder:
     """Set row: the size-2n avoiders of ``pats``, listed, against
     ``expected(n)``, for n >= n_min wherever that is not None."""
-    def rows(n: int) -> Iterator[ReportRow]:
-        t0 = time.perf_counter()
+    def rows(n: int):
         perms = expected(n) if n >= n_min else None
         if perms is None:
             return
         want = _perm_set_text(perms)
-        got = _perm_set_text(generate_avoiders(_query(kind, n, *pats)))
-        yield ReportRow(theorem, n, got, want, got == want, time.perf_counter() - t0)
+        yield theorem, _perm_set_text(generate_avoiders(_query(kind, n, *pats))), want
     return rows
 
 
-def _d4_1423(n: int) -> Iterator[ReportRow]:
+def _d4_1423(n: int):
     """The Dumont-4 avoiders of 1423 against the continued-fraction series,
     and the series against the vendored A343795 prefix where it reaches."""
-    t0 = time.perf_counter()
-    enum = count_avoiders(_query(DumontKind.D4, n, "1423"))
     coeff = d4_1423_series(n).coefficient(n)
-    yield ReportRow("d4_1423_series", n, str(enum), str(coeff), enum == coeff,
-                    time.perf_counter() - t0)
+    yield "d4_1423_series", count_avoiders(_query(DumontKind.D4, n, "1423")), coeff
     if SequenceId.A343795_D4_312.covers(n):
-        ref = golden.a343795_prefix()[n]
-        yield ReportRow("d4_1423_reference", n, str(coeff), str(ref), coeff == ref, 0.0)
+        yield "d4_1423_reference", coeff, closed_form(SequenceId.A343795_D4_312, n)
 
 
 def _pair_staircase(n: int) -> list[Permutation]:
@@ -210,7 +216,7 @@ def run_suite(suite: str, n_max: int) -> VerificationReport:
         raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}")
     rows = [row for name in (_SUITE_TABLE if suite == "all" else (suite,))
             for builders in _SUITE_TABLE[name]  # the passes of one suite
-            for n in range(n_max + 1) for build in builders for row in build(n)]
+            for n in range(n_max + 1) for build in builders for row in _timed(n, build)]
     return VerificationReport(suite, rows)
 
 
@@ -220,23 +226,16 @@ def sanity_s3(n_max: int) -> VerificationReport:
         raise ValueError(f"sanity check size must be >= 0, got {n_max}")
     if n_max > 9:
         raise ValueError("sanity check is capped at n = 9")
-    rows = []
     pats = [ClassicalPattern(Permutation(p)) for p in _all_perms((1, 2, 3))]
-    for n in range(n_max + 1):
-        expected = catalan_number(n)
-        t0 = time.perf_counter()
-        counts = {str(q): 0 for q in pats}
-        for raw in _all_perms(range(1, n + 1)):
-            p = Permutation(raw)
+
+    def rows(n: int):
+        counts = dict.fromkeys(pats, 0)
+        for p in map(Permutation, _all_perms(range(1, n + 1))):
             for q in pats:
-                if avoids(p, q):
-                    counts[str(q)] += 1
-        elapsed = time.perf_counter() - t0
-        for q in pats:
-            got = counts[str(q)]
-            rows.append(ReportRow(f"s3_{q}", n, str(got), str(expected),
-                                  got == expected, elapsed))
-    return VerificationReport("s3_sanity", rows)
+                counts[q] += avoids(p, q)
+        return [(f"s3_{q}", got, catalan_number(n)) for q, got in counts.items()]
+    return VerificationReport("s3_sanity", [row for n in range(n_max + 1)
+                                            for row in _timed(n, rows)])
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ transitions are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
 from . import kinds as _kinds
@@ -86,22 +87,19 @@ class VincularPattern:
 
     @classmethod
     def parse(cls, text: str) -> "VincularPattern":
-        """Parse dashed notation: ``2-31`` keeps 3,1 adjacent, 2 free."""
-        groups = text.split("-")
-        if any(not g for g in groups):
+        """Parse dashed notation: ``2-31`` keeps 3,1 adjacent, 2 free.  The
+        letters follow ``Permutation``'s text, so past nine letters they are
+        comma-separated: ``1-2-3-4-5-6-7-8-9,10``."""
+        groups = [g.split(",") if "," in text else list(g) for g in text.strip().split("-")]
+        if not all(g and all(g) for g in groups):
             raise ValueError(f"malformed vincular pattern: {text!r}")
-        letters = "".join(groups)
-        perm = Permutation.from_text(letters)
-        adjacent = set()
-        start = 1
-        for g in groups:
-            for i in range(start, start + len(g) - 1):
-                adjacent.add(i)
-            start += len(g)
-        return cls(perm, frozenset(adjacent))
+        perm = Permutation.from_text(",".join(letter for g in groups for letter in g))
+        ends = set(accumulate(map(len, groups)))  # the last position of each group
+        return cls(perm, frozenset(range(1, len(perm))) - ends)
 
     def __str__(self) -> str:
-        return "".join(("" if i == 0 or i in self.adjacent else "-") + str(v)
+        sep = "," if len(self.perm) > 9 else ""
+        return "".join(("" if i == 0 else sep if i in self.adjacent else "-") + str(v)
                        for i, v in enumerate(self.perm.values))
 
 

@@ -229,6 +229,49 @@ def test_a343795_to_order_150_is_pinned(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("enumerate", "--kind", "1", "--size", "6", "--format", "json"),
+     "705685edadd464f05cb0b86046a61fe88e25ccff5dc31ccecde5a7bb76086c2f"),
+    (("avoid", "--kind", "4", "--size", "8", "--pattern", "1342", "--format", "json"),
+     "c0eeec0c7f9998c388366e2ede7be2f1598a058c929db158d513dfede5dbfdbf"),
+    (("avoid", "--kind", "4", "--size", "8", "--pattern", "1342", "--list", "--format", "json"),
+     "787d1cf2ec8afe2db400077dd876559b868a5db8fb9e721317e704c249cb4beb"),
+    (("map", "--name", "foata", "--input", "435621", "--format", "csv"),
+     "030d897388b1c10ca73e99254e29e5842683a7d30f0cf4386bd454c8acee851f"),
+    (("map", "--name", "split321", "--input", "135462", "--format", "json"),
+     "09436ec2c4268d559e1cf85530ae0ed916e4bcda1dbe535f81a38d55bacd14ad"),
+    (("map", "--name", "split321", "--input", "135462", "--format", "csv"),
+     "0d554f7574babb19f940d9cb1eddb922d1932bbf71a453a02d2af0eb8065f066"),
+    (("series", "--id", "a343795_d4_312", "--upto", "24", "--cross-check", "--format", "json"),
+     "1b5286176c68c9b283f0ed384ff68271fe2e86de168cf0cfbfd0c634b1a9764a"),
+    (("series", "--id", "a343795_d4_312", "--upto", "24", "--cross-check", "--format", "csv"),
+     "f655021c6cc3ad2db1a0c744a9e5650928f73b3f7921d657ba8e2147cbc2dd7b"),
+    (("verify", "--suite", "d4_avoid", "--max-n", "4", "--format", "json"),
+     "866ee2dae12f7c1c69b5f8b4cd0189591caded4f1f29d0358ac7a98ba8769cfe"),
+    (("verify", "--suite", "d4_avoid", "--max-n", "4", "--format", "csv"),
+     "af2e816d6f874064d975f8ed13d0e3107f714ea69696012c782714099f2ac47b"),
+    (("verify", "--sanity-s3", "4", "--format", "json"),
+     "09ca658b3a708c25de80765daa7b16bca43727cd049c5cc7b81a8d98b2e33461"),
+    (("conjecture", "--which", "1", "--n", "4", "--format", "json"),
+     "4012c1e87c131b75211af86034127b765a92932b611bba17d4d877ba41442fca"),
+    (("conjecture", "--which", "1", "--n", "4", "--format", "csv"),
+     "1df263b052fe75b2359e2c7794ce04149bd15106296fba87dc26acad294d5409"),
+    (("conjecture", "--which", "2", "--n", "4", "--format", "json"),
+     "92fb90ca219e91c43567e9112a1c64a91d8db4e2144cee870d27e8716b4d5b10"),
+    (("conjecture", "--which", "2", "--n", "4", "--format", "csv"),
+     "59665076504afa503a4833aaf0ee5f87839198960c78f77a27ad3e262ed4a77f"),
+], ids=["enumerate-json", "avoid-json", "avoid-list-json", "map-csv", "map-split321-json",
+        "map-split321-csv", "cross-check-json", "cross-check-csv", "verify-json",
+        "verify-csv", "sanity-s3-json", "conjecture-1-json", "conjecture-1-csv",
+        "conjecture-2-json", "conjecture-2-csv"])
+def test_json_and_csv_report_bytes_are_pinned(argv, digest):
+    # The verify and conjecture json is indented and sorted, the rest is one
+    # line; csv ends its lines with "\r\n".  The bytes fix both styles.
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_series_cross_check():
     code, out = run_cli("series", "--id", "a343795_d4_312", "--upto", "24",
                         "--cross-check")

@@ -61,6 +61,19 @@ def test_vincular_parse_and_str():
         assert str(VincularPattern.parse(text)) == text
     with pytest.raises(ValueError):
         VincularPattern.parse("2--31")
+    # Past nine letters the letters are comma-separated, as in Permutation's text.
+    ten = VincularPattern(Permutation(range(1, 11)), frozenset({9}))
+    assert str(ten) == "1-2-3-4-5-6-7-8-9,10"
+    assert VincularPattern.parse(str(ten)) == ten
+    assert VincularPattern.parse("1,2-3") == VincularPattern.parse("12-3")
+    rng = random.Random(11)
+    for k in range(1, 13):
+        for _ in range(20):
+            vals = list(range(1, k + 1))
+            rng.shuffle(vals)
+            vq = VincularPattern(Permutation(vals),
+                                 frozenset(i for i in range(1, k) if rng.random() < 0.5))
+            assert VincularPattern.parse(str(vq)) == vq
 
 
 def test_count_vincular_examples():
