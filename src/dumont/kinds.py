@@ -18,10 +18,18 @@ All four kinds of size 2n are counted by the Genocchi number G(2n+2)
 The rules are stated once, in :func:`_candidates`: a bitmask of the values
 that may come next after a prefix, given its placed values and its last
 value, written as a few lines of mask arithmetic per kind.  They apply each
-kind's constraints as soon as they become checkable and refuse a value that
-leaves a dead subtree they can see at once (an even smallest unplaced value
-in kind 1, an odd one below the position in kind 4).  :func:`is_dumont`
-replays them position by position, one bit test per value.
+kind's constraints as soon as they become checkable and refuse a value whose
+subtree they can see is dead at once:
+
+- kind 1: a value that leaves an even smallest unplaced value;
+- kinds 1 and 3: an odd largest unplaced value anywhere but last;
+- kind 3: every value but an odd smallest unplaced one, which must come next;
+- kind 4: at an odd position whose own value is unplaced, every other
+  value; and every value while an odd one below the position is unplaced;
+- kinds 2 and 4: every value once the last two odd positions cannot both
+  get values from their positions up.
+
+:func:`is_dumont` replays them position by position, one bit test per value.
 
 Generation runs through one walk, :func:`_walk`: a position-by-position
 backtracking search that emits members in lexicographic order.  A subtree
@@ -35,8 +43,8 @@ subtree is expanded; when it comes up again the walk yields prefix plus
 suffix for each, pushing, placing and stepping nothing.  The walk never
 re-enters an empty subtree, and listing costs about the number of keys
 above the cut plus the output.  With ``_TAIL = 4``, listing D1 at size 12
-makes 29,464 pushes and 57,301 placements; a deeper cut is faster still
-but holds more suffixes (measured at ``_TAIL``).
+makes 29,011 pushes and 55,660 placements (D3 16,777 and 37,765); a deeper
+cut is faster still but holds more suffixes (measured at ``_TAIL``).
 
 Pattern queries plug in a transition ``step(state, w, used) -> state |
 None`` that summarises the prefix in a small int and rejects a placement
@@ -113,6 +121,34 @@ def _candidates(kind_id: int, pos: int, size: int, prev: int, used: int) -> int:
     ``free`` (the unused values 1..size), so such a range may run past
     either end."""
     free = ~used & ((2 << size) - 2)
+    if kind_id % 2 == 0:
+        # D2 and D4: an odd position takes a value at least the position, so
+        # the last odd position needs size - 1 or size unused, and the last
+        # two need two of size - 3 .. size.  Each odd position from pos up
+        # gives such a bound, but the rest cut little more for a loop per
+        # call (count(D2, 14) makes 4,195 calls with all of them, 4,321
+        # with these two).
+        if (pos < size and not free >> size - 1
+                or pos < size - 2 and (free >> size - 3).bit_count() < 2):
+            return 0
+        if kind_id == 2:
+            return free & ((1 << pos) - 1 if pos % 2 == 0 else -(1 << pos))
+        # D4.  ``evens`` has bits 0, 2, ... below pos rounded down to even.
+        # Any odd value still unplaced below the current position could only
+        # land as an odd deficiency later, so the subtree is dead; so would
+        # the value pos at an odd position if it does not go there now.
+        evens = ((1 << (pos & ~1)) - 1) // 3
+        if free & evens << 1:
+            return 0
+        if pos % 2 and free >> pos & 1:
+            return 1 << pos
+        return free & (-(1 << pos) | (evens if pos % 2 == 0 else 0))
+    # D1 and D3: an odd entry is followed by a larger entry or ends the
+    # permutation, so an odd largest unused value may only come last.
+    # ``top`` is the largest unused value.
+    top = free.bit_length() - 1
+    if top % 2 and free & free - 1:
+        free ^= 1 << top
     if kind_id == 1:
         # The smallest unused value stays odd, since an even one could never
         # be followed by a smaller entry.  So an even entry always has a
@@ -125,18 +161,13 @@ def _candidates(kind_id: int, pos: int, size: int, prev: int, used: int) -> int:
         if (rest & -rest).bit_length() % 2:
             free = rest
         return free & ((1 << prev) - 1 if prev and prev % 2 == 0 else -(2 << prev))
-    if kind_id == 2:
-        return free & ((1 << pos) - 1 if pos % 2 == 0 else -(1 << pos))
-    if kind_id == 3:
-        # A descent is allowed only from an even value onto an even value.
-        return free & (-(2 << prev) | (((1 << prev) - 1) // 3 if prev % 2 == 0 else 0))
-    # D4.  ``evens`` has bits 0, 2, ... below pos rounded down to even.  Any
-    # odd value still unplaced below the current position could only land
-    # as an odd deficiency later, so the subtree is dead.
-    evens = ((1 << (pos & ~1)) - 1) // 3
-    if free & evens << 1:
-        return 0
-    return free & (-(1 << pos) | (evens if pos % 2 == 0 else 0))
+    # D3.  A descent is allowed only from an even value onto an even value,
+    # so an odd smallest unused value must come next: whatever came before
+    # it later would be larger.
+    low = free & -free
+    if not low.bit_length() % 2:
+        free = low
+    return free & (-(2 << prev) | (((1 << prev) - 1) // 3 if prev % 2 == 0 else 0))
 
 
 # A transition ``step(state, w, used) -> state | None`` summarises a prefix
@@ -159,11 +190,11 @@ def _key_layout(kind_id: int, size: int, stat: Optional[Stat] = None) -> tuple[b
 
 
 # Keys with at most this many positions left store their suffixes, not a
-# mask (see :func:`_walk`).  Walking D1 and D3 at size 12 (best of 7, 2
-# vCPUs, Python 3.11.7): masks alone 0.215 / 0.202 s with a traced peak of
-# 0.69 / 1.34 MB; 4 takes 0.076 / 0.104 s and 0.68 / 1.44 MB; 5 takes
-# 0.038 / 0.071 s but peaks at 0.79 / 2.06 MB, and each position more
-# multiplies the suffixes held.
+# mask (see :func:`_walk`).  Walking D1 and D3 at size 12 (2026-10-19, best
+# of 45 over three processes, 2 vCPUs, Python 3.11.7): 1 takes 0.158 /
+# 0.107 s with a traced peak of 0.70 / 0.42 MB; 4 takes 0.048 / 0.041 s and
+# 0.68 / 0.52 MB; 5 takes 0.042 / 0.033 s but peaks at 0.81 / 1.13 MB, and
+# each position more multiplies the suffixes held.
 _TAIL = 4
 
 

@@ -96,20 +96,59 @@ def test_every_cut_lists_the_same_members(tail, monkeypatch):
         assert len(out) == count(kind, 10)
 
 
-def test_generate_replays_walked_keys(monkeypatch):
-    calls = 0
+@pytest.fixture
+def candidate_calls(monkeypatch):
+    """A one-element list that counts the calls of kinds._candidates."""
+    calls = [0]
     candidates = kinds._candidates
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return candidates(*args)
 
     monkeypatch.setattr(kinds, "_candidates", counted)
+    return calls
+
+
+def test_generate_replays_walked_keys(candidate_calls):
     assert sum(1 for _ in generate(DumontKind.D1, 10)) == genocchi(6)
-    # Each key is expanded once: 1,370 calls, where a walk of every live
-    # prefix makes 12,070.
-    assert calls < 5000
+    # Each key is expanded once: 1,258 calls, where a walk of every live
+    # prefix makes 9,836.
+    assert candidate_calls[0] < 5000
+
+
+def _mask(*values):
+    return sum(1 << v for v in values)
+
+
+@pytest.mark.parametrize("kind_id, pos, size, prev, placed, want", [
+    # D3, an odd smallest unused value comes next: 1, 2 leaves only 3.
+    (3, 3, 6, 2, (1, 2), (3,)),
+    # D1, an odd largest unused value comes last: after 2, 1, 6 the 5 could
+    # only be followed by a smaller entry.
+    (1, 4, 6, 6, (2, 1, 6), (4,)),
+    # D3, the same: after 1, 3, 6, 2 the 5 could only descend onto 4.
+    (3, 5, 6, 2, (1, 3, 6, 2), (4,)),
+    # D4, value 3 is unused at position 3: placed later it is an odd
+    # deficiency.
+    (4, 3, 6, 2, (1, 2), (3,)),
+    # D2 and D4, positions 9 and 11 need two values from 9 up, and only 9
+    # and 10 are left.
+    (2, 9, 12, 12, (1, 2, 3, 4, 5, 7, 11, 12), ()),
+    (4, 9, 12, 12, (1, 2, 3, 4, 5, 7, 11, 12), ()),
+])
+def test_candidates_refuse_dead_subtrees(kind_id, pos, size, prev, placed, want):
+    assert kinds._candidates(kind_id, pos, size, prev, _mask(*placed)) == _mask(*want)
+
+
+def test_count_expands_fewer_keys(candidate_calls):
+    # _candidates calls of count(kind, 14): the dead-subtree rules of every
+    # kind bring them from 29,138 / 5,315 / 72,933 / 1,595 for D1-D4 to
+    # 27,320 / 4,321 / 24,090 / 969.
+    for kind, bound in zip(ALL_KINDS, (28000, 5000, 30000, 1200)):
+        candidate_calls[0] = 0
+        assert count(kind, 14) == genocchi(8)
+        assert candidate_calls[0] < bound, kind
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
