@@ -16,14 +16,14 @@ import io
 import json
 import sys
 from dataclasses import asdict
-from itertools import islice
-from typing import Iterable, Optional, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import bijections, harness
 from .gfseries import SequenceId, closed_form, d4_1423_series, solve_prst_system
-from .kinds import DumontKind, generate
-from .patterns import AvoidanceQuery, ClassicalPattern, count_avoiders, generate_avoiders
-from .permcore import Permutation
+from .kinds import DumontKind, _walk
+from .patterns import AvoidanceQuery, ClassicalPattern, _avoider_blocks, count_avoiders
+from .permcore import Permutation, _block_texts
 
 
 def _kind(text: str) -> DumontKind:
@@ -33,60 +33,58 @@ def _kind(text: str) -> DumontKind:
         raise argparse.ArgumentTypeError(f"kind must be 1, 2, 3 or 4, got {text!r}")
 
 
-# Rows per ``out.write``.  Blocks of 4,096 rows ran the enumerate benchmark
-# no faster and raised its peak RSS from 23.2 to 24.6 MiB.
+# Lines per ``out.write``.  On the enumerate benchmark (2026-10-19, three
+# 10 s runs each), blocks of 4,096 lines ran no faster (0.229 against 0.230
+# reference s) and raised the peak RSS from 22.7 to 23.8 MiB; blocks of 64
+# took 0.236 s.
 _BLOCK = 256
 
 
-def _emit_rows(fmt: str, header: list[str], rows: Iterable[list], out) -> None:
-    """Write ``rows`` as csv under ``header``, or as lines of space-separated
-    cells, with one ``out.write`` per block of ``_BLOCK`` rows."""
-    rows = iter(rows)
+def _emit(out, items: Iterable, render: Callable[[list], str]) -> None:
+    """Write ``render(block)`` for each block of ``_BLOCK`` items in turn."""
+    items = iter(items)
+    while block := list(islice(items, _BLOCK)):
+        out.write(render(block))
+
+
+def _csv_text(rows: Iterable[Sequence]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    if fmt == "csv":
-        writer.writerow(header)
-    while True:
-        block = list(islice(rows, _BLOCK))
-        if fmt == "csv":
-            writer.writerows(block)
-        else:
-            buf.write("".join(" ".join(map(str, row)) + "\n" for row in block))
-        if buf.tell():
-            out.write(buf.getvalue())
-            buf.seek(0)
-            buf.truncate()
-        if len(block) < _BLOCK:
-            return
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _report(fmt: str, out, payload, header: list[str], rows: Iterable[Sequence],
-            lines: Optional[str] = None, pretty: bool = False) -> None:
+            lines: Optional[Iterable[str]] = None, pretty: bool = False) -> None:
     """Write one report: ``payload`` as json (indented and sorted keys when
-    ``pretty``), ``rows`` as csv under ``header``, or ``lines`` as text
-    (the rows, space-separated, when ``lines`` is None)."""
+    ``pretty``), ``rows`` as csv under ``header``, or ``lines`` (each
+    without its newline) as text, the rows space-separated when ``lines``
+    is None.  Csv and text go out ``_BLOCK`` rows to a write."""
     if fmt == "json":
         json.dump(payload, out, indent=2 if pretty else None, sort_keys=pretty)
         out.write("\n")
-    elif fmt == "lines" and lines is not None:
-        out.write(lines)
+    elif fmt == "csv":
+        _emit(out, chain([header], rows), _csv_text)
     else:
-        _emit_rows(fmt, header, rows, out)
+        if lines is None:
+            lines = (" ".join(map(str, row)) for row in rows)
+        _emit(out, lines, lambda block: "\n".join(block) + "\n")
 
 
-def _members(args, out, payload: dict, perms: Iterable[Permutation]) -> int:
-    """List ``perms``, streamed one row per member, or in json as the
-    ``count`` and ``elements`` added to ``payload``."""
+def _members(args, out, payload: dict, blocks) -> int:
+    """List the members in the walk's ``blocks`` (see
+    :func:`dumont.kinds._walk`), one row each, or in json as the ``count``
+    and ``elements`` added to ``payload``."""
+    texts = _block_texts(blocks, args.size)
     if args.format == "json":
-        elements = [p.to_text() for p in perms]
+        elements = list(texts)
         payload.update(count=len(elements), elements=elements)
-    _report(args.format, out, payload, ["permutation"], ([p.to_text()] for p in perms))
+    _report(args.format, out, payload, ["permutation"], zip(texts), lines=texts)
     return 0
 
 
 def _cmd_enumerate(args, out) -> int:
     return _members(args, out, {"kind": args.kind.value, "size": args.size},
-                    generate(args.kind, args.size))
+                    _walk(args.kind, args.size))
 
 
 def _cmd_avoid(args, out) -> int:
@@ -97,7 +95,7 @@ def _cmd_avoid(args, out) -> int:
     payload = {"kind": args.kind.value, "size": args.size, "patterns": pats,
                "exactly": args.exactly}
     if args.list:
-        return _members(args, out, payload, generate_avoiders(query))
+        return _members(args, out, payload, _avoider_blocks(query))
     payload["count"] = count_avoiders(query)
     _report(args.format, out, payload, ["count"], [[payload["count"]]])
     return 0
@@ -142,8 +140,8 @@ def _cmd_series(args, out) -> int:
         _report(args.format, out, {"id": seq.value, "order": upto, "consistent": ok,
                                    "values": list(direct.coeffs)},
                 ["order", "consistent"], [[upto, ok]],
-                lines=f"continued fraction vs block system to order {upto}: "
-                      f"{'consistent' if ok else 'MISMATCH'}\n")
+                lines=[f"continued fraction vs block system to order {upto}: "
+                       f"{'consistent' if ok else 'MISMATCH'}"])
         return 0 if ok else 1
     if seq is SequenceId.A343795_D4_312:
         series = d4_1423_series(upto)
@@ -164,7 +162,7 @@ def _cmd_verify(args, out) -> int:
     _report(args.format, out, report.to_json(),
             ["theorem", "n", "enumerated", "formula", "match"],
             ([r.theorem, r.n, r.enumerated, r.formula, r.match] for r in report.rows),
-            lines=report.to_text(include_timing=args.timings), pretty=True)
+            lines=report.to_text(include_timing=args.timings).splitlines(), pretty=True)
     return 0 if report.overall else 1
 
 

@@ -30,10 +30,10 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from . import golden
 from .gfseries import SequenceId, catalan_number, closed_form, d4_1423_series
 from .kinds import BudgetExceeded, DumontKind  # BudgetExceeded is re-exported
-from .patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern, avoids,
-                       count_avoiders, count_exact_occurrences, generate_avoiders,
+from .patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern, _avoider_blocks,
+                       avoids, count_avoiders, count_exact_occurrences, generate_avoiders,
                        vincular_histogram)
-from .permcore import Permutation
+from .permcore import Permutation, _block_texts
 
 _STAT_2_31 = VincularPattern.parse("2-31")
 _STAT_13_2 = VincularPattern.parse("13-2")
@@ -89,8 +89,8 @@ def _query(kind: DumontKind, n: int, *pats: str) -> AvoidanceQuery:
     return AvoidanceQuery(kind, 2 * n, frozenset(map(ClassicalPattern.parse, pats)))
 
 
-def _perm_set_text(perms) -> str:
-    return "{" + ",".join(sorted(p.to_text() for p in perms)) + "}"
+def _perm_set_text(texts: Iterable[str]) -> str:
+    return "{" + ",".join(sorted(texts)) + "}"
 
 
 # One theorem's rows at one n, each (theorem, enumerated, formula).
@@ -129,8 +129,9 @@ def _set(theorem: str, kind: DumontKind, pats: tuple[str, ...],
         perms = expected(n) if n >= n_min else None
         if perms is None:
             return
-        want = _perm_set_text(perms)
-        yield theorem, _perm_set_text(generate_avoiders(_query(kind, n, *pats))), want
+        want = _perm_set_text(map(Permutation.to_text, perms))
+        got = _block_texts(_avoider_blocks(_query(kind, n, *pats)), 2 * n)
+        yield theorem, _perm_set_text(got), want
     return rows
 
 

@@ -32,19 +32,27 @@ subtree they can see is dead at once:
 :func:`is_dumont` replays them position by position, one bit test per value.
 
 Generation runs through one walk, :func:`_walk`: a position-by-position
-backtracking search that emits members in lexicographic order.  A subtree
+backtracking search that yields members in lexicographic order, in blocks
+of a prefix and a tuple of the suffixes that complete it.  A subtree
 can still hold no member, but what lies below a prefix depends only on its
 key (see below), so the walk expands each key once and stores what it
 found.  A key with more than ``_TAIL`` positions left stores the mask of
 the next values that reached a member and walks that mask in place of the
 candidates when the key comes up again.  A key nearer the leaves stores
 its suffixes, the value tuples that complete it, gathered while its
-subtree is expanded; when it comes up again the walk yields prefix plus
-suffix for each, pushing, placing and stepping nothing.  The walk never
-re-enters an empty subtree, and listing costs about the number of keys
-above the cut plus the output.  With ``_TAIL = 4``, listing D1 at size 12
-makes 29,011 pushes and 55,660 placements (D3 16,777 and 37,765); a deeper
-cut is faster still but holds more suffixes (measured at ``_TAIL``).
+subtree is expanded; when it comes up again the walk yields its prefix
+with that stored tuple as one block, pushing, placing and stepping
+nothing.  A leaf reached by placing a value is a block of its own: the
+member and the one empty suffix.  The walk never re-enters an empty
+subtree, and listing costs about the number of keys above the cut plus one
+block per leaf placed or key replayed.  With ``_TAIL = 4``, listing D1 at
+size 12 makes 29,011 pushes and 55,660 placements and yields its 38,227
+members in 25,307 blocks over 1,127 distinct suffix tuples (D3: 16,777,
+37,765, 20,775 and 1,667).  :func:`generate` makes a
+:class:`~dumont.permcore.Permutation` of each member of a block; a text
+listing formats each block's prefix once and each suffix tuple once
+(:func:`dumont.permcore._block_texts`).  A deeper cut is faster still but
+holds more suffixes (measured at ``_TAIL``).
 
 Pattern queries plug in a transition ``step(state, w, used) -> state |
 None`` that summarises the prefix in a small int and rejects a placement
@@ -69,7 +77,7 @@ from __future__ import annotations
 import time
 from enum import Enum
 from math import factorial
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .permcore import Permutation
 
@@ -190,18 +198,26 @@ def _key_layout(kind_id: int, size: int, stat: Optional[Stat] = None) -> tuple[b
 
 
 # Keys with at most this many positions left store their suffixes, not a
-# mask (see :func:`_walk`).  Walking D1 and D3 at size 12 (2026-10-19, best
-# of 45 over three processes, 2 vCPUs, Python 3.11.7): 1 takes 0.158 /
-# 0.107 s with a traced peak of 0.70 / 0.42 MB; 4 takes 0.048 / 0.041 s and
-# 0.68 / 0.52 MB; 5 takes 0.042 / 0.033 s but peaks at 0.81 / 1.13 MB, and
-# each position more multiplies the suffixes held.
+# mask (see :func:`_walk`); 0 stores masks alone.  Listing D1 and D3 at
+# size 12 as text, through :func:`dumont.permcore._block_texts`
+# (2026-10-19, best of 45 over three processes, 2 vCPUs, Python 3.11.7):
+# 1 takes 0.132 / 0.112 s with a traced peak of 0.70 / 0.43 MB; 4 takes
+# 0.058 / 0.051 s and 0.95 / 1.06 MB; 5 takes 0.044 / 0.043 s but peaks at
+# 1.39 / 2.18 MB, and each position more multiplies the suffixes held (6:
+# 2.37 / 4.45 MB for no further gain).
 _TAIL = 4
+
+# The suffixes of a block of the walk; a leaf is the one empty suffix.
+_Tails = tuple[tuple[int, ...], ...]
+_LEAF: _Tails = ((),)
 
 
 def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
-          state: Optional[int] = 0) -> Iterator[list[int]]:
+          state: Optional[int] = 0) -> Iterator[tuple[list[int], _Tails]]:
     """Yield every member, in lexicographic order, whose prefixes the
-    transition ``step`` accepts throughout.
+    transition ``step`` accepts throughout, in blocks ``(prefix, tails)``:
+    the members of a block are ``prefix`` followed by each suffix in
+    ``tails``, in order.
 
     ``state`` is the transition's summary of the empty prefix; None yields
     nothing.  Each key (used values, last value, state) is expanded by
@@ -211,9 +227,13 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
     with at most ``_TAIL`` positions left stores the tuple of its suffixes
     (each the tuple of values that completes it to a member), gathered as
     its subtree is expanded, and when it comes up again the walk yields
-    prefix + suffix for each of them without pushing a frame, placing a
-    value or calling ``step``.  The yielded list is the walk's own state:
-    read or copy it before advancing the iterator.
+    the key's prefix with that stored tuple as one block, without pushing a
+    frame, placing a value or calling ``step``.  A leaf reached by placing
+    a value is the block ``(member, _LEAF)``.  The same stored tuple comes
+    back for every prefix that replays its key, so a consumer may cache
+    what it derives from a ``tails`` by identity while the walk runs.  The
+    yielded prefix is the walk's own list: read or copy it before advancing
+    the iterator.
     """
     _require_even(size)
     kind_id = kind.value
@@ -222,7 +242,7 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
     h: list[int] = []
     used = 0
     if not size:
-        yield h
+        yield h, _LEAF
         return
     # Keys are packed by :func:`_key_layout`.  ``live`` maps each key the
     # walk has left to the mask of its next values that reached a leaf (0
@@ -230,7 +250,7 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
     # tuple of its suffixes (empty for no member).
     keep_prev, p_shift, s_shift = _key_layout(kind_id, size)
     cut = size - _TAIL
-    live: dict[int, int | tuple[tuple[int, ...], ...]] = {}
+    live: dict[int, int | _Tails] = {}
     new = 0
     # ``todo`` is the mask of next values still to try at the key being
     # walked, ``rec`` the mask of those that reached a leaf and ``acc`` the
@@ -255,20 +275,18 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
             h.append(w)
             d = len(h)
             if d == size:
-                yield h
+                yield h, _LEAF
                 h.pop()
                 rec |= bit
-                acc.append((w,))
+                if acc is not None:
+                    acc.append((w,))
                 continue
             used |= bit
             key = used | (w << p_shift if keep_prev else 0) | new << s_shift
             nexts = live.get(key)
             if d >= cut and nexts is not None:
-                for t in nexts:
-                    h += t
-                    yield h
-                    del h[d:]
                 if nexts:
+                    yield h, nexts
                     rec |= bit
                     if acc is not None:
                         acc += [(w,) + t for t in nexts]
@@ -304,11 +322,19 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
                 rec |= bit
 
 
+def _permutations(blocks: Iterable[tuple[list[int], _Tails]]) -> Iterator[Permutation]:
+    """The members of the walk's blocks, one :class:`Permutation` each."""
+    for prefix, tails in blocks:
+        head = tuple(prefix)
+        for t in tails:
+            yield Permutation._wrap(head + t)
+
+
 def generate(kind: DumontKind, size: int) -> Iterator[Permutation]:
     """Iterate over the members of the kind in lexicographic order.  An odd
     or negative size raises here, before the first member is asked for."""
     _require_even(size)
-    return (Permutation._wrap(tuple(h)) for h in _walk(kind, size))
+    return _permutations(_walk(kind, size))
 
 
 def count(kind: DumontKind, size: int) -> int:

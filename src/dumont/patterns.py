@@ -512,8 +512,12 @@ def generate_avoiders(query: AvoidanceQuery) -> Iterator[Permutation]:
     lexicographically.  An odd or negative size raises here, before the
     first member is asked for."""
     _kinds._require_even(query.size)
-    return (Permutation._wrap(tuple(h))
-            for h in _kinds._walk(query.kind, query.size, *_transition(query)))
+    return _kinds._permutations(_avoider_blocks(query))
+
+
+def _avoider_blocks(query: AvoidanceQuery) -> Iterator[tuple[list[int], _kinds._Tails]]:
+    """The members of the query's set as the blocks of :func:`dumont.kinds._walk`."""
+    return _kinds._walk(query.kind, query.size, *_transition(query))
 
 
 def count_avoiders(query: AvoidanceQuery, *, deadline: Optional[float] = None) -> int:

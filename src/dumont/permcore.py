@@ -16,10 +16,39 @@ Conventions used across the whole package:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 # ``str(v)`` of the small values, so writing a listing formats no int.
 _NAMES = tuple(map(str, range(256)))
+
+
+def _separator(n: int) -> str:
+    """What the text form puts between the letters of a permutation of size n."""
+    return "" if n <= 9 else ","
+
+
+def _block_texts(blocks: Iterable[tuple[Sequence[int], tuple[tuple[int, ...], ...]]],
+                 size: int) -> Iterator[str]:
+    """The text form of each member of size ``size`` in ``blocks``, in order.
+
+    A block ``(prefix, tails)`` holds the members ``prefix`` followed by each
+    suffix in ``tails`` (as :func:`dumont.kinds._walk` yields them); a prefix
+    is empty only under the empty suffix.  Each prefix is formatted once,
+    and each ``tails`` object once per call: its texts are kept by identity
+    until the listing ends, so ``blocks`` must keep every ``tails`` it hands
+    out alive while it runs.
+    """
+    sep = _separator(size)
+    names = _NAMES if size < len(_NAMES) else tuple(map(str, range(size + 1)))
+    memo: dict[int, list[str]] = {}
+    for prefix, tails in blocks:
+        head = sep.join([names[v] for v in prefix])
+        ends = memo.get(id(tails))
+        if ends is None:
+            ends = memo[id(tails)] = [sep + sep.join([names[v] for v in t]) if t else ""
+                                      for t in tails]
+        for end in ends:
+            yield head + end
 
 
 class Permutation:
@@ -82,7 +111,7 @@ class Permutation:
             names = [_NAMES[v] for v in vals]
         except IndexError:
             names = map(str, vals)
-        return ("" if len(vals) <= 9 else ",").join(names)
+        return _separator(len(vals)).join(names)
 
     def __len__(self) -> int:
         return len(self._vals)

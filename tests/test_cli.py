@@ -8,6 +8,8 @@ import pytest
 
 from dumont.cli import main
 from dumont.gfseries import SequenceId
+from dumont.kinds import DumontKind, generate
+from dumont.patterns import AvoidanceQuery, ClassicalPattern, generate_avoiders
 
 
 def run_cli(*argv):
@@ -53,6 +55,35 @@ def test_listing_bytes_are_pinned(argv, digest):
     code, out = run_cli(*argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["lines", "csv", "json"])
+@pytest.mark.parametrize("size", [8, 10])
+def test_listings_print_what_the_permutations_print(size, fmt):
+    # The listing formatter against the to_text of each member, on both
+    # sides of the switch to commas at ten letters.
+    n = str(size)
+    cases = [(["enumerate", "--kind", str(kind.value), "--size", n],
+              {"kind": kind.value, "size": size}, generate(kind, size)) for kind in DumontKind]
+    for pats, target in (("1342,2413", None), ("321", 1)):
+        query = AvoidanceQuery(DumontKind.D4 if target else DumontKind.D1, size,
+                               frozenset(map(ClassicalPattern.parse, pats.split(","))), target)
+        argv = ["avoid", "--kind", str(query.kind.value), "--size", n, "--pattern", pats,
+                "--list"] + ([] if target is None else ["--exactly", str(target)])
+        cases.append((argv, {"kind": query.kind.value, "size": size,
+                             "patterns": pats.split(","), "exactly": target},
+                      generate_avoiders(query)))
+    for argv, payload, perms in cases:
+        texts = [p.to_text() for p in perms]
+        if fmt == "json":
+            want = json.dumps({**payload, "count": len(texts), "elements": texts}) + "\n"
+        elif fmt == "csv":
+            buf = io.StringIO()
+            csv.writer(buf).writerows([["permutation"], *([t] for t in texts)])
+            want = buf.getvalue()
+        else:
+            want = "".join(t + "\n" for t in texts)
+        assert run_cli(*argv, "--format", fmt) == (0, want), argv
 
 
 def test_enumerate_odd_size_is_an_error():

@@ -84,10 +84,11 @@ def test_generate_past_the_brute_force_oracle(kind, size):
     assert len(out) == genocchi(size // 2 + 1)
 
 
-@pytest.mark.parametrize("tail", [1, 2, 3, 5, 10])
+@pytest.mark.parametrize("tail", [0, 1, 2, 3, 5, 10])
 def test_every_cut_lists_the_same_members(tail, monkeypatch):
     # Keys with at most kinds._TAIL positions left store their suffixes and
-    # the shallower ones a mask; 10 stores suffixes from the empty prefix on.
+    # the shallower ones a mask; 0 stores masks alone, and 10 stores
+    # suffixes from the empty prefix on.
     monkeypatch.setattr(kinds, "_TAIL", tail)
     for kind in ALL_KINDS:
         out = [p.values for p in generate(kind, 10)]

@@ -60,6 +60,19 @@ def test_to_text_names_every_value():
     assert max(big) == 300
 
 
+def test_block_texts_name_every_value():
+    # The listing formatter writes the first blocks of size 300 as to_text
+    # writes their members, values past the table of small names included.
+    from itertools import islice
+
+    from dumont.kinds import DumontKind, _walk, generate
+    from dumont.permcore import _block_texts
+    texts = list(_block_texts(islice(_walk(DumontKind.D1, 300), 3), 300))
+    want = [p.to_text() for p in islice(generate(DumontKind.D1, 300), len(texts))]
+    assert texts == want
+    assert "300" in texts[0].split(",")
+
+
 @pytest.mark.parametrize("text", ["1,2,", "1,,2", "1,a", "12x"])
 def test_from_text_rejects_malformed_text(text):
     with pytest.raises(ValueError) as err:

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from conftest import (naive_count, naive_count_vincular, schoolbook_product,
                       schoolbook_quotient)
+from dumont import kinds
 from dumont.gfseries import TruncatedSeries
-from dumont.kinds import DumontKind, generate
+from dumont.kinds import DumontKind, _walk, generate
 from dumont.patterns import (_INF, AvoidanceQuery, ClassicalPattern, VincularPattern,
-                             _count, _transition, count_avoiders,
+                             _avoider_blocks, _count, _transition, count_avoiders,
                              count_exact_occurrences, count_occurrences, count_vincular,
                              generate_avoiders, vincular_histogram)
-from dumont.permcore import Permutation
+from dumont.permcore import Permutation, _block_texts
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -194,6 +195,55 @@ def test_exact_queries_agree_with_filtering(case, small_dumont_sets):
     query = AvoidanceQuery(kind, size, frozenset([q]), target)
     assert [p.values for p in generate_avoiders(query)] == brute
     assert count_exact_occurrences(kind, size, q, target) == len(brute)
+
+
+# ---------------------------------------------------------------------------
+# Listings as text against the text of each Permutation
+
+# Cuts of the walk: masks alone, suffixes from one or four positions left,
+# and (None) suffixes from the first position on.
+CUTS = st.sampled_from([0, 1, 4, None])
+
+
+def texts_both_ways(size, tail, blocks, perms):
+    """The listing formatter's lines for ``blocks()`` and the to_text of each
+    of ``perms()``, both walked with ``kinds._TAIL`` set to ``tail``."""
+    saved = kinds._TAIL
+    kinds._TAIL = size if tail is None else tail
+    try:
+        return list(_block_texts(blocks(), size)), [p.to_text() for p in perms()]
+    finally:
+        kinds._TAIL = saved
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(list(DumontKind)), size=st.sampled_from(range(0, 13, 2)),
+       tail=CUTS)
+def test_listing_lines_are_the_members_texts(kind, size, tail):
+    # Sizes 0-12 straddle the switch to commas between 8 and 10.
+    got, want = texts_both_ways(size, tail, lambda: _walk(kind, size),
+                                lambda: generate(kind, size))
+    assert got == want
+
+
+@st.composite
+def listing_queries(draw):
+    """A query of :func:`generic_cases`, or one of its patterns with an
+    occurrence target."""
+    kind, size, pats = draw(generic_cases())
+    target = draw(st.none() | st.integers(0, 2))
+    if target is not None:
+        pats = pats[:1]
+    return AvoidanceQuery(kind, size, frozenset(ClassicalPattern(Permutation(p)) for p in pats),
+                          target)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(query=listing_queries(), tail=CUTS)
+def test_avoider_listing_lines_are_the_members_texts(query, tail):
+    got, want = texts_both_ways(query.size, tail, lambda: _avoider_blocks(query),
+                                lambda: generate_avoiders(query))
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
