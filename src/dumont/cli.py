@@ -88,10 +88,13 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_avoid(args, out) -> int:
-    pats = [s for s in args.pattern.split(",") if s]
-    query = AvoidanceQuery(args.kind, args.size,
-                           frozenset(ClassicalPattern.parse(s) for s in pats),
-                           occurrence_target=args.exactly)
+    pats = args.pattern.split(",")
+    if not all(pats):
+        raise ValueError(f"--pattern {args.pattern!r} has an empty item")
+    forbidden = frozenset(map(ClassicalPattern.parse, pats))
+    if len(forbidden) < len(pats):
+        raise ValueError(f"--pattern {args.pattern!r} names a pattern twice")
+    query = AvoidanceQuery(args.kind, args.size, forbidden, occurrence_target=args.exactly)
     payload = {"kind": args.kind.value, "size": args.size, "patterns": pats,
                "exactly": args.exactly}
     if args.list:
@@ -155,6 +158,8 @@ def _cmd_series(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    if args.timings and args.format != "lines":
+        raise ValueError(f"--timings applies to --format lines, not {args.format}")
     if args.sanity_s3 is not None:
         report = harness.sanity_s3(args.sanity_s3)
     else:
@@ -259,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sanity-s3", type=int, default=None, metavar="N",
                     help="run the Catalan sanity check on S_n instead")
     sp.add_argument("--timings", action="store_true",
-                    help="include elapsed times (non-deterministic output)")
+                    help="include elapsed times (non-deterministic output; "
+                         "--format lines only)")
     add_format(sp)
     sp.set_defaults(fn=_cmd_verify)
 

@@ -6,13 +6,17 @@ patterns (or contain one exactly r times) against a closed form, set rows
 check the avoiders listed by the transition walk against a set known
 independently, and the ``d4_1423`` pair checks counts against a series and
 the series against the vendored OEIS prefix.  A builder yields only the two
-values a row compares: the row's verdict is whether their strings are equal,
-and ``run_suite`` measures the time of each builder call.  The two conjecture
-experiments (2143 ~ 3421 on Dumont-1 permutations, and 2-31 against 13-2 on
-the two avoider classes) are reported with machine-readable verdicts, never
-hard-asserted.  Each n is one layered DP per pattern; a run stops on a
-wall-clock budget, checked between the layers of the DP, and resumes from a
-plain-text journal that records each finished n.
+values a row compares: the row's verdict is whether their strings are equal.
+``run_suite`` runs each builder for n = 0..n_max in one go, so a row's
+counts (or listings) of every n share one pattern transition and its memos
+(see :func:`dumont.patterns._counts`), and reports the rows n-major; it
+times each builder at each n, so a row's ``elapsed`` covers its own n only.
+The two conjecture experiments (2143 ~ 3421 on Dumont-1 permutations, and
+2-31 against 13-2 on the two avoider classes) are reported with
+machine-readable verdicts, never hard-asserted.  Each n is one layered DP
+per pattern; a run stops on a wall-clock budget, checked between the layers
+of the DP, and resumes from a plain-text journal that records each finished
+n.
 """
 
 from __future__ import annotations
@@ -30,9 +34,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from . import golden
 from .gfseries import SequenceId, catalan_number, closed_form, d4_1423_series
 from .kinds import BudgetExceeded, DumontKind  # BudgetExceeded is re-exported
-from .patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern, _avoider_blocks,
-                       avoids, count_avoiders, count_exact_occurrences, generate_avoiders,
-                       vincular_histogram)
+from .patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern, _counts, _listings,
+                       avoids, count_avoiders, generate_avoiders, vincular_histogram)
 from .permcore import Permutation, _block_texts
 
 _STAT_2_31 = VincularPattern.parse("2-31")
@@ -94,54 +97,75 @@ def _perm_set_text(texts: Iterable[str]) -> str:
 
 
 # One theorem's rows at one n, each (theorem, enumerated, formula).
-_RowBuilder = Callable[[int], Iterable[tuple[str, object, object]]]
+_Rows = Iterable[tuple[str, object, object]]
+# A row builder maps n_max to the rows of n = 0..n_max, in turn; the rows of
+# an n are computed as they are read.
+_RowBuilder = Callable[[int], Iterator[_Rows]]
 
 
-def _timed(n: int, build: _RowBuilder) -> list[ReportRow]:
-    """The rows of ``build(n)``, each with the time the whole call took."""
-    t0 = time.perf_counter()
-    checked = list(build(n))
-    elapsed = time.perf_counter() - t0
-    return [ReportRow(theorem, n, str(got), str(want), elapsed)
-            for theorem, got, want in checked]
+def _timed(n_max: int, build: _RowBuilder) -> list[list[ReportRow]]:
+    """The rows of ``build(n_max)`` per n, each with the time its n took."""
+    out = []
+    per_n = build(n_max)
+    for n in range(n_max + 1):
+        t0 = time.perf_counter()
+        checked = list(next(per_n))
+        elapsed = time.perf_counter() - t0
+        out.append([ReportRow(theorem, n, str(got), str(want), elapsed)
+                    for theorem, got, want in checked])
+    return out
 
 
 def _count(theorem: str, kind: DumontKind, pats: tuple[str, ...], seq: SequenceId,
            target: Optional[int] = None) -> _RowBuilder:
     """Count row: the size-2n members of ``kind`` that avoid ``pats`` (or
     contain its one pattern exactly ``target`` times) against
-    ``closed_form(seq, n)``, wherever ``seq`` is valid."""
-    def rows(n: int):
-        if not seq.covers(n):
-            return
-        enum = (count_avoiders(_query(kind, n, *pats)) if target is None else
-                count_exact_occurrences(kind, 2 * n, ClassicalPattern.parse(pats[0]), target))
-        yield theorem, enum, closed_form(seq, n)
-    return rows
+    ``closed_form(seq, n)``, wherever ``seq`` is valid.  The counts of every
+    n are one run of :func:`dumont.patterns._counts`."""
+    forbidden = frozenset(map(ClassicalPattern.parse, pats))
+
+    def build(n_max: int) -> Iterator[_Rows]:
+        counts = _counts([AvoidanceQuery(kind, 2 * n, forbidden, target)
+                          for n in range(n_max + 1) if seq.covers(n)])
+
+        def rows(n: int):
+            if seq.covers(n):
+                yield theorem, next(counts), closed_form(seq, n)
+        return map(rows, range(n_max + 1))
+    return build
 
 
 def _set(theorem: str, kind: DumontKind, pats: tuple[str, ...],
-         expected: Callable[[int], Optional[Iterable[Permutation]]],
-         n_min: int = 0) -> _RowBuilder:
+         expected: Callable[[int], Iterable[Permutation]],
+         n_min: int = 0, n_top: Optional[int] = None) -> _RowBuilder:
     """Set row: the size-2n avoiders of ``pats``, listed, against
-    ``expected(n)``, for n >= n_min wherever that is not None."""
-    def rows(n: int):
-        perms = expected(n) if n >= n_min else None
-        if perms is None:
-            return
-        want = _perm_set_text(map(Permutation.to_text, perms))
-        got = _block_texts(_avoider_blocks(_query(kind, n, *pats)), 2 * n)
-        yield theorem, _perm_set_text(got), want
-    return rows
+    ``expected(n)``, for n_min <= n <= n_top.  The listings of every n are
+    one run of :func:`dumont.patterns._listings`."""
+    def build(n_max: int) -> Iterator[_Rows]:
+        ns = range(n_min, (n_max if n_top is None else min(n_max, n_top)) + 1)
+        listings = _listings([_query(kind, n, *pats) for n in ns])
+
+        def rows(n: int):
+            if n in ns:
+                want = _perm_set_text(map(Permutation.to_text, expected(n)))
+                got = _block_texts(next(listings), 2 * n)
+                yield theorem, _perm_set_text(got), want
+        return map(rows, range(n_max + 1))
+    return build
 
 
-def _d4_1423(n: int):
+def _d4_1423(n_max: int) -> Iterator[_Rows]:
     """The Dumont-4 avoiders of 1423 against the continued-fraction series,
-    and the series against the vendored A343795 prefix where it reaches."""
-    coeff = d4_1423_series(n).coefficient(n)
-    yield "d4_1423_series", count_avoiders(_query(DumontKind.D4, n, "1423")), coeff
-    if SequenceId.A343795_D4_312.covers(n):
-        yield "d4_1423_reference", coeff, closed_form(SequenceId.A343795_D4_312, n)
+    and the series against the vendored A343795 prefix where it reaches.
+    The counts of every n are one run of :func:`dumont.patterns._counts`."""
+    counts = _counts([_query(DumontKind.D4, n, "1423") for n in range(n_max + 1)])
+
+    def rows(n: int):
+        coeff = d4_1423_series(n).coefficient(n)
+        yield "d4_1423_series", next(counts), coeff
+        if SequenceId.A343795_D4_312.covers(n):
+            yield "d4_1423_reference", coeff, closed_form(SequenceId.A343795_D4_312, n)
+    return map(rows, range(n_max + 1))
 
 
 def _pair_staircase(n: int) -> list[Permutation]:
@@ -155,16 +179,14 @@ def _d1_123_expected(n: int) -> list[Permutation]:
             for s in golden.d1_123_size6_set()]
 
 
-def _d4_1234_expected(n: int) -> Optional[list[Permutation]]:
-    """The 1234 avoiders, known explicitly through size 6."""
-    if n > 3:
-        return None
+def _d4_1234_expected(n: int) -> list[Permutation]:
+    """The 1234 avoiders, known explicitly through size 6 (n = 3)."""
     known = map(Permutation.from_text, golden.d4_1234_avoiders_upto_size6())
     return [p for p in known if len(p) == 2 * n]
 
 
-# A suite is a tuple of passes; a pass runs its row builders for n = 0..n_max
-# in turn, so the rows of a later pass follow all the rows of an earlier one.
+# A suite is a tuple of passes; a pass reports the rows of its builders n by
+# n, so the rows of a later pass follow all the rows of an earlier one.
 _SUITE_TABLE: dict[str, tuple[tuple[_RowBuilder, ...], ...]] = {
     "d1_len3": ((
         *(_count(f"d1_{p}", DumontKind.D1, (p,), SequenceId[f"D1_{p}"])
@@ -195,7 +217,7 @@ _SUITE_TABLE: dict[str, tuple[tuple[_RowBuilder, ...], ...]] = {
           for p in ("1342", "1432", "1324", "1243", "1234")),
         _d4_1423,
     ), (
-        _set("d4_1234_set", DumontKind.D4, ("1234",), _d4_1234_expected),
+        _set("d4_1234_set", DumontKind.D4, ("1234",), _d4_1234_expected, n_top=3),
     )),
     "d4_single": ((_count("d4_321_once", DumontKind.D4, ("321",), SequenceId.D4_321_1, 1),),),
     "d1d2_single": ((
@@ -210,14 +232,20 @@ SUITES = (*_SUITE_TABLE, "all")
 
 
 def run_suite(suite: str, n_max: int) -> VerificationReport:
-    """Run one verification suite (or all of them) up to the given n."""
+    """Run one verification suite (or all of them) up to the given n.
+
+    A pass computes its builders one after another, each for n = 0..n_max,
+    and reports their rows n-major: every builder's rows at n = 0, then at
+    n = 1, and so on.  A row's ``elapsed`` times its builder at its n only.
+    """
     if n_max < 0:
         raise ValueError(f"max n must be >= 0, got {n_max}")
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}")
     rows = [row for name in (_SUITE_TABLE if suite == "all" else (suite,))
             for builders in _SUITE_TABLE[name]  # the passes of one suite
-            for n in range(n_max + 1) for build in builders for row in _timed(n, build)]
+            for at_n in zip(*(_timed(n_max, build) for build in builders))
+            for n_rows in at_n for row in n_rows]
     return VerificationReport(suite, rows)
 
 
@@ -235,8 +263,8 @@ def sanity_s3(n_max: int) -> VerificationReport:
             for q in pats:
                 counts[q] += avoids(p, q)
         return [(f"s3_{q}", got, catalan_number(n)) for q, got in counts.items()]
-    return VerificationReport("s3_sanity", [row for n in range(n_max + 1)
-                                            for row in _timed(n, rows)])
+    per_n = _timed(n_max, lambda n_max: map(rows, range(n_max + 1)))
+    return VerificationReport("s3_sanity", [row for n_rows in per_n for row in n_rows])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import time
 
 import pytest
@@ -174,6 +175,14 @@ _SERIES_ERRORS = {
     # The size is checked before the csv header is written.
     ["enumerate", "--kind", "1", "--size", "3", "--format", "csv"],
     ["enumerate", "--kind", "1", "--size", "-2", "--format", "csv"],
+    # An empty item or a repeated pattern is refused, not dropped or merged.
+    ["avoid", "--kind", "1", "--size", "4", "--pattern", "12,"],
+    ["avoid", "--kind", "1", "--size", "4", "--pattern", ",12"],
+    ["avoid", "--kind", "1", "--size", "4", "--pattern", "12,,21"],
+    ["avoid", "--kind", "1", "--size", "4", "--pattern", "321,321"],
+    # Times are printed in the lines report only.
+    ["verify", "--suite", "d4_single", "--max-n", "2", "--timings", "--format", "csv"],
+    ["verify", "--suite", "d4_single", "--max-n", "2", "--timings", "--format", "json"],
 ])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     journal = tmp_path / "journal"
@@ -185,6 +194,17 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     if pinned:  # the message names the option the user gave, not a library parameter
         assert err == f"error: {pinned}\n"
     assert not journal.exists()  # refused before a journal is opened
+
+
+def test_verify_timings_print_one_time_per_row():
+    argv = ["verify", "--suite", "d1d2_single", "--max-n", "4"]
+    code, plain = run_cli(*argv)
+    timed_code, timed = run_cli(*argv, "--timings")
+    assert code == timed_code == 0
+    rows = timed.splitlines()[1:-1]
+    assert len(rows) == len(plain.splitlines()) - 2 > 0
+    assert all(re.fullmatch(r".* ok  \[\d+\.\d{3}s\]", row) for row in rows)
+    assert re.sub(r"  \[\d+\.\d{3}s\]", "", timed) == plain
 
 
 def test_series_first_terms_of_every_sequence():

@@ -152,6 +152,13 @@ def test_query_validation():
                        occurrence_target=1)
     with pytest.raises(ValueError, match="odd size"):
         count_avoiders(AvoidanceQuery(DumontKind.D1, 5, frozenset({cp("123")})))
+    # A negative size is named as such by every transition, not met as a bad
+    # shift while one is built.
+    for pat in ("123", "2143", "3421"):
+        query = AvoidanceQuery(DumontKind.D1, -2, frozenset({cp(pat)}))
+        for call in (count_avoiders, generate_avoiders):
+            with pytest.raises(ValueError, match="negative size: -2"):
+                call(query)
 
 
 def test_generate_avoiders_refuses_an_odd_size_at_the_call():
@@ -273,6 +280,36 @@ def test_stored_suffixes_skip_the_transition(monkeypatch):
     # 34,994 step calls when every key replays a mask of next values;
     # 27,638 when keys near the leaves replay their stored suffixes.
     assert calls < 31000
+
+
+def test_a_run_of_sizes_shares_the_generic_transition():
+    pair = frozenset([cp("1342"), cp("2413")])
+    queries = [AvoidanceQuery(DumontKind.D1, size, pair) for size in range(0, 11, 2)]
+    alone = []
+    for query in queries:
+        work = patterns._Work()
+        # count_avoiders(query) is this run of one size.
+        assert next(patterns._counts([query], work=work)) == count_avoiders(query)
+        alone.append(work.successors)
+    # The 2,252 successor computations of the transition before runs were
+    # shared, counted by a wrapper from outside the package.
+    assert alone[-1] == 2252
+    work = patterns._Work()
+    assert list(patterns._counts(queries, work=work)) == [1, 1, 3, 11, 44, 185]
+    # Here the size-10 count takes every step the smaller ones take, so the
+    # run computes no more than it does alone.
+    assert work.successors == alone[-1] < sum(alone) == 2631
+    assert work.states == 904  # every state the size-10 count interns
+
+
+def test_a_single_walk_drops_the_memos_of_larger_m():
+    # The walk returns to larger m, so dropping their memos costs it
+    # computations: 2,262, as before runs were shared, where keeping every
+    # memo would make 2,252.
+    query = AvoidanceQuery(DumontKind.D1, 10, frozenset([cp("1342"), cp("2413")]))
+    work = patterns._Work()
+    assert sum(len(tails) for _, tails in next(patterns._listings([query], work))) == 185
+    assert work.successors == 2262
 
 
 @pytest.mark.parametrize("pattern", ["2143", "3421", "123"])

@@ -17,9 +17,9 @@ from dumont import kinds
 from dumont.gfseries import TruncatedSeries
 from dumont.kinds import DumontKind, _walk, generate
 from dumont.patterns import (_INF, AvoidanceQuery, ClassicalPattern, VincularPattern,
-                             _avoider_blocks, _count, _transition, count_avoiders,
-                             count_exact_occurrences, count_occurrences, count_vincular,
-                             generate_avoiders, vincular_histogram)
+                             _avoider_blocks, _count, _counts, _listings, _transition,
+                             count_avoiders, count_exact_occurrences, count_occurrences,
+                             count_vincular, generate_avoiders, vincular_histogram)
 from dumont.permcore import Permutation, _block_texts
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
@@ -167,6 +167,47 @@ def test_generic_dp_agrees_with_the_walk(case, stat, small_dumont_sets):
         alone = generate_avoiders(AvoidanceQuery(kind, size, frozenset([q])))
         walked = Counter(count_vincular(p, stat) for p in alone)
         assert vincular_histogram(kind, size, q, stat) == dict(walked)
+
+
+@st.composite
+def run_cases(draw):
+    """A kind, increasing even sizes up to 10, one or two classical patterns
+    of length 3 or 4 and a target (None, or 0..2 with the first pattern
+    alone)."""
+    kind = draw(st.sampled_from(list(DumontKind)))
+    sizes = sorted(draw(st.sets(st.sampled_from(range(0, 11, 2)), min_size=1)))
+    pats = {tuple(draw(st.sampled_from((3, 4)).flatmap(
+        lambda k: st.permutations(range(1, k + 1))))) for _ in range(draw(st.integers(1, 2)))}
+    target = draw(st.sampled_from((None, 0, 1, 2)))
+    pats = sorted(pats)[:1] if target is not None else sorted(pats)
+    return kind, sizes, pats, target
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=run_cases())
+@example(case=(DumontKind.D1, list(range(0, 11, 2)), [(1, 3, 4, 2), (2, 4, 1, 3)], None))
+@example(case=(DumontKind.D4, list(range(0, 11, 2)), [(3, 2, 1)], 2))
+def test_a_run_of_sizes_counts_each_size_alone(case):
+    # A run shares one transition across its sizes; each size must count
+    # and list what a fresh single-size query does, and up to size 8 what
+    # the walk filtered by the matcher gives.
+    kind, sizes, pats, target = case
+    forbidden = [ClassicalPattern(Permutation(p)) for p in pats]
+    queries = [AvoidanceQuery(kind, size, frozenset(forbidden), target) for size in sizes]
+
+    def member(p):
+        if target is None:
+            return not any(count_occurrences(p, q) for q in forbidden)
+        return count_occurrences(p, forbidden[0]) == target
+
+    listings = _listings(queries)
+    for query, got in zip(queries, _counts(queries)):
+        assert got == count_avoiders(query)
+        listed = [p.values for p in kinds._permutations(next(listings))]
+        assert listed == [p.values for p in generate_avoiders(query)]
+        if query.size <= 8:
+            assert listed == [p.values for p in generate(kind, query.size) if member(p)]
+    assert next(listings, None) is None
 
 
 @st.composite
