@@ -87,9 +87,13 @@ class VerificationReport:
         }
 
 
+def _patterns(texts: Iterable[str]) -> frozenset[ClassicalPattern]:
+    return frozenset(map(ClassicalPattern.parse, texts))
+
+
 def _query(kind: DumontKind, n: int, *pats: str) -> AvoidanceQuery:
     """The members of ``kind`` of size 2n that avoid every one of ``pats``."""
-    return AvoidanceQuery(kind, 2 * n, frozenset(map(ClassicalPattern.parse, pats)))
+    return AvoidanceQuery(kind, 2 * n, _patterns(pats))
 
 
 def _perm_set_text(texts: Iterable[str]) -> str:
@@ -122,11 +126,11 @@ def _count(theorem: str, kind: DumontKind, pats: tuple[str, ...], seq: SequenceI
     contain its one pattern exactly ``target`` times) against
     ``closed_form(seq, n)``, wherever ``seq`` is valid.  The counts of every
     n are one run of :func:`dumont.patterns._counts`."""
-    forbidden = frozenset(map(ClassicalPattern.parse, pats))
+    forbidden = _patterns(pats)
 
     def build(n_max: int) -> Iterator[_Rows]:
-        counts = _counts([AvoidanceQuery(kind, 2 * n, forbidden, target)
-                          for n in range(n_max + 1) if seq.covers(n)])
+        counts = _counts(kind, forbidden, target,
+                         [2 * n for n in range(n_max + 1) if seq.covers(n)])
 
         def rows(n: int):
             if seq.covers(n):
@@ -143,7 +147,7 @@ def _set(theorem: str, kind: DumontKind, pats: tuple[str, ...],
     one run of :func:`dumont.patterns._listings`."""
     def build(n_max: int) -> Iterator[_Rows]:
         ns = range(n_min, (n_max if n_top is None else min(n_max, n_top)) + 1)
-        listings = _listings([_query(kind, n, *pats) for n in ns])
+        listings = _listings(kind, _patterns(pats), None, [2 * n for n in ns])
 
         def rows(n: int):
             if n in ns:
@@ -158,7 +162,8 @@ def _d4_1423(n_max: int) -> Iterator[_Rows]:
     """The Dumont-4 avoiders of 1423 against the continued-fraction series,
     and the series against the vendored A343795 prefix where it reaches.
     The counts of every n are one run of :func:`dumont.patterns._counts`."""
-    counts = _counts([_query(DumontKind.D4, n, "1423") for n in range(n_max + 1)])
+    counts = _counts(DumontKind.D4, _patterns(("1423",)), None,
+                     [2 * n for n in range(n_max + 1)])
 
     def rows(n: int):
         coeff = d4_1423_series(n).coefficient(n)

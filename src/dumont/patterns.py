@@ -24,11 +24,11 @@ the occurrence count so far and the canonical multiset of live partial
 occurrences; plain avoidance is its target-0 case.  Its step is memoised
 per number of unused values and reads nothing else of the size, so one
 generic transition serves a run of sizes: :func:`_counts` and
-:func:`_listings` count and list queries that differ only in size through
-it, and the smaller sizes' memos stay for the larger ones (a single query
-is a run of one size, which keeps only the memos it needs; see
-:func:`_avoid_classical`).  2143 alone and 3421 alone keep smaller, faster
-transitions for plain avoidance, made afresh for each size.
+:func:`_listings` count and list a kind, patterns and target at each of
+several sizes through it, and the smaller sizes' memos stay for the larger
+ones (a single query is a run of one size, which keeps only the memos it
+needs; see :func:`_avoid_classical`).  2143 alone and 3421 alone keep
+smaller, faster transitions for plain avoidance, made afresh for each size.
 :func:`vincular_histogram` runs the same DP for a statistic of length 3
 with one adjacency (``2-31``, ``13-2``, ...): the occurrences that placing
 w adds then depend only on the used values, the previous value and w.  It
@@ -39,8 +39,8 @@ transitions are tested against.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -268,40 +268,27 @@ def _avoid_3421(size: int) -> tuple[_kinds.Step, int]:
     return step, 0
 
 
+@dataclass(slots=True)
 class _Work:
     """Work counts of a generic transition: the successor states it
     computed (one per miss of its step memo) and the states it interned
     (the empty prefix's state 0 not counted)."""
 
-    __slots__ = ("tally",)
-
-    def __init__(self):
-        # Counted in place, so that counting allocates nothing: an int
-        # attribute is a new object on each increment, and with those a
-        # size-14 count peaked at 29.2-29.4 MiB in every fresh process
-        # measured, against 27.7-29.1 MiB without counters.
-        self.tally = array("q", [0, 0])
-
-    @property
-    def successors(self) -> int:
-        return self.tally[0]
-
-    @property
-    def states(self) -> int:
-        return self.tally[1]
+    successors: int = 0
+    states: int = 0
 
 
 # ``make(size) -> (step, initial state)``: a transition for each size.
 _StepMaker = Callable[[int], tuple[_kinds.Step, Optional[int]]]
 
 
-def _avoid_classical(sizes: Sequence[int], pats: Sequence[tuple[int, ...]],
+def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
                      target: int = 0, work: Optional[_Work] = None) -> _StepMaker:
-    """``make``, whose ``make(size)`` for a size up to the largest in
-    ``sizes`` is the transition that accepts a word with exactly ``target``
-    occurrences of ``pats`` in all; with the default target 0 it rejects
-    the value that completes an occurrence of any of them.  ``work`` (if
-    given) counts what the transitions compute.
+    """``make``, whose ``make(size)`` for a size up to ``top`` is the
+    transition that accepts a word with exactly ``target`` occurrences of
+    ``pats`` in all; with the default target 0 it rejects the value that
+    completes an occurrence of any of them.  ``work`` (if given) counts what
+    the transitions compute.
 
     The state holds the number of occurrences so far and the live partial
     occurrences: the first j letters of a pattern matched by placed values,
@@ -325,12 +312,15 @@ def _avoid_classical(sizes: Sequence[int], pats: Sequence[tuple[int, ...]],
     values and their number m, never on the size, so one set of memos on
     (state, r) per m, and of the move of each occurrence, serves the steps
     of every size; the step of a size reads only which values it has.  The
-    memos of m up to the second-largest size in ``sizes`` are kept, since
-    the sizes after it ask for them again.  Above that, the memos of a new
-    m replace those of every larger m, which a layered DP never asks for
-    again while a depth-first walk keeps those it returns to; so a single
-    size keeps just what it would alone.  The memos and the interned states
-    live as long as ``make`` or any step it made.
+    step of a size below ``top`` keeps every memo it uses, since a larger
+    size asks for all of them again.  The step of size ``top``, on its first
+    step at each m, drops the memos of every larger m, which a layered DP
+    never asks for again while a depth-first walk makes afresh those it
+    returns to.  So a single size computes and keeps just what it did
+    before sizes shared memos, and a run of sizes counting its largest one
+    holds at most that plus the smaller sizes' memos of smaller m.  The
+    memos and the interned states live as long as ``make`` or any step it
+    made.
     """
     # A shape is a (pattern, j) pair with j < len(pattern).  Per shape: j,
     # the gap the next letter falls in, the shape after placing it (None
@@ -361,9 +351,7 @@ def _avoid_classical(sizes: Sequence[int], pats: Sequence[tuple[int, ...]],
     # per unit of multiplicity, in ``cbits`` bits each above, in sorted
     # order; none is 0, since only occurrences with j >= 1 are kept and
     # shape 0 has j = 0.
-    top = max(sizes)
-    keep = sorted(sizes)[-2] if len(sizes) > 1 else 0
-    tally = (work or _Work()).tally
+    work = work or _Work()
     sbits = len(length).bit_length()
     rbits = top.bit_length()
     smask = (1 << sbits) - 1
@@ -423,7 +411,7 @@ def _avoid_classical(sizes: Sequence[int], pats: Sequence[tuple[int, ...]],
     def successor(state: int, r: int, m: int, moves: dict[int, tuple[int, ...]]) -> int:
         """Interned state after placing the unused value of rank r among m,
         or -1 when the count passes the target (or misses it at the end)."""
-        tally[0] += 1
+        work.successors += 1
         packed = states[state]
         count = packed & nmask
         packed >>= nbits
@@ -479,20 +467,30 @@ def _avoid_classical(sizes: Sequence[int], pats: Sequence[tuple[int, ...]],
         if new is None:
             new = ids[key] = len(states)
             states.append(key)
-            tally[1] += 1
+            work.states += 1
         return new
 
     def make(size: int) -> tuple[_kinds.Step, Optional[int]]:
         full = (1 << (size + 1)) - 2
+        mine: list[Optional[tuple[dict[int, int], dict[int, tuple[int, ...]]]]] = \
+            [None] * (size + 1)  # the memos this size's step has used, per m
+        drops = size == top
+
+        def tables_at(m: int) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+            if drops:
+                memos[m + 1:] = mine[m + 1:] = [None] * (top - m)
+            tables = memos[m]
+            if tables is None:
+                tables = memos[m] = ({}, {})
+            mine[m] = tables
+            return tables
 
         def step(state: int, w: int, used: int) -> Optional[int]:
             free = ~used & full
             m = free.bit_count()
-            tables = memos[m]
+            tables = mine[m]
             if tables is None:
-                low = max(m, keep)
-                memos[low + 1:] = [None] * (top - low)
-                tables = memos[m] = ({}, {})
+                tables = tables_at(m)
             memo = tables[0]
             r = (free & ((1 << w) - 1)).bit_count()
             key = state * top + r
@@ -512,26 +510,21 @@ _TRANSITIONS = {
 }
 
 
-def _transitions(queries: Sequence[AvoidanceQuery],
-                 work: Optional[_Work] = None) -> Iterator[tuple[_kinds.Step, Optional[int]]]:
-    """(step, initial state) of each of ``queries``, which differ only in
-    size, in turn: the fast transition of 2143 or 3421 alone in plain mode,
-    made afresh per size, else one generic transition that all of them
-    share, with its memos (see :func:`_avoid_classical`)."""
-    if not queries:
-        return
-    pats = sorted(q.perm.values for q in queries[0].forbidden)
-    target = queries[0].occurrence_target
+def _step_maker(forbidden: frozenset[ClassicalPattern], target: Optional[int],
+                sizes: Sequence[int], work: Optional[_Work] = None) -> _StepMaker:
+    """``make`` for the sizes of a run, with the ``forbidden`` patterns and
+    ``target`` of an :class:`AvoidanceQuery`: the fast transition of 2143
+    or 3421 alone in plain mode, made afresh per size, else one generic
+    transition that every size shares, with its memos (see
+    :func:`_avoid_classical`)."""
+    pats = sorted(q.perm.values for q in forbidden)
     make = _TRANSITIONS.get(pats[0]) if len(pats) == 1 and target is None else None
-    if make is None:
-        make = _avoid_classical([q.size for q in queries], pats, target or 0, work)
-    for q in queries:
-        yield make(q.size)
+    return make or _avoid_classical(max(sizes, default=0), pats, target or 0, work)
 
 
 def _transition(query: AvoidanceQuery) -> tuple[_kinds.Step, Optional[int]]:
     """(step, initial state) of a query: a run of one size."""
-    return next(_transitions([query]))
+    return _step_maker(query.forbidden, query.occurrence_target, [query.size])(query.size)
 
 
 def _vincular_stat(stat: VincularPattern, size: int) -> _kinds.Stat:
@@ -581,17 +574,31 @@ _Blocks = Iterator[tuple[list[int], _kinds._Tails]]
 def _avoider_blocks(query: AvoidanceQuery) -> _Blocks:
     """The members of the query's set as the blocks of :func:`dumont.kinds._walk`.
     An odd or negative size raises here, before a transition is made."""
-    _kinds._require_even(query.size)
-    return next(_listings([query]))
+    return next(_listings(query.kind, query.forbidden, query.occurrence_target, [query.size]))
 
 
-def _listings(queries: Sequence[AvoidanceQuery],
-              work: Optional[_Work] = None) -> Iterator[_Blocks]:
-    """:func:`_avoider_blocks` of each of ``queries``, which differ only in
-    size, in turn.  They share one generic transition, as in
-    :func:`_counts`."""
-    return (_kinds._walk(q.kind, q.size, *transition)
-            for q, transition in zip(queries, _transitions(queries, work)))
+def _runs(consume: Callable, kind: DumontKind, forbidden: frozenset[ClassicalPattern],
+          target: Optional[int], sizes: Sequence[int], work: Optional[_Work] = None) -> Iterator:
+    """``consume(kind, size, step, state)`` for each of ``sizes`` in turn,
+    each when it is asked for, with the transition of the query of ``kind``,
+    that size, ``forbidden`` and ``target``.  The sizes share one
+    :func:`_step_maker`, so in increasing size each reuses the generic
+    transition's memos that the smaller ones filled; a single query is a
+    run of one size.  ``work`` (if given) counts the generic transition's
+    work.  The patterns, the target and every size are checked before the
+    first transition is made."""
+    AvoidanceQuery(kind, 0, forbidden, target)  # checks the patterns and the target
+    for size in sizes:
+        _kinds._require_even(size)
+    make = _step_maker(forbidden, target, sizes, work)
+    for size in sizes:
+        yield consume(kind, size, *make(size))
+
+
+def _listings(kind: DumontKind, forbidden: frozenset[ClassicalPattern], target: Optional[int],
+              sizes: Sequence[int], work: Optional[_Work] = None) -> Iterator[_Blocks]:
+    """:func:`_avoider_blocks` of each of ``sizes``: a :func:`_runs` of the walk."""
+    return _runs(_kinds._walk, kind, forbidden, target, sizes, work)
 
 
 def count_avoiders(query: AvoidanceQuery, *, deadline: Optional[float] = None) -> int:
@@ -601,19 +608,17 @@ def count_avoiders(query: AvoidanceQuery, *, deadline: Optional[float] = None) -
     ``deadline`` (checked between positions of the DP).  An odd or negative
     size raises before a transition is made.
     """
-    _kinds._require_even(query.size)
-    return next(_counts([query], deadline=deadline))
+    return next(_counts(query.kind, query.forbidden, query.occurrence_target, [query.size],
+                        deadline=deadline))
 
 
-def _counts(queries: Sequence[AvoidanceQuery], *, deadline: Optional[float] = None,
+def _counts(kind: DumontKind, forbidden: frozenset[ClassicalPattern], target: Optional[int],
+            sizes: Sequence[int], *, deadline: Optional[float] = None,
             work: Optional[_Work] = None) -> Iterator[int]:
-    """:func:`count_avoiders` of each of ``queries``, which differ only in
-    size, in turn, each counted when it is asked for.  They share one
-    generic transition, so in increasing size each reuses the memos that
-    the smaller ones filled; a single query is a run of one size.  ``work``
-    (if given) counts the generic transition's work."""
-    return (_kinds._count_layers(q.kind, q.size, *transition, deadline=deadline)
-            for q, transition in zip(queries, _transitions(queries, work)))
+    """:func:`count_avoiders` of each of ``sizes``: a :func:`_runs` of the
+    layered DP."""
+    return _runs(partial(_kinds._count_layers, deadline=deadline),
+                 kind, forbidden, target, sizes, work)
 
 
 def count_exact_occurrences(kind: DumontKind, size: int, q: ClassicalPattern,

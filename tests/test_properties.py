@@ -200,8 +200,8 @@ def test_a_run_of_sizes_counts_each_size_alone(case):
             return not any(count_occurrences(p, q) for q in forbidden)
         return count_occurrences(p, forbidden[0]) == target
 
-    listings = _listings(queries)
-    for query, got in zip(queries, _counts(queries)):
+    listings = _listings(kind, frozenset(forbidden), target, sizes)
+    for query, got in zip(queries, _counts(kind, frozenset(forbidden), target, sizes)):
         assert got == count_avoiders(query)
         listed = [p.values for p in kinds._permutations(next(listings))]
         assert listed == [p.values for p in generate_avoiders(query)]
