@@ -94,12 +94,19 @@ def _cmd_avoid(args, out) -> int:
     forbidden = frozenset(map(ClassicalPattern.parse, pats))
     if len(forbidden) < len(pats):
         raise ValueError(f"--pattern {args.pattern!r} names a pattern twice")
+    if args.list and args.budget is not None:
+        raise ValueError("--budget applies to a count, not to --list")
+    deadline = harness._deadline(args.budget)
     query = AvoidanceQuery(args.kind, args.size, forbidden, occurrence_target=args.exactly)
     payload = {"kind": args.kind.value, "size": args.size, "patterns": pats,
                "exactly": args.exactly}
     if args.list:
         return _members(args, out, payload, _avoider_blocks(query))
-    payload["count"] = count_avoiders(query)
+    try:
+        payload["count"] = count_avoiders(query, deadline=deadline)
+    except harness.BudgetExceeded:
+        print("budget exhausted", file=sys.stderr)
+        return 3
     _report(args.format, out, payload, ["count"], [[payload["count"]]])
     return 0
 
@@ -239,6 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--exactly", type=int, default=None,
                     help="count members with exactly this many occurrences")
     sp.add_argument("--list", action="store_true", help="also list the members")
+    sp.add_argument("--budget", type=float, default=None, metavar="SECONDS",
+                    help="stop the count after this many seconds (exit 3)")
     add_format(sp)
     sp.set_defaults(fn=_cmd_avoid)
 

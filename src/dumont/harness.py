@@ -35,7 +35,7 @@ from . import golden
 from .gfseries import SequenceId, catalan_number, closed_form, d4_1423_series
 from .kinds import BudgetExceeded, DumontKind  # BudgetExceeded is re-exported
 from .patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern, _counts, _listings,
-                       avoids, count_avoiders, generate_avoiders, vincular_histogram)
+                       avoids, count_avoiders, vincular_histogram)
 from .permcore import Permutation, _block_texts
 
 _STAT_2_31 = VincularPattern.parse("2-31")
@@ -139,21 +139,35 @@ def _count(theorem: str, kind: DumontKind, pats: tuple[str, ...], seq: SequenceI
     return build
 
 
-def _set(theorem: str, kind: DumontKind, pats: tuple[str, ...],
-         expected: Callable[[int], Iterable[Permutation]],
+# ``listing(ns)``: the texts of the members of each n of ``ns``, in turn.
+_Listing = Callable[[Sequence[int]], Iterator[Iterable[str]]]
+
+
+def _avoider_texts(kind: DumontKind, pats: tuple[str, ...]) -> _Listing:
+    """The size-2n avoiders of ``pats``, listed by one run of
+    :func:`dumont.patterns._listings`."""
+    def listing(ns: Sequence[int]) -> Iterator[Iterable[str]]:
+        sizes = [2 * n for n in ns]
+        return map(_block_texts, _listings(kind, _patterns(pats), None, sizes), sizes)
+    return listing
+
+
+def _texts(members: Callable[[int], Iterable[Permutation]]) -> _Listing:
+    """The listing of ``members(n)``, one n at a time."""
+    return lambda ns: (map(Permutation.to_text, members(n)) for n in ns)
+
+
+def _set(theorem: str, kind: DumontKind, pats: tuple[str, ...], expected: _Listing,
          n_min: int = 0, n_top: Optional[int] = None) -> _RowBuilder:
-    """Set row: the size-2n avoiders of ``pats``, listed, against
-    ``expected(n)``, for n_min <= n <= n_top.  The listings of every n are
-    one run of :func:`dumont.patterns._listings`."""
+    """Set row: the size-2n avoiders of ``pats``, listed, against the
+    ``expected`` listing, for n_min <= n <= n_top."""
     def build(n_max: int) -> Iterator[_Rows]:
         ns = range(n_min, (n_max if n_top is None else min(n_max, n_top)) + 1)
-        listings = _listings(kind, _patterns(pats), None, [2 * n for n in ns])
+        got, want = _avoider_texts(kind, pats)(ns), expected(ns)
 
         def rows(n: int):
             if n in ns:
-                want = _perm_set_text(map(Permutation.to_text, expected(n)))
-                got = _block_texts(next(listings), 2 * n)
-                yield theorem, _perm_set_text(got), want
+                yield theorem, _perm_set_text(next(got)), _perm_set_text(next(want))
         return map(rows, range(n_max + 1))
     return build
 
@@ -173,17 +187,20 @@ def _d4_1423(n_max: int) -> Iterator[_Rows]:
     return map(rows, range(n_max + 1))
 
 
+@_texts
 def _pair_staircase(n: int) -> list[Permutation]:
     """The one permutation 2 1 4 3 ... 2n 2n-1."""
     return [Permutation([v for j in range(1, n + 1) for v in (2 * j, 2 * j - 1)])]
 
 
+@_texts
 def _d1_123_expected(n: int) -> list[Permutation]:
     prefix = [v for j in range(n, 3, -1) for v in (2 * j - 1, 2 * j)]
     return [Permutation(prefix + list(Permutation.from_text(s).values))
             for s in golden.d1_123_size6_set()]
 
 
+@_texts
 def _d4_1234_expected(n: int) -> list[Permutation]:
     """The 1234 avoiders, known explicitly through size 6 (n = 3)."""
     known = map(Permutation.from_text, golden.d4_1234_avoiders_upto_size6())
@@ -209,7 +226,7 @@ _SUITE_TABLE: dict[str, tuple[tuple[_RowBuilder, ...], ...]] = {
           for p in ("3142", "4132", "2143")),
         # The 4132 avoiders are not merely as many as the 321 avoiders: they are the same.
         _set("d2_4132_set_eq_321", DumontKind.D2, ("4132",),
-             lambda n: generate_avoiders(_query(DumontKind.D2, n, "321"))),
+             _avoider_texts(DumontKind.D2, ("321",))),
     ),),
     "d1_pairs": ((
         *(_count(f"d1_pair_{a}_{b}", DumontKind.D1, (a, b), SequenceId[f"D1_PAIR_{a}_{b}"])

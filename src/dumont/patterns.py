@@ -21,12 +21,16 @@ walk of :mod:`dumont.kinds`, and :func:`count_avoiders` and
 summary once instead of each leaf.  Any set of classical patterns and any
 target has the generic transition :func:`_avoid_classical`, whose state is
 the occurrence count so far and the canonical multiset of live partial
-occurrences; plain avoidance is its target-0 case.  Its step is memoised
-per number of unused values and reads nothing else of the size, so one
-generic transition serves a run of sizes: :func:`_counts` and
-:func:`_listings` count and list a kind, patterns and target at each of
-several sizes through it, and the smaller sizes' memos stay for the larger
-ones (a single query is a run of one size, which keeps only the memos it
+occurrences; plain avoidance is its target-0 case.  Each state carries a
+reject mask, the ranks among the unused values whose placement would
+complete too many occurrences, and the step refuses those before any memo.
+The move of one partial occurrence is memoised once for every number of
+unused values, with a floor below which it dies.  The step is memoised per
+number of unused values and reads nothing else of the size, so one generic
+transition serves a run of sizes: :func:`_counts` and :func:`_listings`
+count and list a kind, patterns and target at each of several sizes
+through it, and the smaller sizes' memos stay for the larger ones (a
+single query is a run of one size, which keeps only the step memos it
 needs; see :func:`_avoid_classical`).  2143 alone and 3421 alone keep
 smaller, faster transitions for plain avoidance, made afresh for each size.
 :func:`vincular_histogram` runs the same DP for a statistic of length 3
@@ -271,10 +275,12 @@ def _avoid_3421(size: int) -> tuple[_kinds.Step, int]:
 @dataclass(slots=True)
 class _Work:
     """Work counts of a generic transition: the successor states it
-    computed (one per miss of its step memo) and the states it interned
+    computed (one per miss of its step memo), the moves of one occurrence
+    it computed (one per miss of its move memo) and the states it interned
     (the empty prefix's state 0 not counted)."""
 
     successors: int = 0
+    moves: int = 0
     states: int = 0
 
 
@@ -308,19 +314,30 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
     is rejected unless the count has reached the target, and so is the
     empty word of size 0 (its state is None) when the target is above 0.
 
-    The step depends only on the state, the rank r of w among the unused
-    values and their number m, never on the size, so one set of memos on
-    (state, r) per m, and of the move of each occurrence, serves the steps
-    of every size; the step of a size reads only which values it has.  The
-    step of a size below ``top`` keeps every memo it uses, since a larger
-    size asks for all of them again.  The step of size ``top``, on its first
-    step at each m, drops the memos of every larger m, which a layered DP
-    never asks for again while a depth-first walk makes afresh those it
-    returns to.  So a single size computes and keeps just what it did
-    before sizes shared memos, and a run of sizes counting its largest one
-    holds at most that plus the smaller sizes' memos of smaller m.  The
-    memos and the interned states live as long as ``make`` or any step it
-    made.
+    An occurrence one letter short completes when the placed value falls in
+    the gap its last letter must take, an interval of ranks; so whether a
+    placement completes too many occurrences depends only on the state and
+    the rank r of the value.  Each state is interned with its reject mask,
+    the ranks where more than the allowed number of occurrences close
+    (counted with multiplicity), and the step refuses those ranks before
+    anything else.  The move of one occurrence depends on its code and r
+    alone: the number m of unused values only decides whether the top gap
+    can still take its letters, so each occurrence it yields carries a
+    floor, the least m that leaves room for them, and the successor drops
+    the ones whose floor is above m before the dominance pruning.  One move
+    memo on (occurrence, r) serves every m and size.
+
+    The step depends only on the state, r and m, never on the size, so one
+    step memo on (state, r) per m serves the steps of every size; the step
+    of a size reads only which values it has.  The step of a size below
+    ``top`` keeps every memo it uses, since a larger size asks for all of
+    them again.  The step of size ``top``, on its first step at each m,
+    drops the step memos of every larger m, which a layered DP never asks
+    for again while a depth-first walk makes afresh those it returns to.
+    So a single size keeps only the step memos it needs, and a run of sizes
+    counting its largest one holds at most that plus the smaller sizes'
+    step memos of smaller m.  The memos, the interned states and their
+    reject masks live as long as ``make`` or any step it made.
     """
     # A shape is a (pattern, j) pair with j < len(pattern).  Per shape: j,
     # the gap the next letter falls in, the shape after placing it (None
@@ -360,30 +377,71 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
     cmask = (1 << cbits) - 1
     nbits = target.bit_length()
     nmask = (1 << nbits) - 1
+    # Per occurrence code: its box (the (lo, hi) of every gap that must
+    # take letters, flattened; the top gap's hi is ``top``), its floor, and
+    # the mask of the ranks at which it completes (0 unless it is one letter
+    # short).
+    boxes: dict[int, tuple[int, ...]] = {}
+    floors: dict[int, int] = {}
+    closes: dict[int, int] = {}
+    moves: dict[int, tuple[int, ...]] = {}  # on code * top + r
+    # memos[m]: the step memo for m unused values.
+    memos: list[Optional[dict[int, int]]] = [None] * (top + 1)
+
+    def closing(shape: int, ranks: list[int]) -> int:
+        """The mask of the ranks at which an occurrence completes: the gap
+        its last letter must take when only that letter is left, else 0."""
+        if nxt_shape[shape] is not None:
+            return 0
+        g = nxt_gap[shape]
+        lo = ranks[g - 1] if g else 0
+        hi = ranks[g] if g < len(ranks) else top
+        return (1 << hi) - (1 << lo)
+
+    def rejecting(count: int, codes: list[int]) -> int:
+        """The reject mask of the state of ``count`` and the nonempty
+        occurrences ``codes``: bit r is set when placing the value of rank r
+        completes more occurrences than the target still allows."""
+        # closed[i]: the ranks where more than i of the occurrences close.
+        closed = [0] * (target - count + 1)
+        for code in empties + codes:
+            mask = closes[code]
+            if mask:
+                for i in range(len(closed) - 1, 0, -1):
+                    closed[i] |= closed[i - 1] & mask
+                closed[0] |= mask
+        return closed[-1]
+
+    for code in empties:
+        closes[code] = closing(code, [])
     ids: dict[int, int] = {0: 0}
     states: list[int] = [0]
-    boxes: dict[int, tuple[int, ...]] = {}
-    # memos[m]: the step memo and the move memo for m unused values.
-    memos: list[Optional[tuple[dict[int, int], dict[int, tuple[int, ...]]]]] = \
-        [None] * (top + 1)
+    rejects: list[int] = [rejecting(0, [])]
 
-    def box(shape: int, ranks: list[int], m: int) -> Optional[tuple[int, ...]]:
-        """(lo, hi) of every gap that must take letters, flattened; None
-        when one of them holds too few of the m unused values."""
-        out = []
+    def box(shape: int, ranks: list[int]) -> Optional[tuple[tuple[int, ...], int]]:
+        """The box and the floor of an occurrence; None when a gap below
+        the top one holds fewer unused values than it must take."""
+        out: list[int] = []
+        floor = 0
         for g, need in needs[shape]:
             lo = ranks[g - 1] if g else 0
-            hi = ranks[g] if g < len(ranks) else m
-            if hi - lo < need:
+            if g == len(ranks):
+                # Placing a value at m leaves m - 1 unused, m - 1 - lo of them here.
+                floor = lo + need + 1
+                out += (lo, top)
+            elif ranks[g] - lo < need:
                 return None
-            # Boxes are compared within one m, so the top bound is moot.
-            out += (lo, hi if g < len(ranks) else top)
-        return tuple(out)
+            else:
+                out += (lo, ranks[g])
+        return tuple(out), floor
 
-    def move(code: int, r: int, m: int) -> tuple[int, ...]:
-        """The live occurrences one occurrence leaves after placing the
-        unused value of rank r among m: itself, and its extension when the
-        value fits its next letter, or 0 when the value completes it."""
+    def move(code: int, r: int) -> tuple[int, ...]:
+        """The occurrences one occurrence leaves after placing the unused
+        value of rank r: itself, and its extension when the value fits its
+        next letter, or 0 when the value completes it.  Those with a gap
+        below the top one too small are dead and left out; the successor
+        checks the top gap by the floor."""
+        work.moves += 1
         shape = code & smask
         ranks = [code >> (sbits + rbits * i) & rmask for i in range(length[shape])]
         shifted = [x - (x > r) for x in ranks]
@@ -399,18 +457,20 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
         for new_shape, new_ranks in grown:
             for i in idle[new_shape]:
                 new_ranks[i] = 0
-            b = box(new_shape, new_ranks, m - 1)
+            b = box(new_shape, new_ranks)
             if b is not None:
                 new = new_shape
                 for i, x in enumerate(new_ranks):
                     new |= x << (sbits + rbits * i)
-                boxes[new] = b
+                boxes[new], floors[new] = b
+                closes[new] = closing(new_shape, new_ranks)
                 out.append(new)
         return tuple(out)
 
-    def successor(state: int, r: int, m: int, moves: dict[int, tuple[int, ...]]) -> int:
+    def successor(state: int, r: int, m: int) -> int:
         """Interned state after placing the unused value of rank r among m,
-        or -1 when the count passes the target (or misses it at the end)."""
+        which the state's reject mask allows, or -1 when the word ends short
+        of the target."""
         work.successors += 1
         packed = states[state]
         count = packed & nmask
@@ -424,14 +484,12 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
             key = code * top + r
             got = moves.get(key)
             if got is None:
-                got = moves[key] = move(code, r, m)
+                got = moves[key] = move(code, r)
             for c in got:
-                if c:
-                    found[c] = found.get(c, 0) + 1
-                elif count == target:
-                    return -1
-                else:
+                if not c:
                     count += 1
+                elif floors[c] <= m:
+                    found[c] = found.get(c, 0) + 1
         if m == 1 and count < target:
             return -1
         if count < target:
@@ -467,36 +525,37 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
         if new is None:
             new = ids[key] = len(states)
             states.append(key)
+            rejects.append(rejecting(count, kept))
             work.states += 1
         return new
 
     def make(size: int) -> tuple[_kinds.Step, Optional[int]]:
         full = (1 << (size + 1)) - 2
-        mine: list[Optional[tuple[dict[int, int], dict[int, tuple[int, ...]]]]] = \
-            [None] * (size + 1)  # the memos this size's step has used, per m
+        mine: list[Optional[dict[int, int]]] = [None] * (size + 1)  # the memos this size has used
         drops = size == top
 
-        def tables_at(m: int) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+        def memo_at(m: int) -> dict[int, int]:
             if drops:
                 memos[m + 1:] = mine[m + 1:] = [None] * (top - m)
-            tables = memos[m]
-            if tables is None:
-                tables = memos[m] = ({}, {})
-            mine[m] = tables
-            return tables
+            memo = memos[m]
+            if memo is None:
+                memo = memos[m] = {}
+            mine[m] = memo
+            return memo
 
         def step(state: int, w: int, used: int) -> Optional[int]:
             free = ~used & full
-            m = free.bit_count()
-            tables = mine[m]
-            if tables is None:
-                tables = tables_at(m)
-            memo = tables[0]
             r = (free & ((1 << w) - 1)).bit_count()
+            if rejects[state] >> r & 1:
+                return None
+            m = free.bit_count()
+            memo = mine[m]
+            if memo is None:
+                memo = memo_at(m)
             key = state * top + r
             new = memo.get(key)
             if new is None:
-                new = memo[key] = successor(state, r, m, tables[1])
+                new = memo[key] = successor(state, r, m)
             return new if new >= 0 else None
 
         return step, None if target and not size else 0

@@ -36,7 +36,11 @@ def _block_texts(blocks: Iterable[tuple[Sequence[int], tuple[tuple[int, ...], ..
     is empty only under the empty suffix.  Each prefix is formatted once,
     and each ``tails`` object once per call: its texts are kept by identity
     until the listing ends, so ``blocks`` must keep every ``tails`` it hands
-    out alive while it runs.
+    out alive while it runs.  Consecutive prefixes share most letters, but
+    keeping a text per depth (rebuilt from the first changed letter) or
+    joining ``map(names.__getitem__, prefix)`` both formatted slower than
+    this join of a list (2026-10-19, 2 vCPUs: 0.154 and 0.115 s against
+    0.099 s for the three ``enumerate`` benchmark listings).
     """
     sep = _separator(size)
     names = _NAMES if size < len(_NAMES) else tuple(map(str, range(size + 1)))

@@ -183,6 +183,10 @@ _SERIES_ERRORS = {
     # Times are printed in the lines report only.
     ["verify", "--suite", "d4_single", "--max-n", "2", "--timings", "--format", "csv"],
     ["verify", "--suite", "d4_single", "--max-n", "2", "--timings", "--format", "json"],
+    # A budget bounds a count: a listing takes none, and it is never negative.
+    ["avoid", "--kind", "1", "--size", "4", "--pattern", "123", "--list", "--budget", "5"],
+    ["avoid", "--kind", "1", "--size", "4", "--pattern", "123", "--budget", "-1"],
+    ["avoid", "--kind", "1", "--size", "4", "--pattern", "123", "--budget", "nan"],
 ])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     journal = tmp_path / "journal"
@@ -500,6 +504,18 @@ def test_conjecture_budget_exit_code(tmp_path, capsys):
                             "--format", fmt)
         assert (code, out) == (3, "")
         assert capsys.readouterr().err == "budget exhausted\n"
+
+
+def test_avoid_budget_exit_code(capsys):
+    # A spent budget stops the count with nothing on stdout, in every format.
+    for fmt in ("lines", "json", "csv"):
+        code, out = run_cli("avoid", "--kind", "1", "--size", "26", "--pattern", "123",
+                            "--budget", "0", "--format", fmt)
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == "budget exhausted\n"
+    # A budget that lasts changes nothing.
+    argv = ("avoid", "--kind", "1", "--size", "8", "--pattern", "123")
+    assert run_cli(*argv, "--budget", "60") == run_cli(*argv) == (0, "4\n")
 
 
 def test_torn_journal_lines_are_not_extended(tmp_path, capsys):

@@ -297,36 +297,38 @@ def test_a_run_of_sizes_shares_the_generic_transition():
         assert next(patterns._counts(DumontKind.D1, pair, None, [size], work=work)) == \
             count_avoiders(AvoidanceQuery(DumontKind.D1, size, pair))
         alone.append(work.successors)
-    # The 2,252 successor computations of the transition before runs were
-    # shared, counted by a wrapper from outside the package.
-    assert alone[-1] == 2252
+    # 2,252 successor computations before the reject masks, which refuse a
+    # placement that closes an occurrence before it reaches the successor.
+    assert alone[-1] == 1645
     work = patterns._Work()
     assert list(patterns._counts(DumontKind.D1, pair, None, sizes, work=work)) == \
         [1, 1, 3, 11, 44, 185]
     # Here the size-10 count takes every step the smaller ones take, so the
     # run computes no more than it does alone.
-    assert work.successors == alone[-1] < sum(alone) == 2631
+    assert work.successors == alone[-1] < sum(alone) == 1969
     assert work.states == 904  # every state the size-10 count interns
+    # One move memo serves every m: 480 moves, where a memo per m made 1,239.
+    assert work.moves == 480
 
 
 def test_a_single_walk_drops_the_memos_of_larger_m():
-    # The walk returns to larger m, so dropping their memos costs it
-    # computations: 2,262, as before runs were shared, where keeping every
-    # memo would make 2,252.
+    # The walk returns to larger m, so dropping their step memos costs it
+    # computations: 1,665 (2,262 before the reject masks), where keeping
+    # every memo would make 1,645.
     pair = frozenset([cp("1342"), cp("2413")])
     work = patterns._Work()
     listing = next(patterns._listings(DumontKind.D1, pair, None, [10], work))
     assert sum(len(tails) for _, tails in listing) == 185
-    assert work.successors == 2262
-    # The largest size of a run drops them too: the sizes 0..8 make 368,
-    # and the size-10 walk then makes 2,202.  Keeping the memos of m <= 8
-    # through it would make 2,252 in all, but would hold the size-10 memos
+    assert work.successors == 1665
+    # The largest size of a run drops them too: the sizes 0..8 make 316,
+    # and the size-10 walk then makes 1,609.  Keeping the memos of m <= 8
+    # through it would make 1,645 in all, but would hold the size-10 memos
     # of every such m at once.
     work = patterns._Work()
     listings = patterns._listings(DumontKind.D1, pair, None, range(0, 11, 2), work)
     assert [sum(len(tails) for _, tails in listing) for listing in listings] == \
         [1, 1, 3, 11, 44, 185]
-    assert work.successors == 2570
+    assert work.successors == 1925
 
 
 @pytest.mark.parametrize("pattern", ["2143", "3421", "123"])

@@ -8,6 +8,7 @@ its schoolbook loops) on random small inputs.
 
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -86,6 +87,12 @@ def transition_cases(draw):
 @PROPERTY
 @given(case=transition_cases())
 def test_transitions_reject_exactly_when_the_prefix_would_match(case):
+    replay(case)
+
+
+def replay(case):
+    """Place ``values`` in turn, each after popping its number of ``pops``
+    from the accepted prefix, and check every answer against the oracle."""
     # A full-length prefix is a leaf: in exact mode the transition also
     # rejects one that misses the target, and at size 0 the empty word.
     size, (step, state), rejects, leaf, values, pops = case
@@ -106,6 +113,31 @@ def test_transitions_reject_exactly_when_the_prefix_would_match(case):
         if ok:
             accepted.append(w)
             saved.append((new, used | 1 << w))
+
+
+# Placements chosen to reach states whose reject mask is easy to get wrong:
+# (pattern, target, size, values, pops).
+CHOSEN_PLACEMENTS = {
+    # The empty occurrence of a length-1 pattern closes at every rank, so
+    # the third value is refused wherever it falls.
+    "length_1": ((1,), 2, 6, [3, 1, 5, 2, 4, 6], [0, 0, 0, 1, 0, 0]),
+    # After 3 and 2 the two copies of one partial 12 close at every rank
+    # above them, where one copy alone would be allowed.
+    "two_copies": ((1, 2), 1, 6, [3, 2, 4, 1, 5, 4], [0, 0, 0, 0, 0, 2]),
+    # The 1 of a 12 closes in the top gap.  The partial occurrence of 1 is
+    # first interned with two unused values above it, then met again with
+    # five, where the rank of 6 is 4.
+    "top_gap": ((1, 2), 0, 6, [6, 5, 4, 1, 1, 6], [0, 0, 0, 0, 4, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHOSEN_PLACEMENTS))
+def test_transitions_reject_chosen_placements(name):
+    pat, target, size, values, pops = CHOSEN_PLACEMENTS[name]
+    query = AvoidanceQuery(DumontKind.D1, size,
+                           frozenset([ClassicalPattern(Permutation(pat))]), target)
+    replay((size, _transition(query), lambda h: naive_count(h, pat) > target,
+            lambda h: naive_count(h, pat) == target, values, pops))
 
 
 DP_PATTERNS = {"2143": VincularPattern.parse("2-31"), "3421": VincularPattern.parse("13-2")}
