@@ -8,12 +8,12 @@ from .bijections import (Composition, DyckPath, SplitPair, composition_to_d4_134
 from .gfseries import (SequenceId, TruncatedSeries, catalan_number, closed_form,
                        d4_1423_series, genocchi, gf_identities_check, solve_prst_system)
 from .harness import (DistributionTable, VerificationReport, conjecture1_counts,
-                      conjecture2_distribution, render_diagram, run_suite, sanity_s3)
+                      conjecture2_distribution, run_suite, sanity_s3)
 from .kinds import DumontKind, count, generate, is_dumont
 from .patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern, avoids,
                        count_avoiders, count_exact_occurrences, count_occurrences,
                        count_vincular, generate_avoiders)
-from .permcore import Permutation, flatten
+from .permcore import Permutation, flatten, render_diagram
 
 __version__ = "0.1.0"
 

@@ -23,7 +23,7 @@ from . import bijections, harness
 from .gfseries import SequenceId, closed_form, d4_1423_series, solve_prst_system
 from .kinds import DumontKind, _walk
 from .patterns import AvoidanceQuery, ClassicalPattern, _avoider_blocks, count_avoiders
-from .permcore import Permutation, _block_texts
+from .permcore import Permutation, _block_texts, render_diagram
 
 
 def _kind(text: str) -> DumontKind:
@@ -33,10 +33,8 @@ def _kind(text: str) -> DumontKind:
         raise argparse.ArgumentTypeError(f"kind must be 1, 2, 3 or 4, got {text!r}")
 
 
-# Lines per ``out.write``.  On the enumerate benchmark (2026-10-19, three
-# 10 s runs each), blocks of 4,096 lines ran no faster (0.229 against 0.230
-# reference s) and raised the peak RSS from 22.7 to 23.8 MiB; blocks of 64
-# took 0.236 s.
+# Lines per ``out.write``: larger blocks ran no faster on the enumerate
+# benchmark and raised its peak RSS (CHANGES.md, "Listings as text blocks").
 _BLOCK = 256
 
 
@@ -217,7 +215,7 @@ def _cmd_conjecture(args, out) -> int:
 
 def _cmd_diagram(args, out) -> int:
     p = Permutation.from_text(args.perm)
-    grid = harness.render_diagram(p)
+    grid = render_diagram(p)
     if grid:
         out.write(grid + "\n")
     return 0

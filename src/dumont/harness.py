@@ -14,9 +14,9 @@ times each builder at each n, so a row's ``elapsed`` covers its own n only.
 The two conjecture experiments (2143 ~ 3421 on Dumont-1 permutations, and
 2-31 against 13-2 on the two avoider classes) are reported with
 machine-readable verdicts, never hard-asserted.  Each n is one layered DP
-per pattern; a run stops on a wall-clock budget, checked between the layers
-of the DP, and resumes from a plain-text journal that records each finished
-n.
+per pattern; a run stops on a wall-clock budget, checked every few thousand
+keys of the DP, and resumes from a plain-text journal that records each
+finished n.
 """
 
 from __future__ import annotations
@@ -513,19 +513,3 @@ def conjecture2_distribution(n: int, budget: Optional[float] = None,
     a_row = tuple(hist_a.get(k, 0) for k in range(top + 1))
     b_row = tuple(hist_b.get(k, 0) for k in range(top + 1))
     return DistributionTable(n=n, a_row=a_row, b_row=b_row)
-
-
-# ---------------------------------------------------------------------------
-# Diagram rendering
-
-
-def render_diagram(p: Permutation) -> str:
-    """ASCII permutation diagram, origin at the bottom-left corner.
-
-    One character cell per board square: '*' for a dot, '.' otherwise.
-    """
-    n = len(p)
-    lines = []
-    for v in range(n, 0, -1):
-        lines.append("".join("*" if p.values[i] == v else "." for i in range(n)))
-    return "\n".join(lines)

@@ -17,65 +17,29 @@ All four kinds of size 2n are counted by the Genocchi number G(2n+2)
 
 The rules are stated once, in :func:`_candidates`: a bitmask of the values
 that may come next after a prefix, given its placed values and its last
-value, written as a few lines of mask arithmetic per kind.  They apply each
-kind's constraints as soon as they become checkable and refuse a value whose
-subtree they can see is dead at once:
+value.  They apply each kind's constraints as soon as they become checkable
+and refuse a value whose subtree they can see is dead at once.  The walk,
+the layered DP and :func:`is_dumont` all read them.
 
-- kind 1: a value that leaves an even smallest unplaced value;
-- kinds 1 and 3: an odd largest unplaced value anywhere but last;
-- kind 3: every value but an odd smallest unplaced one, which must come next;
-- kind 4: at an odd position whose own value is unplaced, every other
-  value; and every value while an odd one below the position is unplaced;
-- kinds 2 and 4: every value once the last two odd positions cannot both
-  get values from their positions up.
-
-:func:`is_dumont` replays them position by position, one bit test per value.
-
-Generation runs through one walk, :func:`_walk`: a position-by-position
-backtracking search that yields members in lexicographic order, in blocks
-of a prefix and a tuple of the suffixes that complete it.  A subtree
-can still hold no member, but what lies below a prefix depends only on its
-key (see below), so the walk expands each key once and stores what it
-found.  A key with more than ``_TAIL`` positions left stores the mask of
-the next values that reached a member and walks that mask in place of the
-candidates when the key comes up again.  A key nearer the leaves stores
-its suffixes, the value tuples that complete it, gathered while its
-subtree is expanded; when it comes up again the walk yields its prefix
-with that stored tuple as one block, pushing, placing and stepping
-nothing.  A leaf reached by placing a value is a block of its own: the
-member and the one empty suffix.  The walk never re-enters an empty
-subtree, and listing costs about the number of keys above the cut plus one
-block per leaf placed or key replayed.  With ``_TAIL = 4``, listing D1 at
-size 12 makes 29,011 pushes and 55,660 placements and yields its 38,227
-members in 25,307 blocks over 1,127 distinct suffix tuples (D3: 16,777,
-37,765, 20,775 and 1,667).  :func:`generate` makes a
-:class:`~dumont.permcore.Permutation` of each member of a block; a text
-listing formats each block's prefix once and each suffix tuple once
-(:func:`dumont.permcore._block_texts`).  A deeper cut is faster still but
-holds more suffixes (measured at ``_TAIL``).
-
-Pattern queries plug in a transition ``step(state, w, used) -> state |
-None`` that summarises the prefix in a small int and rejects a placement
-the summary rules out; the walk keeps its state in the key.
-:func:`generate` walks with no transition, and that plain walk filtered
-by a matcher is the oracle the pattern queries are tested against.
-
-Counting does not need the order of the walk, only how many leaves lie
-below each prefix, and that depends on the prefix only through a small
-key: the set of placed values, the last value (for kinds 1 and 3, whose
-rules read it) and the state of the transition.  :func:`_count_layers`
-moves a dict from packed keys to weights forward one position at a time,
-so prefixes with the same key are counted once; only two layers are ever
-held, and a deadline is checked before each layer.  :func:`count` runs it
-with no transition; every avoider count, every exact-occurrence count and
-the vincular histograms of :mod:`dumont.patterns` plug a pattern
-transition (and an occurrence statistic) into it.
+What lies below a prefix depends only on its key: the set of placed values,
+the last value (for kinds 1 and 3, whose rules read it) and the state of a
+pattern transition ``step(state, w, used) -> state | None``, which
+summarises the prefix in a small int and rejects a placement the summary
+rules out.  Generation runs through one walk, :func:`_walk`, which yields
+the members in lexicographic order, in blocks of a prefix and the suffixes
+that complete it, and expands each key once.  Counting runs through one
+layered DP, :func:`_count_layers`, which moves a dict from keys to weights
+one position at a time and so counts each key once instead of each leaf.
+:func:`generate` and :func:`count` run them with no transition;
+:mod:`dumont.patterns` plugs its transitions into both, and the plain walk
+filtered by a matcher is the oracle they are tested against.
 """
 
 from __future__ import annotations
 
 import time
 from enum import Enum
+from itertools import islice
 from math import factorial
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -134,8 +98,7 @@ def _candidates(kind_id: int, pos: int, size: int, prev: int, used: int) -> int:
         # the last odd position needs size - 1 or size unused, and the last
         # two need two of size - 3 .. size.  Each odd position from pos up
         # gives such a bound, but the rest cut little more for a loop per
-        # call (count(D2, 14) makes 4,195 calls with all of them, 4,321
-        # with these two).
+        # call (CHANGES.md, "Dead-subtree rules for every kind").
         if (pos < size and not free >> size - 1
                 or pos < size - 2 and (free >> size - 3).bit_count() < 2):
             return 0
@@ -198,13 +161,9 @@ def _key_layout(kind_id: int, size: int, stat: Optional[Stat] = None) -> tuple[b
 
 
 # Keys with at most this many positions left store their suffixes, not a
-# mask (see :func:`_walk`); 0 stores masks alone.  Listing D1 and D3 at
-# size 12 as text, through :func:`dumont.permcore._block_texts`
-# (2026-10-19, best of 45 over three processes, 2 vCPUs, Python 3.11.7):
-# 1 takes 0.132 / 0.112 s with a traced peak of 0.70 / 0.43 MB; 4 takes
-# 0.058 / 0.051 s and 0.95 / 1.06 MB; 5 takes 0.044 / 0.043 s but peaks at
-# 1.39 / 2.18 MB, and each position more multiplies the suffixes held (6:
-# 2.37 / 4.45 MB for no further gain).
+# mask (see :func:`_walk`); 0 stores masks alone.  A deeper cut lists faster
+# but holds more suffixes; the measurements behind 4 are in the CHANGES.md
+# entry "Listings as text blocks".
 _TAIL = 4
 
 # The suffixes of a block of the walk; a leaf is the one empty suffix.
@@ -274,16 +233,10 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
                     continue
             h.append(w)
             d = len(h)
-            if d == size:
-                yield h, _LEAF
-                h.pop()
-                rec |= bit
-                if acc is not None:
-                    acc.append((w,))
-                continue
             used |= bit
-            key = used | (w << p_shift if keep_prev else 0) | new << s_shift
-            nexts = live.get(key)
+            # A leaf replays the one empty suffix (cut <= size).
+            nexts = _LEAF if d == size else live.get(
+                key := used | (w << p_shift if keep_prev else 0) | new << s_shift)
             if d >= cut and nexts is not None:
                 if nexts:
                     yield h, nexts
@@ -371,6 +324,11 @@ def _check_deadline(deadline: Optional[float]) -> None:
         raise BudgetExceeded("deadline passed")
 
 
+# Keys of a DP layer expanded between two deadline checks: a check costs
+# little beside them, and a large layer takes seconds.
+_CHUNK = 4096
+
+
 def _count_layers(kind: DumontKind, size: int, step: Optional[Step] = None,
                   state: Optional[int] = 0, stat: Optional[Stat] = None,
                   deadline: Optional[float] = None) -> int:
@@ -382,7 +340,7 @@ def _count_layers(kind: DumontKind, size: int, step: Optional[Step] = None,
     ``_coefficient_bits(size) * k``, so adding two histograms is ``+`` and
     adding a occurrences to all of one is a shift.  ``state`` is the summary
     of the empty prefix; None counts nothing.  ``deadline`` is checked by
-    :func:`_check_deadline` before each layer.
+    :func:`_check_deadline` before each ``_CHUNK`` keys of a layer.
     """
     _require_even(size)
     kind_id = kind.value
@@ -394,28 +352,30 @@ def _count_layers(kind: DumontKind, size: int, step: Optional[Step] = None,
     prev_mask = (1 << size.bit_length()) - 1
     layer = {state << s_shift: 1}
     for pos in range(1, size + 1):
-        _check_deadline(deadline)
         nxt: dict[int, int] = {}
         get = nxt.get
-        for key, weight in layer.items():
-            used = key & used_mask
-            prev = key >> p_shift & prev_mask
-            state = key >> s_shift
-            todo = _candidates(kind_id, pos, size, prev, used)
-            while todo:
-                bit = todo & -todo
-                todo ^= bit
-                w = bit.bit_length() - 1
-                if step is None:
-                    new = 0
-                else:
-                    new = step(state, w, used)
-                    if new is None:
-                        continue
-                out = weight
-                if stat is not None:
-                    out <<= width * stat(used, prev, w)
-                k = used | bit | (w << p_shift if keep_prev else 0) | new << s_shift
-                nxt[k] = get(k, 0) + out
+        items = iter(layer.items())
+        for _ in range(0, len(layer), _CHUNK):
+            _check_deadline(deadline)
+            for key, weight in islice(items, _CHUNK):
+                used = key & used_mask
+                prev = key >> p_shift & prev_mask
+                state = key >> s_shift
+                todo = _candidates(kind_id, pos, size, prev, used)
+                while todo:
+                    bit = todo & -todo
+                    todo ^= bit
+                    w = bit.bit_length() - 1
+                    if step is None:
+                        new = 0
+                    else:
+                        new = step(state, w, used)
+                        if new is None:
+                            continue
+                    out = weight
+                    if stat is not None:
+                        out <<= width * stat(used, prev, w)
+                    k = used | bit | (w << p_shift if keep_prev else 0) | new << s_shift
+                    nxt[k] = get(k, 0) + out
         layer = nxt
     return sum(layer.values())

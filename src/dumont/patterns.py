@@ -11,32 +11,15 @@ All occurrence counting goes through one backtracking matcher,
 pattern with no adjacency; ``limit=1`` turns the count into a containment
 test.
 
-Every avoidance and exact-occurrence query runs on a transition
-``step(state, w, used) -> state | None`` that summarises the prefix in a
-small int and rejects the value that would complete a forbidden occurrence
-(or, in exact-occurrence mode, push the occurrence count past the target,
-or end the word short of it).  :func:`generate_avoiders` feeds it to the
-walk of :mod:`dumont.kinds`, and :func:`count_avoiders` and
-:func:`count_exact_occurrences` to its layered DP, which counts each
-summary once instead of each leaf.  Any set of classical patterns and any
-target has the generic transition :func:`_avoid_classical`, whose state is
-the occurrence count so far and the canonical multiset of live partial
-occurrences; plain avoidance is its target-0 case.  Each state carries a
-reject mask, the ranks among the unused values whose placement would
-complete too many occurrences, and the step refuses those before any memo.
-The move of one partial occurrence is memoised once for every number of
-unused values, with a floor below which it dies.  The step is memoised per
-number of unused values and reads nothing else of the size, so one generic
-transition serves a run of sizes: :func:`_counts` and :func:`_listings`
-count and list a kind, patterns and target at each of several sizes
-through it, and the smaller sizes' memos stay for the larger ones (a
-single query is a run of one size, which keeps only the step memos it
-needs; see :func:`_avoid_classical`).  2143 alone and 3421 alone keep
-smaller, faster transitions for plain avoidance, made afresh for each size.
-:func:`vincular_histogram` runs the same DP for a statistic of length 3
-with one adjacency (``2-31``, ``13-2``, ...): the occurrences that placing
-w adds then depend only on the used values, the previous value and w.  It
-refuses any other statistic.  The plain walk of
+Every avoidance and exact-occurrence query plugs a transition into the walk
+:func:`dumont.kinds._walk` (:func:`generate_avoiders`) or the layered DP
+:func:`dumont.kinds._count_layers` (:func:`count_avoiders`,
+:func:`count_exact_occurrences`).  Any set of classical patterns and any
+target has the generic transition :func:`_avoid_classical`; 2143 alone and
+3421 alone keep smaller ones for plain avoidance.  :func:`_runs` gives the
+sizes of a run one transition, so they share its memos.
+:func:`vincular_histogram` adds a length-3 statistic with one adjacency to
+the DP (:func:`_vincular_stat`) and refuses any other.  The plain walk of
 :func:`dumont.kinds.generate` filtered by the matcher is the oracle the
 transitions are tested against.
 """
@@ -328,16 +311,14 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
     memo on (occurrence, r) serves every m and size.
 
     The step depends only on the state, r and m, never on the size, so one
-    step memo on (state, r) per m serves the steps of every size; the step
-    of a size reads only which values it has.  The step of a size below
-    ``top`` keeps every memo it uses, since a larger size asks for all of
-    them again.  The step of size ``top``, on its first step at each m,
-    drops the step memos of every larger m, which a layered DP never asks
-    for again while a depth-first walk makes afresh those it returns to.
-    So a single size keeps only the step memos it needs, and a run of sizes
-    counting its largest one holds at most that plus the smaller sizes'
-    step memos of smaller m.  The memos, the interned states and their
-    reject masks live as long as ``make`` or any step it made.
+    step memo on (state, r) per m serves every size.  The steps of sizes
+    below ``top`` keep every memo, since a larger size asks for them all
+    again.  The step of size ``top`` keeps a low-water mark, the least m it
+    has stepped at, and drops the memos of every larger m each time the mark
+    falls: a layered DP, whose m only falls, never asks for them again, and
+    a walk keeps those it makes afresh once it has reached the leaves.  The
+    memos, the interned states and their reject masks live as long as
+    ``make`` or any step it made.
     """
     # A shape is a (pattern, j) pair with j < len(pattern).  Per shape: j,
     # the gap the next letter falls in, the shape after placing it (None
@@ -377,26 +358,32 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
     cmask = (1 << cbits) - 1
     nbits = target.bit_length()
     nmask = (1 << nbits) - 1
-    # Per occurrence code: its box (the (lo, hi) of every gap that must
-    # take letters, flattened; the top gap's hi is ``top``), its floor, and
-    # the mask of the ranks at which it completes (0 unless it is one letter
-    # short).
-    boxes: dict[int, tuple[int, ...]] = {}
-    floors: dict[int, int] = {}
-    closes: dict[int, int] = {}
+    boxes: dict[int, tuple[tuple[int, ...], int, int]] = {}  # box() of each code
     moves: dict[int, tuple[int, ...]] = {}  # on code * top + r
     # memos[m]: the step memo for m unused values.
     memos: list[Optional[dict[int, int]]] = [None] * (top + 1)
 
-    def closing(shape: int, ranks: list[int]) -> int:
-        """The mask of the ranks at which an occurrence completes: the gap
-        its last letter must take when only that letter is left, else 0."""
-        if nxt_shape[shape] is not None:
-            return 0
-        g = nxt_gap[shape]
-        lo = ranks[g - 1] if g else 0
-        hi = ranks[g] if g < len(ranks) else top
-        return (1 << hi) - (1 << lo)
+    def box(shape: int, ranks: list[int]) -> Optional[tuple[tuple[int, ...], int, int]]:
+        """The box of an occurrence (the (lo, hi) of every gap that must take
+        letters, flattened; the top gap's hi is ``top``), its floor, and the
+        mask of the ranks at which it completes: the one such gap when it is
+        one letter short, else 0.  None when a gap below the top one holds
+        fewer unused values than it must take."""
+        out: list[int] = []
+        floor = 0
+        for g, need in needs[shape]:
+            lo = ranks[g - 1] if g else 0
+            if g == len(ranks):
+                # Placing a value at m leaves m - 1 unused, m - 1 - lo of them here.
+                floor = lo + need + 1
+                hi = top
+            else:
+                hi = ranks[g]
+                if hi - lo < need:
+                    return None
+            out += (lo, hi)
+        close = (1 << hi) - (1 << lo) if nxt_shape[shape] is None else 0
+        return tuple(out), floor, close
 
     def rejecting(count: int, codes: list[int]) -> int:
         """The reject mask of the state of ``count`` and the nonempty
@@ -405,7 +392,7 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
         # closed[i]: the ranks where more than i of the occurrences close.
         closed = [0] * (target - count + 1)
         for code in empties + codes:
-            mask = closes[code]
+            mask = boxes[code][2]
             if mask:
                 for i in range(len(closed) - 1, 0, -1):
                     closed[i] |= closed[i - 1] & mask
@@ -413,27 +400,10 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
         return closed[-1]
 
     for code in empties:
-        closes[code] = closing(code, [])
+        boxes[code] = box(code, [])
     ids: dict[int, int] = {0: 0}
     states: list[int] = [0]
     rejects: list[int] = [rejecting(0, [])]
-
-    def box(shape: int, ranks: list[int]) -> Optional[tuple[tuple[int, ...], int]]:
-        """The box and the floor of an occurrence; None when a gap below
-        the top one holds fewer unused values than it must take."""
-        out: list[int] = []
-        floor = 0
-        for g, need in needs[shape]:
-            lo = ranks[g - 1] if g else 0
-            if g == len(ranks):
-                # Placing a value at m leaves m - 1 unused, m - 1 - lo of them here.
-                floor = lo + need + 1
-                out += (lo, top)
-            elif ranks[g] - lo < need:
-                return None
-            else:
-                out += (lo, ranks[g])
-        return tuple(out), floor
 
     def move(code: int, r: int) -> tuple[int, ...]:
         """The occurrences one occurrence leaves after placing the unused
@@ -462,8 +432,7 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
                 new = new_shape
                 for i, x in enumerate(new_ranks):
                     new |= x << (sbits + rbits * i)
-                boxes[new], floors[new] = b
-                closes[new] = closing(new_shape, new_ranks)
+                boxes[new] = b
                 out.append(new)
         return tuple(out)
 
@@ -488,7 +457,7 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
             for c in got:
                 if not c:
                     count += 1
-                elif floors[c] <= m:
+                elif boxes[c][1] <= m:
                     found[c] = found.get(c, 0) + 1
         if m == 1 and count < target:
             return -1
@@ -505,11 +474,11 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
                     kept += group
                     continue
                 for a in group:
-                    ba = boxes[a]
+                    ba = boxes[a][0]
                     for b in group:
                         if b == a:
                             continue
-                        bb = boxes[b]
+                        bb = boxes[b][0]
                         for i in range(0, len(ba), 2):
                             if bb[i] > ba[i] or ba[i + 1] > bb[i + 1]:
                                 break
@@ -531,27 +500,21 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
 
     def make(size: int) -> tuple[_kinds.Step, Optional[int]]:
         full = (1 << (size + 1)) - 2
-        mine: list[Optional[dict[int, int]]] = [None] * (size + 1)  # the memos this size has used
-        drops = size == top
-
-        def memo_at(m: int) -> dict[int, int]:
-            if drops:
-                memos[m + 1:] = mine[m + 1:] = [None] * (top - m)
-            memo = memos[m]
-            if memo is None:
-                memo = memos[m] = {}
-            mine[m] = memo
-            return memo
+        low = size + 1 if size == top else 0  # the least m stepped at, if this size drops
 
         def step(state: int, w: int, used: int) -> Optional[int]:
+            nonlocal low
             free = ~used & full
             r = (free & ((1 << w) - 1)).bit_count()
             if rejects[state] >> r & 1:
                 return None
             m = free.bit_count()
-            memo = mine[m]
+            if m < low:
+                memos[m + 1:] = [None] * (top - m)
+                low = m
+            memo = memos[m]
             if memo is None:
-                memo = memo_at(m)
+                memo = memos[m] = {}
             key = state * top + r
             new = memo.get(key)
             if new is None:
@@ -579,11 +542,6 @@ def _step_maker(forbidden: frozenset[ClassicalPattern], target: Optional[int],
     pats = sorted(q.perm.values for q in forbidden)
     make = _TRANSITIONS.get(pats[0]) if len(pats) == 1 and target is None else None
     return make or _avoid_classical(max(sizes, default=0), pats, target or 0, work)
-
-
-def _transition(query: AvoidanceQuery) -> tuple[_kinds.Step, Optional[int]]:
-    """(step, initial state) of a query: a run of one size."""
-    return _step_maker(query.forbidden, query.occurrence_target, [query.size])(query.size)
 
 
 def _vincular_stat(stat: VincularPattern, size: int) -> _kinds.Stat:
@@ -664,8 +622,8 @@ def count_avoiders(query: AvoidanceQuery, *, deadline: Optional[float] = None) -
     """Cardinality of :func:`generate_avoiders` without materialising it.
 
     ``BudgetExceeded`` is raised once ``time.monotonic()`` passes
-    ``deadline`` (checked between positions of the DP).  An odd or negative
-    size raises before a transition is made.
+    ``deadline`` (checked by :func:`dumont.kinds._count_layers`).  An odd or
+    negative size raises before a transition is made.
     """
     return next(_counts(query.kind, query.forbidden, query.occurrence_target, [query.size],
                         deadline=deadline))
@@ -696,7 +654,6 @@ def vincular_histogram(kind: DumontKind, size: int, forbidden: ClassicalPattern,
     ``stat`` must have length 3 and one adjacency (``ValueError`` otherwise).
     ``deadline`` is as for :func:`count_avoiders`.
     """
-    query = AvoidanceQuery(kind, size, frozenset([forbidden]))
-    add = _vincular_stat(stat, size)
-    packed = _kinds._count_layers(kind, size, *_transition(query), add, deadline)
+    count = partial(_kinds._count_layers, stat=_vincular_stat(stat, size), deadline=deadline)
+    packed = next(_runs(count, kind, frozenset([forbidden]), None, [size]))
     return _kinds._unpack_histogram(packed, size)

@@ -37,10 +37,8 @@ def _block_texts(blocks: Iterable[tuple[Sequence[int], tuple[tuple[int, ...], ..
     and each ``tails`` object once per call: its texts are kept by identity
     until the listing ends, so ``blocks`` must keep every ``tails`` it hands
     out alive while it runs.  Consecutive prefixes share most letters, but
-    keeping a text per depth (rebuilt from the first changed letter) or
-    joining ``map(names.__getitem__, prefix)`` both formatted slower than
-    this join of a list (2026-10-19, 2 vCPUs: 0.154 and 0.115 s against
-    0.099 s for the three ``enumerate`` benchmark listings).
+    keeping a text per depth or joining a ``map`` both formatted slower than
+    this join of a list (``BENCH_25.json``, ``not_pursued``).
     """
     sep = _separator(size)
     names = _NAMES if size < len(_NAMES) else tuple(map(str, range(size + 1)))
@@ -179,3 +177,12 @@ def flatten(values: Iterable[int]) -> Permutation:
     if len(rank) != len(vals):
         raise ValueError("entries must be distinct")
     return Permutation._wrap(tuple(rank[v] for v in vals))
+
+
+def render_diagram(p: Permutation) -> str:
+    """ASCII permutation diagram, origin at the bottom-left corner.
+
+    One character cell per board square: '*' for a dot, '.' otherwise.
+    """
+    return "\n".join("".join("*" if x == v else "." for x in p.values)
+                     for v in range(len(p), 0, -1))

@@ -4,9 +4,8 @@ import pytest
 
 from dumont import golden
 from dumont.harness import (BudgetExceeded, conjecture1_counts,
-                            conjecture2_distribution, render_diagram, run_suite,
-                            sanity_s3)
-from dumont.permcore import Permutation
+                            conjecture2_distribution, run_suite, sanity_s3)
+from dumont.permcore import Permutation, render_diagram
 
 
 def test_unknown_suite_rejected():

@@ -1,11 +1,12 @@
 from itertools import islice, permutations
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import DEF_CHECKS
 from dumont import kinds
 from dumont.gfseries import genocchi
-from dumont.kinds import DumontKind, count, generate, is_dumont
+from dumont.kinds import BudgetExceeded, DumontKind, count, generate, is_dumont
 from dumont.permcore import Permutation
 
 ALL_KINDS = list(DumontKind)
@@ -201,3 +202,26 @@ def test_d4_structural_invariant():
         for p in generate(DumontKind.D4, size):
             assert p.at(1) == 1
             assert p.at(size - 1) in (size - 1, size)
+
+
+def test_a_deadline_is_checked_within_a_layer(monkeypatch):
+    # count(D1, 16) expands 123,808 keys; its ninth layer holds the 39,567th
+    # to the 63,233rd.  A clock that passes the deadline at the 40,000th
+    # expansion stops the count within one chunk of 4,096 keys, where a
+    # check between layers alone runs on to the end of the layer.
+    calls = 0
+    candidates = kinds._candidates
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return candidates(*args)
+
+    monkeypatch.setattr(kinds, "_candidates", counted)
+    monkeypatch.setattr(kinds, "time", SimpleNamespace(monotonic=lambda: float(calls >= 40000)))
+    with pytest.raises(BudgetExceeded):
+        kinds._count_layers(DumontKind.D1, 16, deadline=0.5)
+    assert 40000 <= calls < 40000 + 4096
+    calls = 0
+    assert kinds._count_layers(DumontKind.D1, 16) == genocchi(9)
+    assert calls == 123808

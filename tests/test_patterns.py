@@ -312,23 +312,22 @@ def test_a_run_of_sizes_shares_the_generic_transition():
 
 
 def test_a_single_walk_drops_the_memos_of_larger_m():
-    # The walk returns to larger m, so dropping their step memos costs it
-    # computations: 1,665 (2,262 before the reject masks), where keeping
+    # The walk returns to larger m.  Its step drops their step memos each
+    # time its low-water mark of m falls, and keeps those it makes afresh
+    # once it has reached the leaves: 1,650 computations, where keeping
     # every memo would make 1,645.
     pair = frozenset([cp("1342"), cp("2413")])
     work = patterns._Work()
     listing = next(patterns._listings(DumontKind.D1, pair, None, [10], work))
     assert sum(len(tails) for _, tails in listing) == 185
-    assert work.successors == 1665
-    # The largest size of a run drops them too: the sizes 0..8 make 316,
-    # and the size-10 walk then makes 1,609.  Keeping the memos of m <= 8
-    # through it would make 1,645 in all, but would hold the size-10 memos
-    # of every such m at once.
+    assert work.successors == 1650
+    # The largest size of a run drops them too: the sizes 0..8 make 266,
+    # and the size-10 walk then makes 1,644.
     work = patterns._Work()
     listings = patterns._listings(DumontKind.D1, pair, None, range(0, 11, 2), work)
     assert [sum(len(tails) for _, tails in listing) for listing in listings] == \
         [1, 1, 3, 11, 44, 185]
-    assert work.successors == 1925
+    assert work.successors == 1910
 
 
 @pytest.mark.parametrize("pattern", ["2143", "3421", "123"])

@@ -18,12 +18,17 @@ from dumont import kinds
 from dumont.gfseries import TruncatedSeries
 from dumont.kinds import DumontKind, _walk, generate
 from dumont.patterns import (_INF, AvoidanceQuery, ClassicalPattern, VincularPattern,
-                             _avoider_blocks, _count, _counts, _listings, _transition,
+                             _avoider_blocks, _count, _counts, _listings, _step_maker,
                              count_avoiders, count_exact_occurrences, count_occurrences,
                              count_vincular, generate_avoiders, vincular_histogram)
 from dumont.permcore import Permutation, _block_texts
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def query_transition(query):
+    """(step, initial state) of a query: a run of one size."""
+    return _step_maker(query.forbidden, query.occurrence_target, [query.size])(query.size)
 
 
 def perms(lo, hi):
@@ -60,7 +65,7 @@ def transition_cases(draw):
     which = draw(st.sampled_from(["avoid", "2143", "3421", "exact", "321"]))
 
     def transition_for(pats, target=None):
-        return _transition(AvoidanceQuery(
+        return query_transition(AvoidanceQuery(
             DumontKind.D1, size, frozenset(ClassicalPattern(Permutation(p)) for p in pats),
             target))
 
@@ -136,7 +141,7 @@ def test_transitions_reject_chosen_placements(name):
     pat, target, size, values, pops = CHOSEN_PLACEMENTS[name]
     query = AvoidanceQuery(DumontKind.D1, size,
                            frozenset([ClassicalPattern(Permutation(pat))]), target)
-    replay((size, _transition(query), lambda h: naive_count(h, pat) > target,
+    replay((size, query_transition(query), lambda h: naive_count(h, pat) > target,
             lambda h: naive_count(h, pat) == target, values, pops))
 
 
