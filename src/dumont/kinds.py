@@ -15,11 +15,15 @@ even-size one with the fixed point 2n+1 appended, so odd sizes are rejected.
 All four kinds of size 2n are counted by the Genocchi number G(2n+2)
 (see :mod:`dumont.gfseries`).
 
-The rules are stated once, in :func:`_candidates`: a bitmask of the values
-that may come next after a prefix, given its placed values and its last
-value.  They apply each kind's constraints as soon as they become checkable
-and refuse a value whose subtree they can see is dead at once.  The walk,
-the layered DP and :func:`is_dumont` all read them.
+The rules are stated twice.  :func:`_candidates` gives a bitmask of the
+values that may come next after a prefix, given its placed values and its
+last value; the walk, :func:`is_dumont` and the layered DP of kinds 2 and 4
+read it.  Kinds 1 and 3 read only the parities of the unused values in
+increasing order and where the last value falls among them, so
+:func:`_rank_candidates` states their rules, written afresh from the
+definitions, as a bitmask of ranks among the unused values, and their
+plain counts read it.  Both apply each kind's constraints as soon as they
+become checkable and refuse a value whose subtree they can see is dead.
 
 What lies below a prefix depends only on its key: the set of placed values,
 the last value (for kinds 1 and 3, whose rules read it) and the state of a
@@ -30,6 +34,10 @@ the members in lexicographic order, in blocks of a prefix and the suffixes
 that complete it, and expands each key once.  Counting runs through one
 layered DP, :func:`_count_layers`, which moves a dict from keys to weights
 one position at a time and so counts each key once instead of each leaf.
+For kinds 1 and 3 with no statistic and a transition that reads ranks
+alone (none, or one with a ``by_rank`` form), it folds each key to its
+ranks (:func:`_count_ranks`), so every used set with the same parity word
+counts once.
 :func:`generate` and :func:`count` run them with no transition;
 :mod:`dumont.patterns` plugs its transitions into both, and the plain walk
 filtered by a matcher is the oracle they are tested against.
@@ -66,8 +74,9 @@ def is_dumont(kind: DumontKind, p: Permutation) -> bool:
     """Membership test for an even-size permutation; odd sizes raise.
 
     A value belongs when its bit is set in :func:`_candidates` after the
-    values before it, so the walk, the DP and this test read one statement
-    of the kinds' rules.
+    values before it, so this test and the walk read one statement of the
+    kinds' rules (the folded count of kinds 1 and 3 reads the other,
+    :func:`_rank_candidates`).
     """
     n = len(p)
     _require_even(n)
@@ -91,7 +100,8 @@ def _candidates(kind_id: int, pos: int, size: int, prev: int, used: int) -> int:
     when value v may come next.  ``(1 << k) - 1`` holds the values below k
     and ``-(1 << k)`` those from k up; every rule is intersected with
     ``free`` (the unused values 1..size), so such a range may run past
-    either end."""
+    either end.  The walk, :func:`is_dumont` and the value-keyed DP read
+    it; the folded DP reads :func:`_rank_candidates` instead."""
     free = ~used & ((2 << size) - 2)
     if kind_id % 2 == 0:
         # D2 and D4: an odd position takes a value at least the position, so
@@ -141,11 +151,44 @@ def _candidates(kind_id: int, pos: int, size: int, prev: int, used: int) -> int:
     return free & (-(2 << prev) | (((1 << prev) - 1) // 3 if prev % 2 == 0 else 0))
 
 
+def _rank_candidates(kind_id: int, word: int, j: int, odd: int) -> int:
+    """Mask of the ranks that may come next for kind 1 or 3: bit r is set
+    when the unused value of rank r (0 for the smallest) may.  Bit r of
+    ``word`` is the parity of that value, below a sentinel bit at m, the
+    number of unused values.  The last value placed has j unused values
+    below it and is odd when ``odd`` is 1; the empty prefix reads as odd
+    with j = 0, so any value may start it."""
+    m = word.bit_length() - 1
+    ranks = (1 << m) - 1
+    # Kind 1 follows an odd entry by a larger one or ends there, and kind 3
+    # never descends from an odd entry, so an odd largest unused value can
+    # only come last.
+    if m > 1 and word >> m - 1 & 1:
+        ranks ^= 1 << m - 1
+    if kind_id == 1:
+        # An even entry falls to a smaller one, so it is never last and the
+        # smallest unused value must stay odd: it goes only when the next
+        # one up is odd (or there is none).
+        if m > 1 and not word & 2:
+            ranks ^= 1
+        return ranks & (-(1 << j) if odd else (1 << j) - 1)
+    # Kind 3 descends only from an even value onto an even value, so an odd
+    # smallest unused value comes next: anything placed before it would
+    # descend onto it.
+    if word & 1:
+        ranks &= 1
+    return ranks & (-(1 << j) | (0 if odd else (1 << j) - 1 & ~word))
+
+
 # A transition ``step(state, w, used) -> state | None`` summarises a prefix
 # in a small non-negative int and rejects (None) a placement that the
 # summary rules out; ``used`` is the mask of the values placed before w.
 # The state of the empty prefix is None when the transition rejects even
 # that (an exact occurrence count above 0 at size 0).
+# A transition that reads only ranks among the unused values carries its
+# rank form as the attribute ``by_rank(state, r, m) -> state | None``: the
+# same answer for the unused value of rank r among m, which lets the DP of
+# kinds 1 and 3 fold its keys (:func:`_count_ranks`).
 # An occurrence statistic ``add(used, prev, w) -> int`` gives the number of
 # occurrences that placing w right after prev adds to the final count.
 Step = Callable[[int, int, int], Optional[int]]
@@ -153,10 +196,11 @@ Stat = Callable[[int, int, int], int]
 
 
 def _key_layout(kind_id: int, size: int, stat: Optional[Stat] = None) -> tuple[bool, int, int]:
-    """How a prefix is packed into a key: the used mask in bits 0..size, the
-    last value from bit ``p_shift`` (kept only when the kind's rules or the
-    statistic read it), the state from bit ``s_shift``.  Returns
-    ``(keep_prev, p_shift, s_shift)``."""
+    """How the walk and the value-keyed DP pack a prefix into a key: the
+    used mask in bits 0..size, the last value from bit ``p_shift`` (kept
+    only when the kind's rules or the statistic read it), the state from
+    bit ``s_shift``.  Returns ``(keep_prev, p_shift, s_shift)``.  The
+    folded DP packs its own key (:func:`_count_ranks`)."""
     return kind_id in (1, 3) or stat is not None, size + 1, size + 1 + size.bit_length()
 
 
@@ -329,6 +373,16 @@ def _check_deadline(deadline: Optional[float]) -> None:
 _CHUNK = 4096
 
 
+def _chunks(layer: dict[int, int],
+            deadline: Optional[float]) -> Iterator[Iterator[tuple[int, int]]]:
+    """The items of a DP layer in runs of ``_CHUNK``, with
+    :func:`_check_deadline` before each run."""
+    items = iter(layer.items())
+    for _ in range(0, len(layer), _CHUNK):
+        _check_deadline(deadline)
+        yield islice(items, _CHUNK)
+
+
 def _count_layers(kind: DumontKind, size: int, step: Optional[Step] = None,
                   state: Optional[int] = 0, stat: Optional[Stat] = None,
                   deadline: Optional[float] = None) -> int:
@@ -340,12 +394,18 @@ def _count_layers(kind: DumontKind, size: int, step: Optional[Step] = None,
     ``_coefficient_bits(size) * k``, so adding two histograms is ``+`` and
     adding a occurrences to all of one is a shift.  ``state`` is the summary
     of the empty prefix; None counts nothing.  ``deadline`` is checked by
-    :func:`_check_deadline` before each ``_CHUNK`` keys of a layer.
+    :func:`_check_deadline` before each ``_CHUNK`` keys of a layer.  Kinds 1
+    and 3 with no statistic and a step that is None or has a ``by_rank``
+    form are counted on folded keys by :func:`_count_ranks`; the rest on
+    the keys of :func:`_key_layout`.
     """
     _require_even(size)
     kind_id = kind.value
     if state is None:
         return 0
+    by_rank = getattr(step, "by_rank", None)
+    if kind_id % 2 and stat is None and (step is None or by_rank is not None):
+        return _count_ranks(kind_id, size, by_rank, state, deadline)
     width = _coefficient_bits(size)
     keep_prev, p_shift, s_shift = _key_layout(kind_id, size, stat)
     used_mask = (1 << p_shift) - 1
@@ -354,10 +414,8 @@ def _count_layers(kind: DumontKind, size: int, step: Optional[Step] = None,
     for pos in range(1, size + 1):
         nxt: dict[int, int] = {}
         get = nxt.get
-        items = iter(layer.items())
-        for _ in range(0, len(layer), _CHUNK):
-            _check_deadline(deadline)
-            for key, weight in islice(items, _CHUNK):
+        for chunk in _chunks(layer, deadline):
+            for key, weight in chunk:
                 used = key & used_mask
                 prev = key >> p_shift & prev_mask
                 state = key >> s_shift
@@ -377,5 +435,51 @@ def _count_layers(kind: DumontKind, size: int, step: Optional[Step] = None,
                         out <<= width * stat(used, prev, w)
                     k = used | bit | (w << p_shift if keep_prev else 0) | new << s_shift
                     nxt[k] = get(k, 0) + out
+        layer = nxt
+    return sum(layer.values())
+
+
+def _count_ranks(kind_id: int, size: int, by_rank: Optional[Step], state: int,
+                 deadline: Optional[float]) -> int:
+    """:func:`_count_layers` of kind 1 or 3 on folded keys, with the rank
+    form ``by_rank(state, r, m)`` of a transition or None.
+
+    A key holds the word of :func:`_rank_candidates` (the parities of the
+    unused values in increasing order below a sentinel bit) in bits
+    0..size, then the last value's parity and, above it, the number j of
+    unused values below the last value, then the state of ``by_rank``
+    (0 with no transition).  Placing the value of rank r deletes bit r
+    from the word, and r is the next key's j.
+    """
+    j_shift = size + 1
+    s_shift = j_shift + 1 + size.bit_length()
+    word_mask = (1 << j_shift) - 1
+    j_mask = (1 << s_shift - j_shift) - 1
+    # The empty prefix: the values 1..size, odd at the even ranks, and no
+    # last value, which reads as odd with j = 0.
+    layer = {1 << size | ((1 << size) - 1) // 3 | 1 << j_shift | state << s_shift: 1}
+    for _ in range(size):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for chunk in _chunks(layer, deadline):
+            for key, weight in chunk:
+                word = key & word_mask
+                last = key >> j_shift & j_mask
+                state = key >> s_shift
+                m = word.bit_length() - 1
+                todo = _rank_candidates(kind_id, word, last >> 1, last & 1)
+                while todo:
+                    bit = todo & -todo
+                    todo ^= bit
+                    r = bit.bit_length() - 1
+                    if by_rank is None:
+                        new = 0
+                    else:
+                        new = by_rank(state, r, m)
+                        if new is None:
+                            continue
+                    k = ((word & bit - 1 | word >> r + 1 << r) | (r << 1 | word >> r & 1) << j_shift
+                         | new << s_shift)
+                    nxt[k] = get(k, 0) + weight
         layer = nxt
     return sum(layer.values())

@@ -311,14 +311,16 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
     memo on (occurrence, r) serves every m and size.
 
     The step depends only on the state, r and m, never on the size, so one
-    step memo on (state, r) per m serves every size.  The steps of sizes
-    below ``top`` keep every memo, since a larger size asks for them all
-    again.  The step of size ``top`` keeps a low-water mark, the least m it
-    has stepped at, and drops the memos of every larger m each time the mark
-    falls: a layered DP, whose m only falls, never asks for them again, and
-    a walk keeps those it makes afresh once it has reached the leaves.  The
-    memos, the interned states and their reject masks live as long as
-    ``make`` or any step it made.
+    step memo on (state, r) per m serves every size.  Each step carries
+    that rank form as ``step.by_rank(state, r, m)``, which the folded DP of
+    kinds 1 and 3 calls; ``step(state, w, used)`` computes r and m and
+    calls it.  The steps of sizes below ``top`` keep every memo, since a
+    larger size asks for them all again.  The step of size ``top`` keeps a
+    low-water mark, the least m it has stepped at, and drops the memos of
+    every larger m each time the mark falls: a layered DP, whose m only
+    falls, never asks for them again, and a walk keeps those it makes
+    afresh once it has reached the leaves.  The memos, the interned states
+    and their reject masks live as long as ``make`` or any step it made.
     """
     # A shape is a (pattern, j) pair with j < len(pattern).  Per shape: j,
     # the gap the next letter falls in, the shape after placing it (None
@@ -502,13 +504,10 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
         full = (1 << (size + 1)) - 2
         low = size + 1 if size == top else 0  # the least m stepped at, if this size drops
 
-        def step(state: int, w: int, used: int) -> Optional[int]:
+        def by_rank(state: int, r: int, m: int) -> Optional[int]:
             nonlocal low
-            free = ~used & full
-            r = (free & ((1 << w) - 1)).bit_count()
             if rejects[state] >> r & 1:
                 return None
-            m = free.bit_count()
             if m < low:
                 memos[m + 1:] = [None] * (top - m)
                 low = m
@@ -521,6 +520,11 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
                 new = memo[key] = successor(state, r, m)
             return new if new >= 0 else None
 
+        def step(state: int, w: int, used: int) -> Optional[int]:
+            free = ~used & full
+            return by_rank(state, (free & ((1 << w) - 1)).bit_count(), free.bit_count())
+
+        step.by_rank = by_rank  # type: ignore[attr-defined]
         return step, None if target and not size else 0
 
     return make

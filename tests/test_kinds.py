@@ -1,3 +1,4 @@
+import os
 from itertools import islice, permutations
 from types import SimpleNamespace
 
@@ -98,18 +99,23 @@ def test_every_cut_lists_the_same_members(tail, monkeypatch):
         assert len(out) == count(kind, 10)
 
 
-@pytest.fixture
-def candidate_calls(monkeypatch):
-    """A one-element list that counts the calls of kinds._candidates."""
+def _count_calls(monkeypatch, name):
+    """A one-element list that counts the calls of ``kinds.<name>``."""
     calls = [0]
-    candidates = kinds._candidates
+    function = getattr(kinds, name)
 
     def counted(*args):
         calls[0] += 1
-        return candidates(*args)
+        return function(*args)
 
-    monkeypatch.setattr(kinds, "_candidates", counted)
+    monkeypatch.setattr(kinds, name, counted)
     return calls
+
+
+@pytest.fixture
+def candidate_calls(monkeypatch):
+    """A one-element list that counts the calls of kinds._candidates."""
+    return _count_calls(monkeypatch, "_candidates")
 
 
 def test_generate_replays_walked_keys(candidate_calls):
@@ -143,14 +149,85 @@ def test_candidates_refuse_dead_subtrees(kind_id, pos, size, prev, placed, want)
     assert kinds._candidates(kind_id, pos, size, prev, _mask(*placed)) == _mask(*want)
 
 
-def test_count_expands_fewer_keys(candidate_calls):
-    # _candidates calls of count(kind, 14): the dead-subtree rules of every
-    # kind bring them from 29,138 / 5,315 / 72,933 / 1,595 for D1-D4 to
-    # 27,320 / 4,321 / 24,090 / 969.
-    for kind, bound in zip(ALL_KINDS, (28000, 5000, 30000, 1200)):
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """A one-element list that counts the calls of kinds._rank_candidates,
+    one per key the folded DP expands."""
+    return _count_calls(monkeypatch, "_rank_candidates")
+
+
+def test_count_expands_fewer_keys(candidate_calls, rank_calls):
+    # _candidates calls of count(kind, 14) for D2 and D4: the dead-subtree
+    # rules bring them from 5,315 / 1,595 to 4,321 / 969.  D1 and D3 fold
+    # their keys to ranks and make none; their value keys were 27,320 and
+    # 24,090 (29,138 and 72,933 before the dead-subtree rules).
+    for kind, bound in ((DumontKind.D2, 5000), (DumontKind.D4, 1200)):
         candidate_calls[0] = 0
         assert count(kind, 14) == genocchi(8)
         assert candidate_calls[0] < bound, kind
+    for kind, keys in ((DumontKind.D1, 4250), (DumontKind.D3, 3718)):
+        candidate_calls[0] = rank_calls[0] = 0
+        assert count(kind, 14) == genocchi(8)
+        assert (candidate_calls[0], rank_calls[0]) == (0, keys), kind
+
+
+def _rank_key(size, placed):
+    """(word, j, odd) of :func:`kinds._rank_candidates` after ``placed``."""
+    unused = sorted(set(range(1, size + 1)) - set(placed))
+    word = 1 << len(unused) | sum((v & 1) << r for r, v in enumerate(unused))
+    last = placed[-1] if placed else 0
+    return word, sum(v < last for v in unused), last & 1 if placed else 1
+
+
+def _value_ranks(kind_id, size, placed):
+    """The mask of :func:`kinds._candidates` after ``placed``, as ranks
+    among the unused values."""
+    mask = kinds._candidates(kind_id, len(placed) + 1, size, placed[-1] if placed else 0,
+                             _mask(*placed))
+    unused = sorted(set(range(1, size + 1)) - set(placed))
+    return sum(1 << r for r, v in enumerate(unused) if mask >> v & 1)
+
+
+@pytest.mark.parametrize("kind_id, size, placed, want", [
+    # The empty prefix: D1 cannot start with 1 while 2 is unused; D3 must.
+    (1, 4, (), (1, 2, 3)),
+    (3, 4, (), (0,)),
+    (1, 0, (), ()),
+    # m = 1: the last unused value, odd, after an even value above it (D1)
+    # or an odd one below it (D3).
+    (1, 4, (3, 4, 2), (0,)),
+    (1, 4, (2, 1, 4), (0,)),
+    (3, 4, (1, 2, 3), (0,)),
+    # m = 2 with an odd top: the top comes last, so only rank 0 may come
+    # next, for both kinds, after an odd value below it or an even one
+    # above.
+    (1, 6, (6, 4, 2, 1), (0,)),
+    (1, 6, (4, 2, 1, 6), (0,)),
+    (3, 6, (1, 6, 2, 3), (0,)),
+    (3, 4, (1, 4), (0,)),
+    # D3 after an even value: its odd smallest unused value comes next;
+    # with an even smallest, a smaller even value or any larger one.
+    (3, 6, (1, 2), (0,)),
+    (3, 6, (1, 3, 6), (0, 1)),
+    (3, 8, (1, 3, 8), (0, 1, 3)),
+    # D1 after an even value with an even value next up: the smallest
+    # unused value stays, and a smaller value must come next.
+    (1, 6, (3, 4), (1,)),
+])
+def test_rank_rules_at_their_ends(kind_id, size, placed, want):
+    ranks = kinds._rank_candidates(kind_id, *_rank_key(size, placed))
+    assert ranks == _mask(*want)
+    assert ranks == _value_ranks(kind_id, size, placed)
+
+
+@pytest.mark.parametrize("kind_id", [1, 3])
+def test_rank_rules_agree_with_the_value_rules(kind_id):
+    # The two statements of the rules of D1 and D3, on every prefix of every
+    # permutation of size 0..6, reachable or not.
+    for size in range(0, 7, 2):
+        for placed in (p for k in range(size) for p in permutations(range(1, size + 1), k)):
+            assert kinds._rank_candidates(kind_id, *_rank_key(size, placed)) == \
+                _value_ranks(kind_id, size, placed), placed
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -186,10 +263,15 @@ def test_generate_stores_values_past_255(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_counts_equal_genocchi(kind):
-    for n in range(9):
+    for n in range(10):
         assert count(kind, 2 * n) == genocchi(n + 1)
     for n in range(6):
         assert sum(1 for _ in generate(kind, 2 * n)) == genocchi(n + 1)
+
+
+@pytest.mark.skipif(os.environ.get("DUMONT_SLOW") != "1", reason="opt-in: set DUMONT_SLOW=1")
+def test_folded_counts_at_size_24():
+    assert count(DumontKind.D1, 24) == count(DumontKind.D3, 24) == genocchi(13)
 
 
 def test_count_d1_6_is_17():
@@ -204,24 +286,27 @@ def test_d4_structural_invariant():
             assert p.at(size - 1) in (size - 1, size)
 
 
-def test_a_deadline_is_checked_within_a_layer(monkeypatch):
-    # count(D1, 16) expands 123,808 keys; its ninth layer holds the 39,567th
-    # to the 63,233rd.  A clock that passes the deadline at the 40,000th
-    # expansion stops the count within one chunk of 4,096 keys, where a
-    # check between layers alone runs on to the end of the layer.
-    calls = 0
-    candidates = kinds._candidates
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return candidates(*args)
-
-    monkeypatch.setattr(kinds, "_candidates", counted)
-    monkeypatch.setattr(kinds, "time", SimpleNamespace(monotonic=lambda: float(calls >= 40000)))
+def test_a_deadline_is_checked_within_a_layer(candidate_calls, rank_calls, monkeypatch):
+    # A clock that passes the deadline at the Kth key a count expands stops
+    # it within one chunk, where a check between layers alone runs on to the
+    # end of the layer.  The value-keyed count(D2, 18) expands 58,912 keys;
+    # one layer holds the 14,300th to the 26,320th, so K = 20,000 stops it
+    # within 4,096 keys.
+    clock = SimpleNamespace(monotonic=lambda: float(candidate_calls[0] >= 20000))
+    monkeypatch.setattr(kinds, "time", clock)
+    with pytest.raises(BudgetExceeded):
+        kinds._count_layers(DumontKind.D2, 18, deadline=0.5)
+    assert 20000 <= candidate_calls[0] < 20000 + kinds._CHUNK
+    candidate_calls[0] = 0
+    assert kinds._count_layers(DumontKind.D2, 18) == genocchi(10)
+    assert candidate_calls[0] == 58912
+    # The folded count(D1, 16) expands 12,889 keys, at most 2,876 a layer
+    # (the 4,387th to the 7,262nd), so chunks of 512 keys show the same.
+    monkeypatch.setattr(kinds, "_CHUNK", 512)
+    clock.monotonic = lambda: float(rank_calls[0] >= 5000)
     with pytest.raises(BudgetExceeded):
         kinds._count_layers(DumontKind.D1, 16, deadline=0.5)
-    assert 40000 <= calls < 40000 + 4096
-    calls = 0
+    assert 5000 <= rank_calls[0] < 5000 + 512
+    rank_calls[0] = 0
     assert kinds._count_layers(DumontKind.D1, 16) == genocchi(9)
-    assert calls == 123808
+    assert rank_calls[0] == 12889

@@ -248,6 +248,42 @@ def test_a_run_of_sizes_counts_each_size_alone(case):
 
 
 @st.composite
+def fold_cases(draw):
+    """D1 or D3, an even size up to 12, one or two classical patterns of
+    length 1..4 and a target (None, or 0..2 for the patterns in all)."""
+    kind = draw(st.sampled_from((DumontKind.D1, DumontKind.D3)))
+    size = draw(st.sampled_from(range(0, 13, 2)))
+    lengths = st.sampled_from((4, 3, 4, 3, 2, 1))
+    pats = {tuple(draw(lengths.flatmap(lambda k: st.permutations(range(1, k + 1)))))
+            for _ in range(draw(st.integers(1, 2)))}
+    return kind, size, sorted(pats), draw(st.sampled_from((None, 0, 1, 2)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=fold_cases())
+@example(case=(DumontKind.D1, 12, [(1, 3, 4, 2), (2, 4, 1, 3)], None))
+@example(case=(DumontKind.D3, 12, [(3, 2, 1)], 2))
+@example(case=(DumontKind.D1, 0, [(1, 2)], 1))
+def test_folded_counts_agree_with_value_keys(case):
+    # The DP of D1 and D3 folds its keys to ranks when the transition has a
+    # rank form; a plain wrapper of the same step has none, so the DP keeps
+    # value keys.  Up to size 10 the walk's members count the same.
+    kind, size, pats, target = case
+    forbidden = frozenset(ClassicalPattern(Permutation(p)) for p in pats)
+
+    def transition():
+        return _step_maker(forbidden, target, [size])(size)
+
+    step, state = transition()
+    assert hasattr(step, "by_rank") or (target is None and pats in ([(2, 1, 4, 3)], [(3, 4, 2, 1)]))
+    folded = kinds._count_layers(kind, size, step, state)
+    step, state = transition()
+    assert kinds._count_layers(kind, size, lambda s, w, used: step(s, w, used), state) == folded
+    if size <= 10:
+        assert sum(len(tails) for _, tails in _walk(kind, size, *transition())) == folded
+
+
+@st.composite
 def exact_cases(draw):
     """A kind, a size, one classical pattern of length 1..4 and a target."""
     kind = draw(st.sampled_from(list(DumontKind)))
