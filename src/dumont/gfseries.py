@@ -10,12 +10,8 @@ module supplies
 * the Genocchi numbers, from the integer recurrence for the tangent numbers;
 * the continued-fraction evaluation producing the counting sequence of
   Dumont-4 permutations avoiding 1423 (OEIS A343795), plus an independent
-  sweep over the underlying P/R/S/T block system.  Every series of both is
-  even or odd in z, so both sweeps run in x = z^2 and store no zero
-  coefficient forced by parity.  Level k of either sweep reaches the result
-  (level 0) only through a factor x^3 per level in between, so it is
-  computed only to order ``nterms + 1 - 3k``, and the sweep starts at level
-  (nterms + 1) // 3, the deepest whose order is not negative;
+  sweep over the underlying P/R/S/T block system, both in x = z^2 and cut
+  level by level (see :func:`_levels`);
 * every closed-form counting formula used by the verification harness,
   each declared once as a :class:`SequenceId` member that carries its
   value string, its range of validity and its formula.
@@ -258,9 +254,8 @@ def d4_1423_series(nterms: int) -> TruncatedSeries:
 
     Coefficient n of the result is the number of such permutations of size
     2n, for 0 <= n <= nterms.  Evaluated by running the continued-fraction
-    recurrence downward from level (nterms + 1) // 3, above which the tail
-    is replaced by zero; level k is computed only to order
-    ``nterms + 1 - 3k`` (see :func:`_levels`).
+    recurrence down the levels of :func:`_levels`, with a zero tail above
+    the top one.
     """
     z_r = TruncatedSeries.zero(0)  # z * R above the top level
     for _, one, e, xo_hi, xo_lo in _levels(nterms):
@@ -296,9 +291,8 @@ def solve_prst_system(nterms: int) -> BlockSystemSolution:
 
     At each level, P at the even index is solved given R one level deeper,
     then R at the odd index given that P; S and T feed neither, so they
-    are not formed.  The sweep starts at level (nterms + 1) // 3 with the
-    tail R above it set to zero, and level k is computed only to order
-    ``nterms + 1 - 3k``, as in :func:`d4_1423_series`.  The resulting R_1 reproduces
+    are not formed.  The sweep runs down the levels of :func:`_levels`, with
+    the tail R above the top one set to zero.  The resulting R_1 reproduces
     :func:`d4_1423_series`, which checks the continued fraction against the
     system it was derived from.
     """

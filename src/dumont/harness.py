@@ -5,18 +5,12 @@ layered-DP count of the Dumont permutations of size 2n that avoid some
 patterns (or contain one exactly r times) against a closed form, set rows
 check the avoiders listed by the transition walk against a set known
 independently, and the ``d4_1423`` pair checks counts against a series and
-the series against the vendored OEIS prefix.  A builder yields only the two
-values a row compares: the row's verdict is whether their strings are equal.
-``run_suite`` runs each builder for n = 0..n_max in one go, so a row's
-counts (or listings) of every n share one pattern transition and its memos
-(see :func:`dumont.patterns._counts`), and reports the rows n-major; it
-times each builder at each n, so a row's ``elapsed`` covers its own n only.
-The two conjecture experiments (2143 ~ 3421 on Dumont-1 permutations, and
-2-31 against 13-2 on the two avoider classes) are reported with
-machine-readable verdicts, never hard-asserted.  Each n is one layered DP
-per pattern; a run stops on a wall-clock budget, checked every few thousand
-keys of the DP, and resumes from a plain-text journal that records each
-finished n.
+the series against the vendored OEIS prefix.  A builder's counts (or
+listings) of every n share one pattern transition and its memos.  The two
+conjecture experiments (2143 ~ 3421 on Dumont-1 permutations, and 2-31
+against 13-2 on the two avoider classes) are reported with machine-readable
+verdicts, never hard-asserted; a run stops on a wall-clock budget and
+resumes from a journal (:class:`_Checkpoint`).
 """
 
 from __future__ import annotations
@@ -89,11 +83,6 @@ class VerificationReport:
 
 def _patterns(texts: Iterable[str]) -> frozenset[ClassicalPattern]:
     return frozenset(map(ClassicalPattern.parse, texts))
-
-
-def _query(kind: DumontKind, n: int, *pats: str) -> AvoidanceQuery:
-    """The members of ``kind`` of size 2n that avoid every one of ``pats``."""
-    return AvoidanceQuery(kind, 2 * n, _patterns(pats))
 
 
 def _perm_set_text(texts: Iterable[str]) -> str:
@@ -489,7 +478,7 @@ def conjecture1_counts(n_max: int, budget: Optional[float] = None,
     rows = []
     for n in range(n_max + 1):
         counts = checkpoint.run(f"c1|n={n}", _is_count, lambda: [
-            count_avoiders(_query(DumontKind.D1, n, p), deadline=deadline)
+            count_avoiders(AvoidanceQuery(DumontKind.D1, 2 * n, _patterns([p])), deadline=deadline)
             for p in _C1_PATTERNS])
         ref = reference[n] if n < len(reference) else None
         ok = counts[0] == counts[1] and (ref is None or counts[0] == ref)

@@ -15,32 +15,15 @@ even-size one with the fixed point 2n+1 appended, so odd sizes are rejected.
 All four kinds of size 2n are counted by the Genocchi number G(2n+2)
 (see :mod:`dumont.gfseries`).
 
-The rules are stated twice.  :func:`_candidates` gives a bitmask of the
-values that may come next after a prefix, given its placed values and its
-last value; the walk, :func:`is_dumont` and the layered DP of kinds 2 and 4
-read it.  Kinds 1 and 3 read only the parities of the unused values in
-increasing order and where the last value falls among them, so
-:func:`_rank_candidates` states their rules, written afresh from the
-definitions, as a bitmask of ranks among the unused values, and their
-plain counts read it.  Both apply each kind's constraints as soon as they
-become checkable and refuse a value whose subtree they can see is dead.
-
-What lies below a prefix depends only on its key: the set of placed values,
-the last value (for kinds 1 and 3, whose rules read it) and the state of a
-pattern transition ``step(state, w, used) -> state | None``, which
-summarises the prefix in a small int and rejects a placement the summary
-rules out.  Generation runs through one walk, :func:`_walk`, which yields
-the members in lexicographic order, in blocks of a prefix and the suffixes
-that complete it, and expands each key once.  Counting runs through one
-layered DP, :func:`_count_layers`, which moves a dict from keys to weights
-one position at a time and so counts each key once instead of each leaf.
-For kinds 1 and 3 with no statistic and a transition that reads ranks
-alone (none, or one with a ``by_rank`` form), it folds each key to its
-ranks (:func:`_count_ranks`), so every used set with the same parity word
-counts once.
-:func:`generate` and :func:`count` run them with no transition;
-:mod:`dumont.patterns` plugs its transitions into both, and the plain walk
-filtered by a matcher is the oracle they are tested against.
+Each kind's rules are stated as a mask of the values that may come next
+(:func:`_candidates`) and, for kinds 1 and 3, again as a mask of ranks
+among the unused values (:func:`_rank_candidates`); both refuse a value
+whose subtree they can see is dead.  Generation is one walk,
+:func:`_walk`.  Counting is one layered DP, :func:`_count_layers`, whose
+keys hold the placed values or, for kinds 1 and 3, their ranks
+(:func:`_count_ranks`).  :mod:`dumont.patterns` plugs its transitions into
+both, and the plain walk filtered by a matcher is the oracle they are
+tested against.
 """
 
 from __future__ import annotations
@@ -71,13 +54,9 @@ def _require_even(size: int) -> None:
 
 
 def is_dumont(kind: DumontKind, p: Permutation) -> bool:
-    """Membership test for an even-size permutation; odd sizes raise.
-
-    A value belongs when its bit is set in :func:`_candidates` after the
-    values before it, so this test and the walk read one statement of the
-    kinds' rules (the folded count of kinds 1 and 3 reads the other,
-    :func:`_rank_candidates`).
-    """
+    """Membership test for an even-size permutation; odd sizes raise.  A
+    value belongs when its bit is set in :func:`_candidates` after the
+    values before it."""
     n = len(p)
     _require_even(n)
     used = prev = 0
@@ -100,8 +79,7 @@ def _candidates(kind_id: int, pos: int, size: int, prev: int, used: int) -> int:
     when value v may come next.  ``(1 << k) - 1`` holds the values below k
     and ``-(1 << k)`` those from k up; every rule is intersected with
     ``free`` (the unused values 1..size), so such a range may run past
-    either end.  The walk, :func:`is_dumont` and the value-keyed DP read
-    it; the folded DP reads :func:`_rank_candidates` instead."""
+    either end."""
     free = ~used & ((2 << size) - 2)
     if kind_id % 2 == 0:
         # D2 and D4: an odd position takes a value at least the position, so
@@ -114,13 +92,11 @@ def _candidates(kind_id: int, pos: int, size: int, prev: int, used: int) -> int:
             return 0
         if kind_id == 2:
             return free & ((1 << pos) - 1 if pos % 2 == 0 else -(1 << pos))
-        # D4.  ``evens`` has bits 0, 2, ... below pos rounded down to even.
-        # Any odd value still unplaced below the current position could only
-        # land as an odd deficiency later, so the subtree is dead; so would
-        # the value pos at an odd position if it does not go there now.
+        # D4.  An odd value is never a deficiency, so the value pos goes to
+        # odd position pos now or its subtree is dead, and every odd value
+        # below pos is already placed.  ``evens`` has bits 0, 2, ... below
+        # pos rounded down to even.
         evens = ((1 << (pos & ~1)) - 1) // 3
-        if free & evens << 1:
-            return 0
         if pos % 2 and free >> pos & 1:
             return 1 << pos
         return free & (-(1 << pos) | (evens if pos % 2 == 0 else 0))
@@ -196,11 +172,10 @@ Stat = Callable[[int, int, int], int]
 
 
 def _key_layout(kind_id: int, size: int, stat: Optional[Stat] = None) -> tuple[bool, int, int]:
-    """How the walk and the value-keyed DP pack a prefix into a key: the
-    used mask in bits 0..size, the last value from bit ``p_shift`` (kept
-    only when the kind's rules or the statistic read it), the state from
-    bit ``s_shift``.  Returns ``(keep_prev, p_shift, s_shift)``.  The
-    folded DP packs its own key (:func:`_count_ranks`)."""
+    """How a prefix packs into a value key: the used mask in bits 0..size,
+    the last value from bit ``p_shift`` (kept only when the kind's rules or
+    the statistic read it), the state from bit ``s_shift``.  Returns
+    ``(keep_prev, p_shift, s_shift)``."""
     return kind_id in (1, 3) or stat is not None, size + 1, size + 1 + size.bit_length()
 
 
@@ -228,15 +203,13 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
     left stores the mask of its next values that reached a leaf and, when
     it comes up again, walks that mask in place of the candidates.  A key
     with at most ``_TAIL`` positions left stores the tuple of its suffixes
-    (each the tuple of values that completes it to a member), gathered as
-    its subtree is expanded, and when it comes up again the walk yields
-    the key's prefix with that stored tuple as one block, without pushing a
-    frame, placing a value or calling ``step``.  A leaf reached by placing
-    a value is the block ``(member, _LEAF)``.  The same stored tuple comes
-    back for every prefix that replays its key, so a consumer may cache
-    what it derives from a ``tails`` by identity while the walk runs.  The
-    yielded prefix is the walk's own list: read or copy it before advancing
-    the iterator.
+    (each the tuple of values that completes it to a member), and when it
+    comes up again the walk yields the key's prefix with that tuple as one
+    block.  A leaf is the block ``(member, _LEAF)``.  The same stored tuple
+    comes back for every prefix that replays its key, so a consumer may
+    cache what it derives from a ``tails`` by identity while the walk runs.
+    The yielded prefix is the walk's own list: read or copy it before
+    advancing the iterator.
     """
     _require_even(size)
     kind_id = kind.value
@@ -281,16 +254,13 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
             # A leaf replays the one empty suffix (cut <= size).
             nexts = _LEAF if d == size else live.get(
                 key := used | (w << p_shift if keep_prev else 0) | new << s_shift)
-            if d >= cut and nexts is not None:
+            # Replay a stored block, or skip a dead key above the cut.
+            if nexts is not None and (d >= cut or not nexts):
                 if nexts:
                     yield h, nexts
                     rec |= bit
                     if acc is not None:
                         acc += [(w,) + t for t in nexts]
-                used ^= bit
-                h.pop()
-                continue
-            if nexts == 0:
                 used ^= bit
                 h.pop()
                 continue
@@ -361,13 +331,6 @@ def _unpack_histogram(packed: int, size: int) -> dict[int, int]:
     return hist
 
 
-def _check_deadline(deadline: Optional[float]) -> None:
-    """Raise ``BudgetExceeded`` once ``time.monotonic()`` has passed
-    ``deadline`` (None never passes)."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceeded("deadline passed")
-
-
 # Keys of a DP layer expanded between two deadline checks: a check costs
 # little beside them, and a large layer takes seconds.
 _CHUNK = 4096
@@ -375,11 +338,13 @@ _CHUNK = 4096
 
 def _chunks(layer: dict[int, int],
             deadline: Optional[float]) -> Iterator[Iterator[tuple[int, int]]]:
-    """The items of a DP layer in runs of ``_CHUNK``, with
-    :func:`_check_deadline` before each run."""
+    """The items of a DP layer in runs of ``_CHUNK``.  Before each run it
+    raises ``BudgetExceeded`` once ``time.monotonic()`` has passed
+    ``deadline`` (None never passes)."""
     items = iter(layer.items())
     for _ in range(0, len(layer), _CHUNK):
-        _check_deadline(deadline)
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded("deadline passed")
         yield islice(items, _CHUNK)
 
 
@@ -394,11 +359,7 @@ def _count_layers(kind: DumontKind, size: int, step: Optional[Step] = None,
     ``_coefficient_bits(size) * k``, so adding two histograms is ``+`` and
     adding a occurrences to all of one is a shift.  ``state`` is the summary
     of the empty prefix; None counts nothing.  ``deadline`` is checked by
-    :func:`_check_deadline` before each ``_CHUNK`` keys of a layer.  Kinds 1
-    and 3 with no statistic and a step that is None or has a ``by_rank``
-    form are counted on folded keys by :func:`_count_ranks`; the rest on
-    the keys of :func:`_key_layout`.
-    """
+    :func:`_chunks` before each ``_CHUNK`` keys of a layer."""
     _require_even(size)
     kind_id = kind.value
     if state is None:

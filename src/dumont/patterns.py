@@ -12,16 +12,12 @@ pattern with no adjacency; ``limit=1`` turns the count into a containment
 test.
 
 Every avoidance and exact-occurrence query plugs a transition into the walk
-:func:`dumont.kinds._walk` (:func:`generate_avoiders`) or the layered DP
-:func:`dumont.kinds._count_layers` (:func:`count_avoiders`,
-:func:`count_exact_occurrences`).  Any set of classical patterns and any
-target has the generic transition :func:`_avoid_classical`; 2143 alone and
-3421 alone keep smaller ones for plain avoidance.  :func:`_runs` gives the
-sizes of a run one transition, so they share its memos.
-:func:`vincular_histogram` adds a length-3 statistic with one adjacency to
-the DP (:func:`_vincular_stat`) and refuses any other.  The plain walk of
-:func:`dumont.kinds.generate` filtered by the matcher is the oracle the
-transitions are tested against.
+or the layered DP of :mod:`dumont.kinds`: the generic
+:func:`_avoid_classical` for any classical patterns and target, or a smaller
+one for 2143 or 3421 alone in plain mode.  :func:`vincular_histogram` adds
+a length-3 statistic with one adjacency to the DP and refuses any other.
+The plain walk filtered by the matcher is the oracle the transitions are
+tested against.
 """
 
 from __future__ import annotations
@@ -297,6 +293,12 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
     is rejected unless the count has reached the target, and so is the
     empty word of size 0 (its state is None) when the target is above 0.
 
+    Zeroing the ranks that bound no such gap does two jobs: it merges states
+    that differ only there, and it makes an occurrence a function of its
+    shape and its box (its gaps that must take letters).  The dominance
+    pruning relies on the second: two distinct occurrences with equal boxes
+    would each dominate the other, and both would be dropped.
+
     An occurrence one letter short completes when the placed value falls in
     the gap its last letter must take, an interval of ranks; so whether a
     placement completes too many occurrences depends only on the state and
@@ -310,40 +312,32 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
     the ones whose floor is above m before the dominance pruning.  One move
     memo on (occurrence, r) serves every m and size.
 
-    The step depends only on the state, r and m, never on the size, so one
-    step memo on (state, r) per m serves every size.  Each step carries
-    that rank form as ``step.by_rank(state, r, m)``, which the folded DP of
-    kinds 1 and 3 calls; ``step(state, w, used)`` computes r and m and
-    calls it.  The steps of sizes below ``top`` keep every memo, since a
-    larger size asks for them all again.  The step of size ``top`` keeps a
-    low-water mark, the least m it has stepped at, and drops the memos of
-    every larger m each time the mark falls: a layered DP, whose m only
-    falls, never asks for them again, and a walk keeps those it makes
-    afresh once it has reached the leaves.  The memos, the interned states
-    and their reject masks live as long as ``make`` or any step it made.
+    The step reads only the state, r and m, never the size, so one step
+    memo on (state, r) per m serves every size, and each step carries that
+    rank form as ``step.by_rank(state, r, m)``.  The steps of sizes below
+    ``top`` keep every memo, since a larger size asks for them all again.
+    The step of size ``top`` drops the memos of every m above the least it
+    has stepped at: a layered DP, whose m only falls, never asks for them
+    again.  The memos, the interned states and their reject masks live as
+    long as ``make`` or any step it made.
     """
-    # A shape is a (pattern, j) pair with j < len(pattern).  Per shape: j,
-    # the gap the next letter falls in, the shape after placing it (None
-    # when that completes the pattern), the (gap, letters) pairs of the gaps
-    # that must take letters, and the ranks that bound none of them.
-    length: list[int] = []
-    nxt_gap: list[int] = []
-    nxt_shape: list[Optional[int]] = []
-    needs: list[list[tuple[int, int]]] = []
-    idle: list[list[int]] = []
+    # A shape is a (pattern, j) pair with j < len(pattern), recorded as
+    # (j, the gap the next letter falls in, the shape after placing it or
+    # None when that completes the pattern, the (gap, letters) pairs of the
+    # gaps that must take letters, the ranks that bound none of them).
+    shapes: list[tuple[int, int, Optional[int], list[tuple[int, int]], list[int]]] = []
     empties = []
     for pat in pats:
-        empties.append(len(length))
+        empties.append(len(shapes))
         for j in range(len(pat)):
             placed = sorted(pat[:j])
             gaps = [0] * (j + 1)
             for v in pat[j:]:
                 gaps[sum(u < v for u in placed)] += 1
-            length.append(j)
-            nxt_gap.append(sum(u < pat[j] for u in placed))
-            nxt_shape.append(len(length) if j + 1 < len(pat) else None)
-            needs.append([(g, c) for g, c in enumerate(gaps) if c])
-            idle.append([i for i in range(j) if not gaps[i] and not gaps[i + 1]])
+            shapes.append((j, sum(u < pat[j] for u in placed),
+                           len(shapes) + 1 if j + 1 < len(pat) else None,
+                           [(g, c) for g, c in enumerate(gaps) if c],
+                           [i for i in range(j) if not gaps[i] and not gaps[i + 1]]))
     # An occurrence packs its shape into the low ``sbits`` bits and its
     # ranks, in increasing value order, into ``rbits`` bits each above; the
     # empty occurrence of a pattern is its j = 0 shape alone.  A state packs
@@ -352,11 +346,11 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
     # order; none is 0, since only occurrences with j >= 1 are kept and
     # shape 0 has j = 0.
     work = work or _Work()
-    sbits = len(length).bit_length()
+    sbits = len(shapes).bit_length()
     rbits = top.bit_length()
     smask = (1 << sbits) - 1
     rmask = (1 << rbits) - 1
-    cbits = sbits + rbits * max(length)
+    cbits = sbits + rbits * max(j for j, *_ in shapes)
     cmask = (1 << cbits) - 1
     nbits = target.bit_length()
     nmask = (1 << nbits) - 1
@@ -371,9 +365,10 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
         mask of the ranks at which it completes: the one such gap when it is
         one letter short, else 0.  None when a gap below the top one holds
         fewer unused values than it must take."""
+        _, _, after, needs, _ = shapes[shape]
         out: list[int] = []
         floor = 0
-        for g, need in needs[shape]:
+        for g, need in needs:
             lo = ranks[g - 1] if g else 0
             if g == len(ranks):
                 # Placing a value at m leaves m - 1 unused, m - 1 - lo of them here.
@@ -384,7 +379,7 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
                 if hi - lo < need:
                     return None
             out += (lo, hi)
-        close = (1 << hi) - (1 << lo) if nxt_shape[shape] is None else 0
+        close = (1 << hi) - (1 << lo) if after is None else 0
         return tuple(out), floor, close
 
     def rejecting(count: int, codes: list[int]) -> int:
@@ -415,19 +410,18 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
         checks the top gap by the floor."""
         work.moves += 1
         shape = code & smask
-        ranks = [code >> (sbits + rbits * i) & rmask for i in range(length[shape])]
+        j, g, after, _, _ = shapes[shape]
+        ranks = [code >> (sbits + rbits * i) & rmask for i in range(j)]
         shifted = [x - (x > r) for x in ranks]
         grown = [(shape, shifted)] if shifted else []
         out = []
-        g = nxt_gap[shape]
-        if (not g or ranks[g - 1] <= r) and (g == len(ranks) or r < ranks[g]):
-            after = nxt_shape[shape]
+        if (not g or ranks[g - 1] <= r) and (g == j or r < ranks[g]):
             if after is None:
                 out.append(0)
             else:
                 grown.append((after, shifted[:g] + [r] + shifted[g:]))
         for new_shape, new_ranks in grown:
-            for i in idle[new_shape]:
+            for i in shapes[new_shape][-1]:  # the idle ranks
                 new_ranks[i] = 0
             b = box(new_shape, new_ranks)
             if b is not None:
@@ -539,10 +533,8 @@ _TRANSITIONS = {
 def _step_maker(forbidden: frozenset[ClassicalPattern], target: Optional[int],
                 sizes: Sequence[int], work: Optional[_Work] = None) -> _StepMaker:
     """``make`` for the sizes of a run, with the ``forbidden`` patterns and
-    ``target`` of an :class:`AvoidanceQuery`: the fast transition of 2143
-    or 3421 alone in plain mode, made afresh per size, else one generic
-    transition that every size shares, with its memos (see
-    :func:`_avoid_classical`)."""
+    ``target`` of an :class:`AvoidanceQuery`: the transition of 2143 or 3421
+    alone in plain mode, else one generic transition for every size."""
     pats = sorted(q.perm.values for q in forbidden)
     make = _TRANSITIONS.get(pats[0]) if len(pats) == 1 and target is None else None
     return make or _avoid_classical(max(sizes, default=0), pats, target or 0, work)
@@ -601,13 +593,10 @@ def _avoider_blocks(query: AvoidanceQuery) -> _Blocks:
 def _runs(consume: Callable, kind: DumontKind, forbidden: frozenset[ClassicalPattern],
           target: Optional[int], sizes: Sequence[int], work: Optional[_Work] = None) -> Iterator:
     """``consume(kind, size, step, state)`` for each of ``sizes`` in turn,
-    each when it is asked for, with the transition of the query of ``kind``,
-    that size, ``forbidden`` and ``target``.  The sizes share one
-    :func:`_step_maker`, so in increasing size each reuses the generic
-    transition's memos that the smaller ones filled; a single query is a
-    run of one size.  ``work`` (if given) counts the generic transition's
-    work.  The patterns, the target and every size are checked before the
-    first transition is made."""
+    each when it is asked for, with that size's transition from one
+    :func:`_step_maker`, so the sizes share the generic transition's memos.
+    The patterns, the target and every size are checked before the first
+    transition is made."""
     AvoidanceQuery(kind, 0, forbidden, target)  # checks the patterns and the target
     for size in sizes:
         _kinds._require_even(size)

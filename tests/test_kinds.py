@@ -149,6 +149,25 @@ def test_candidates_refuse_dead_subtrees(kind_id, pos, size, prev, placed, want)
     assert kinds._candidates(kind_id, pos, size, prev, _mask(*placed)) == _mask(*want)
 
 
+def test_d4_prefixes_place_every_odd_value_below_the_next_position():
+    # An odd value is never a D4 deficiency, so _candidates offers the value
+    # pos alone at an odd position pos where it is unused; so every prefix it
+    # admits holds each odd value below the next position, and a rule
+    # refusing a prefix that does not would never fire.  D4's rules read no
+    # last value, so a prefix is its used set: sizes 0..14 expand 1,565.
+    expanded = 0
+    for size in range(0, 15, 2):
+        layer = {0}
+        for pos in range(1, size + 1):
+            odd = _mask(*range(1, pos, 2))
+            assert all(used & odd == odd for used in layer), (size, pos)
+            expanded += len(layer)
+            layer = {used | 1 << v for used in layer for v in range(1, size + 1)
+                     if kinds._candidates(4, pos, size, 0, used) >> v & 1}
+        assert layer == {(2 << size) - 2}
+    assert expanded == 1565
+
+
 @pytest.fixture
 def rank_calls(monkeypatch):
     """A one-element list that counts the calls of kinds._rank_candidates,

@@ -4,7 +4,9 @@ worked examples all run."""
 import doctest
 import io
 import pkgutil
+import re
 import shlex
+from functools import reduce
 from importlib import import_module
 from pathlib import Path
 
@@ -29,6 +31,38 @@ def test_docstring_examples(name):
     assert result.failed == 0
     if name == "dumont.permcore":
         assert result.attempted >= 1
+
+
+_REFERENCE = re.compile(r":(?:func|class|mod|data):`([\w.]+)`")
+
+
+def _resolves(module, ref):
+    """Whether ``ref`` is an attribute path from ``module``, or a module
+    followed by an attribute path from it."""
+    parts = ref.split(".")
+    roots = [(module, parts)]
+    for i in range(1, len(parts) + 1):
+        try:
+            roots.append((import_module(".".join(parts[:i])), parts[i:]))
+        except ImportError:
+            break
+    for root, path in roots:
+        try:
+            reduce(getattr, path, root)
+            return True
+        except AttributeError:
+            pass
+    return False
+
+
+def test_docstring_references_resolve():
+    # A :func:, :class:, :mod: or :data: reference in the package's source
+    # names something in its own module or by its dotted path, so deleting
+    # or renaming a name leaves no docstring pointing at it.
+    refs = [(name, ref) for name in MODULES
+            for ref in _REFERENCE.findall(Path(import_module(name).__file__).read_text("utf-8"))]
+    assert len(refs) > 40
+    assert [(name, ref) for name, ref in refs if not _resolves(import_module(name), ref)] == []
 
 
 def readme_claims():
