@@ -5,7 +5,7 @@ Output formats: lines (default), json, csv.  Every report is written by
 ``_report``; diagnostics (errors, warnings, mismatch reasons, a budget stop)
 go to stderr.  Exit code 0 when every hard assertion passes, 1 on a
 verification mismatch, 2 on bad input, 3 when a budgeted run stops early (its
-finished n are kept only in a checkpoint file).
+finished n are kept only in a checkpoint file), 141 when a reader closes stdout.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import asdict
 from itertools import chain, islice
@@ -152,8 +153,7 @@ def _cmd_series(args, out) -> int:
                        f"{'consistent' if ok else 'MISMATCH'}"])
         return 0 if ok else 1
     if seq is SequenceId.A343795_D4_312:
-        series = d4_1423_series(upto)
-        values = [(n, series.coefficient(n)) for n in range(upto + 1)]
+        values = list(enumerate(d4_1423_series(upto).coeffs))
     else:
         top = upto if seq.hi is None else min(upto, seq.hi)
         values = [(n, closed_form(seq, n)) for n in range(seq.lo, top + 1)]
@@ -296,10 +296,19 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = parser.parse_args(argv)
     stream = out if out is not None else sys.stdout
     try:
-        return args.fn(args, stream)
+        code = args.fn(args, stream)
+        if out is None:
+            stream.flush()  # so that a closed pipe raises here, not at exit
+        return code
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (as head does); quiet the flush at exit.
+        if out is None:
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), stream.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ module supplies
 * its product and quotient kernels: the schoolbook arithmetic, term for
   term, over operands with their trailing zeros trimmed;
 * the Genocchi numbers, from the integer recurrence for the tangent numbers;
-* the continued-fraction evaluation producing the counting sequence of
-  Dumont-4 permutations avoiding 1423 (OEIS A343795), plus an independent
-  sweep over the underlying P/R/S/T block system, both in x = z^2 and cut
+* the continued fraction for Dumont-4 permutations avoiding 1423 (OEIS
+  A343795), swept as a numerator and a denominator, and an independent sweep
+  over the P/R/S/T block system it comes from, both in x = z^2 and cut
   level by level (see :func:`_levels`);
 * every closed-form counting formula used by the verification harness,
   each declared once as a :class:`SequenceId` member that carries its
@@ -49,6 +49,8 @@ def _product(a, b, n: int) -> list:
     ta, tb = _top(a, n), _top(b, n)
     if ta < 0 or tb < 0:
         return out
+    if ta < tb:  # b the shorter, so that no slice of it outruns the other
+        a, b, ta, tb = b, a, tb, ta
     left, rev = a[:ta + 1], b[tb::-1]
     top = min(ta + tb, n)
     out[:top + 1] = [sum(map(mul, left[max(k - tb, 0):k + 1], rev[max(tb - k, 0):]))
@@ -226,15 +228,15 @@ def _levels(nterms: int) -> Iterator[tuple]:
     and odd Catalan truncations (O_{-1} = 0).
 
     The cut is exact.  Each sweep carries one series from level k+1 to level
-    k (z*R, or R/z), and the three nested fractions it passes through each
-    multiply a change in it by x, so a change at coefficient c of level k+1
-    moves level k only from coefficient c+3 on (Flajolet's convergent
-    argument, "Combinatorial aspects of continued fractions", 1980).  So a
-    coefficient above ``nterms + 1 - 3k`` at level k reaches only
-    coefficients above ``nterms + 1`` of the result, and the zero tail that
-    stands in for every level above the top one moves only coefficients from
-    3 * (top + 1) > nterms + 1 on.  The sweep pads the carried series, cut
-    one level higher, with zeros to the next level's order.
+    k (z*R, or R/z) through three nested fractions, each of which multiplies
+    a change in it by x, so a change at coefficient c of level k+1 moves
+    level k only from coefficient c+3 on (Flajolet's convergent argument,
+    "Combinatorial aspects of continued fractions", 1980).  So level k is
+    needed only to order ``nterms + 1 - 3k``, the zero tail above the top
+    level moves only coefficients from 3 * (top + 1) > nterms + 1 on, and
+    the carried series, cut one level higher, may be padded with anything;
+    the sweeps pad with zeros.  The pair num, den that stands for z*R has
+    den(0) = 1, so cut at an order it fixes num/den to that order.
     """
     if nterms < 0:
         raise ValueError("nterms must be >= 0")
@@ -253,20 +255,21 @@ def d4_1423_series(nterms: int) -> TruncatedSeries:
     """Counting sequence of Dumont-4 permutations avoiding 1423.
 
     Coefficient n of the result is the number of such permutations of size
-    2n, for 0 <= n <= nterms.  Evaluated by running the continued-fraction
-    recurrence down the levels of :func:`_levels`, with a zero tail above
-    the top one.
+    2n, for 0 <= n <= nterms.  Level k of :func:`_levels` maps z*R = num/den
+    to xE_k / ((1 - xO_{k-1})^2 - xE_k / ((1 - xO_k) - xE_k E_k / (1 - z*R))),
+    that is xE_k q / ((1 - xO_{k-1})^2 q - xE_k w) for w = den - num and
+    q = (1 - xO_k) w - xE_k E_k den, again with den(0) = 1; so it divides once.
     """
-    z_r = TruncatedSeries.zero(0)  # z * R above the top level
+    num, den = TruncatedSeries.zero(0), TruncatedSeries.one(0)  # z * R above the top level
     for _, one, e, xo_hi, xo_lo in _levels(nterms):
-        z_r = TruncatedSeries(z_r.coeffs, one.order)
+        num, den = (TruncatedSeries(s.coeffs, one.order) for s in (num, den))
         xe = e.shift(1)
-        frac3 = (xe * e) / (one - z_r)
-        frac2 = xe / ((one - xo_hi) - frac3)
+        w = den - num
+        q = (one - xo_hi) * w - xe * e * den
         base = one - xo_lo
-        z_r = xe / (base * base - frac2)
+        num, den = xe * q, base * base * q - xe * w
     # The coefficient of x^(n+1) in z*R_1 counts size 2n.
-    return TruncatedSeries._of(z_r.coeffs[1:])
+    return TruncatedSeries._of((num / den).coeffs[1:])
 
 
 @dataclass(frozen=True)
@@ -301,8 +304,9 @@ def solve_prst_system(nterms: int) -> BlockSystemSolution:
     r_next = TruncatedSeries.zero(0)  # R_{2k+3} / z above the loop body
     for k, one, e, xo_hi, xo_lo in _levels(nterms):
         r_next = TruncatedSeries(r_next.coeffs, one.order)
-        # P_{2k+2} given R_{2k+3}: z * R_{2k+3} is x * r_next.
-        p_cur = one / ((one - xo_hi) - (e * e).shift(1) / (one - r_next.shift(1)))
+        # P_{2k+2} = 1 / ((1 - xO_k) - xE^2 / w) for w = 1 - z * R_{2k+3}.
+        w = one - r_next.shift(1)
+        p_cur = w / ((one - xo_hi) * w - (e * e).shift(1))
         # R_{2k+1} / z given P_{2k+2}.
         base = one - xo_lo
         r_next = r_fam[2 * k + 1] = e / (base * base - (e * p_cur).shift(1))

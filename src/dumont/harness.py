@@ -164,16 +164,14 @@ def _set(theorem: str, kind: DumontKind, pats: tuple[str, ...], expected: _Listi
 def _d4_1423(n_max: int) -> Iterator[_Rows]:
     """The Dumont-4 avoiders of 1423 against the continued-fraction series,
     and the series against the vendored A343795 prefix where it reaches.
-    The counts of every n are one run of :func:`dumont.patterns._counts`."""
+    The counts are one :func:`dumont.patterns._counts` run, the series one call."""
     counts = _counts(DumontKind.D4, _patterns(("1423",)), None,
                      [2 * n for n in range(n_max + 1)])
-
-    def rows(n: int):
-        coeff = d4_1423_series(n).coefficient(n)
-        yield "d4_1423_series", next(counts), coeff
+    for n, (count, coeff) in enumerate(zip(counts, d4_1423_series(n_max).coeffs)):
+        rows = [("d4_1423_series", count, coeff)]
         if SequenceId.A343795_D4_312.covers(n):
-            yield "d4_1423_reference", coeff, closed_form(SequenceId.A343795_D4_312, n)
-    return map(rows, range(n_max + 1))
+            rows.append(("d4_1423_reference", coeff, closed_form(SequenceId.A343795_D4_312, n)))
+        yield rows
 
 
 @_texts

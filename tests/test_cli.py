@@ -1,12 +1,17 @@
 import csv
+import errno
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+import dumont
 from dumont.cli import main
 from dumont.gfseries import SequenceId
 from dumont.kinds import DumontKind, generate
@@ -198,6 +203,33 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     if pinned:  # the message names the option the user gave, not a library parameter
         assert err == f"error: {pinned}\n"
     assert not journal.exists()  # refused before a journal is opened
+
+
+class ClosedPipe(io.StringIO):
+    """A stream whose reader has gone, as stdout is under ``| head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_closed_pipe_exits_141_quietly(capsys):
+    assert main(["enumerate", "--kind", "1", "--size", "6"], out=ClosedPipe()) == 141
+    assert capsys.readouterr() == ("", "")
+
+
+def test_stdout_closed_before_the_report_exits_141_quietly():
+    # With stdout buffered, as it is by default, a short report is still
+    # buffered when main returns; it must not raise when the interpreter
+    # flushes stdout at exit.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(dumont.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dumont.cli", "series", "--id", "catalan", "--upto", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # long before the interpreter has imported dumont
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_verify_timings_print_one_time_per_row():

@@ -130,6 +130,52 @@ def test_prst_constant_terms():
         assert series.coefficient(0) == 1, f"P_{idx}"
 
 
+def catalan_truncation(parity, k, order):
+    """sum_{i<=k} C(2i + parity) x^i at the given order; 0 for k < 0."""
+    return TruncatedSeries([catalan_number(2 * i + parity) for i in range(k + 1)] or [0], order)
+
+
+@pytest.mark.parametrize("nterms", range(41))
+def test_every_block_member_solves_its_own_equation(nterms):
+    # Each equation multiplied out, with no division, at the order of its
+    # level; R_{2k+3} from the level above is padded with zeros, as the
+    # sweep pads it, and is 0 above the top level.
+    sol = solve_prst_system(nterms)
+    top = (nterms + 1) // 3
+    assert sorted(sol.p) == [2 * k + 2 for k in range(top + 1)]
+    assert sorted(sol.r) == [2 * k + 1 for k in range(top + 1)]
+    for k in range(top + 1):
+        order = nterms + 1 - 3 * k
+        one, x = TruncatedSeries.one(order), TruncatedSeries([0, 1], order)
+        e = catalan_truncation(0, k, order)
+        xo_k, xo_below = (x * catalan_truncation(1, j, order) for j in (k, k - 1))
+        p, r = sol.p[2 * k + 2], sol.r[2 * k + 1]
+        assert p.order == r.order == order
+        w = one - x * TruncatedSeries(sol.r.get(2 * k + 3, TruncatedSeries.zero(0)).coeffs, order)
+        assert p * ((one - xo_k) * w - x * e * e) == w, f"P_{2 * k + 2}"
+        base = one - xo_below
+        assert r * (base * base - x * e * p) == e, f"R_{2 * k + 1}"
+
+
+@pytest.mark.parametrize("nterms", [0, 1, 2, 7, 40])
+def test_sweeps_divide_once_and_twice_per_level(nterms, monkeypatch):
+    # The continued fraction is carried as a numerator and a denominator
+    # and divided once at the end; the block system divides once for P and
+    # once for R at each level.
+    calls = []
+    quotient = gfseries._quotient
+
+    def counted(a, b, n):
+        calls.append(n)
+        return quotient(a, b, n)
+    monkeypatch.setattr(gfseries, "_quotient", counted)
+    d4_1423_series(nterms)
+    assert len(calls) == 1
+    calls.clear()
+    solve_prst_system(nterms)
+    assert len(calls) == 2 * ((nterms + 1) // 3 + 1)
+
+
 def test_x_sweep_matches_the_continued_fraction_in_z():
     z_r = z_space_continued_fraction(40)
     assert not any(z_r[1::2])
