@@ -17,14 +17,14 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from itertools import chain, islice
+from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import bijections, harness
 from .gfseries import SequenceId, closed_form, d4_1423_series, solve_prst_system
 from .kinds import DumontKind, _walk
 from .patterns import AvoidanceQuery, ClassicalPattern, _avoider_blocks, count_avoiders
-from .permcore import Permutation, _block_texts, render_diagram
+from .permcore import Permutation, _block_texts, _separator, render_diagram
 
 
 def _kind(text: str) -> DumontKind:
@@ -39,11 +39,13 @@ def _kind(text: str) -> DumontKind:
 _BLOCK = 256
 
 
-def _emit(out, items: Iterable, render: Callable[[list], str]) -> None:
-    """Write ``render(block)`` for each block of ``_BLOCK`` items in turn."""
+def _emit(out, items: Iterable, render: Callable[[list], str], head: str = "") -> None:
+    """Write ``render(block)`` for each block of ``_BLOCK`` items in turn,
+    ``head`` before the first one in the same write (alone if there is none)."""
     items = iter(items)
-    while block := list(islice(items, _BLOCK)):
-        out.write(render(block))
+    while (block := list(islice(items, _BLOCK))) or head:
+        out.write(head + render(block) if block else head)
+        head = ""
 
 
 def _csv_text(rows: Iterable[Sequence]) -> str:
@@ -62,7 +64,7 @@ def _report(fmt: str, out, payload, header: list[str], rows: Iterable[Sequence],
         json.dump(payload, out, indent=2 if pretty else None, sort_keys=pretty)
         out.write("\n")
     elif fmt == "csv":
-        _emit(out, chain([header], rows), _csv_text)
+        _emit(out, rows, _csv_text, _csv_text([header]))
     else:
         if lines is None:
             lines = (" ".join(map(str, row)) for row in rows)
@@ -72,12 +74,18 @@ def _report(fmt: str, out, payload, header: list[str], rows: Iterable[Sequence],
 def _members(args, out, payload: dict, blocks) -> int:
     """List the members in the walk's ``blocks`` (see
     :func:`dumont.kinds._walk`), one row each, or in json as the ``count``
-    and ``elements`` added to ``payload``."""
+    and ``elements`` added to ``payload``.  A csv row is the member's text,
+    quoted when it is empty or holds a comma, as ``csv.writer`` quotes it."""
     texts = _block_texts(blocks, args.size)
+    if args.format == "csv":
+        q = '"' if _separator(args.size) or not args.size else ""
+        _emit(out, texts, lambda block: q + f"{q}\r\n{q}".join(block) + q + "\r\n",
+              "permutation\r\n")
+        return 0
     if args.format == "json":
         elements = list(texts)
         payload.update(count=len(elements), elements=elements)
-    _report(args.format, out, payload, ["permutation"], zip(texts), lines=texts)
+    _report(args.format, out, payload, [], (), lines=texts)
     return 0
 
 

@@ -295,9 +295,11 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
 
     Zeroing the ranks that bound no such gap does two jobs: it merges states
     that differ only there, and it makes an occurrence a function of its
-    shape and its box (its gaps that must take letters).  The dominance
-    pruning relies on the second: two distinct occurrences with equal boxes
-    would each dominate the other, and both would be dropped.
+    shape and its box, its gaps that must take letters.  The box is kept as
+    one mask, the ranks of gap g in field g of ``top + 1`` bits, so b
+    dominates a when ``box_a & ~box_b`` is 0.  The dominance pruning relies
+    on the second job: two distinct occurrences with equal boxes would each
+    dominate the other, and both would be dropped.
 
     An occurrence one letter short completes when the placed value falls in
     the gap its last letter must take, an interval of ranks; so whether a
@@ -307,10 +309,10 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
     (counted with multiplicity), and the step refuses those ranks before
     anything else.  The move of one occurrence depends on its code and r
     alone: the number m of unused values only decides whether the top gap
-    can still take its letters, so each occurrence it yields carries a
-    floor, the least m that leaves room for them, and the successor drops
-    the ones whose floor is above m before the dominance pruning.  One move
-    memo on (occurrence, r) serves every m and size.
+    can still take its letters, so the move memo, one on (occurrence, r)
+    for every m and size, keeps beside each occurrence it yields its floor,
+    the least m that leaves room for them, and the successor drops the
+    ones whose floor is above m before the dominance pruning.
 
     The step reads only the state, r and m, never the size, so one step
     memo on (state, r) per m serves every size, and each step carries that
@@ -354,20 +356,18 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
     cmask = (1 << cbits) - 1
     nbits = target.bit_length()
     nmask = (1 << nbits) - 1
-    boxes: dict[int, tuple[tuple[int, ...], int, int]] = {}  # box() of each code
-    moves: dict[int, tuple[int, ...]] = {}  # on code * top + r
+    boxes: dict[int, int] = {}  # the box mask of each code
+    moves: dict[int, tuple[tuple[int, int], ...]] = {}  # on code * top + r
     # memos[m]: the step memo for m unused values.
     memos: list[Optional[dict[int, int]]] = [None] * (top + 1)
 
-    def box(shape: int, ranks: list[int]) -> Optional[tuple[tuple[int, ...], int, int]]:
-        """The box of an occurrence (the (lo, hi) of every gap that must take
-        letters, flattened; the top gap's hi is ``top``), its floor, and the
-        mask of the ranks at which it completes: the one such gap when it is
-        one letter short, else 0.  None when a gap below the top one holds
-        fewer unused values than it must take."""
-        _, _, after, needs, _ = shapes[shape]
-        out: list[int] = []
-        floor = 0
+    def box(shape: int, ranks: list[int]) -> Optional[tuple[int, int]]:
+        """The box mask of an occurrence (the ranks [lo, hi) of each gap g
+        that must take letters, in field g of ``top + 1`` bits; the top
+        gap's hi is ``top``) and its floor.  None when a gap below the top
+        one holds fewer unused values than it must take."""
+        needs = shapes[shape][3]
+        mask = floor = 0
         for g, need in needs:
             lo = ranks[g - 1] if g else 0
             if g == len(ranks):
@@ -378,9 +378,8 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
                 hi = ranks[g]
                 if hi - lo < need:
                     return None
-            out += (lo, hi)
-        close = (1 << hi) - (1 << lo) if after is None else 0
-        return tuple(out), floor, close
+            mask |= ((1 << hi) - (1 << lo)) << (top + 1) * g
+        return mask, floor
 
     def rejecting(count: int, codes: list[int]) -> int:
         """The reject mask of the state of ``count`` and the nonempty
@@ -389,25 +388,26 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
         # closed[i]: the ranks where more than i of the occurrences close.
         closed = [0] * (target - count + 1)
         for code in empties + codes:
-            mask = boxes[code][2]
-            if mask:
+            _, g, after, _, _ = shapes[code & smask]
+            if after is None:  # one letter short: it closes in its one gap, g
+                mask = boxes[code] >> (top + 1) * g
                 for i in range(len(closed) - 1, 0, -1):
                     closed[i] |= closed[i - 1] & mask
                 closed[0] |= mask
         return closed[-1]
 
     for code in empties:
-        boxes[code] = box(code, [])
+        boxes[code] = box(code, [])[0]
     ids: dict[int, int] = {0: 0}
     states: list[int] = [0]
     rejects: list[int] = [rejecting(0, [])]
 
-    def move(code: int, r: int) -> tuple[int, ...]:
+    def move(code: int, r: int) -> tuple[tuple[int, int], ...]:
         """The occurrences one occurrence leaves after placing the unused
-        value of rank r: itself, and its extension when the value fits its
-        next letter, or 0 when the value completes it.  Those with a gap
-        below the top one too small are dead and left out; the successor
-        checks the top gap by the floor."""
+        value of rank r, each with its floor: itself, and its extension when
+        the value fits its next letter, or (0, 0) when the value completes
+        it.  Those with a gap below the top one too small are dead and left
+        out; the successor checks the top gap by the floor."""
         work.moves += 1
         shape = code & smask
         j, g, after, _, _ = shapes[shape]
@@ -417,7 +417,7 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
         out = []
         if (not g or ranks[g - 1] <= r) and (g == j or r < ranks[g]):
             if after is None:
-                out.append(0)
+                out.append((0, 0))
             else:
                 grown.append((after, shifted[:g] + [r] + shifted[g:]))
         for new_shape, new_ranks in grown:
@@ -428,8 +428,8 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
                 new = new_shape
                 for i, x in enumerate(new_ranks):
                     new |= x << (sbits + rbits * i)
-                boxes[new] = b
-                out.append(new)
+                boxes[new] = b[0]
+                out.append((new, b[1]))
         return tuple(out)
 
     def successor(state: int, r: int, m: int) -> int:
@@ -450,10 +450,10 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
             got = moves.get(key)
             if got is None:
                 got = moves[key] = move(code, r)
-            for c in got:
+            for c, floor in got:
                 if not c:
                     count += 1
-                elif boxes[c][1] <= m:
+                elif floor <= m:
                     found[c] = found.get(c, 0) + 1
         if m == 1 and count < target:
             return -1
@@ -466,20 +466,11 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
                 shapes.setdefault(c & smask, []).append(c)
             kept = []
             for group in shapes.values():
-                if len(group) == 1:
-                    kept += group
-                    continue
                 for a in group:
-                    ba = boxes[a][0]
+                    box_a = boxes[a]
                     for b in group:
-                        if b == a:
-                            continue
-                        bb = boxes[b][0]
-                        for i in range(0, len(ba), 2):
-                            if bb[i] > ba[i] or ba[i + 1] > bb[i + 1]:
-                                break
-                        else:
-                            break  # every gap of b contains a's: a is dominated
+                        if b != a and not box_a & ~boxes[b]:
+                            break  # no rank of a's box lies outside b's: a is dominated
                     else:
                         kept.append(a)
         key = 0

@@ -64,10 +64,11 @@ def test_listing_bytes_are_pinned(argv, digest):
 
 
 @pytest.mark.parametrize("fmt", ["lines", "csv", "json"])
-@pytest.mark.parametrize("size", [8, 10])
+@pytest.mark.parametrize("size", [0, 2, 8, 10])
 def test_listings_print_what_the_permutations_print(size, fmt):
     # The listing formatter against the to_text of each member, on both
-    # sides of the switch to commas at ten letters.
+    # sides of the switch to commas at ten letters and on the empty member,
+    # which csv quotes as it quotes a text with commas.
     n = str(size)
     cases = [(["enumerate", "--kind", str(kind.value), "--size", n],
               {"kind": kind.value, "size": size}, generate(kind, size)) for kind in DumontKind]

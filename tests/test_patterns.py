@@ -330,6 +330,16 @@ def test_a_single_walk_drops_the_memos_of_larger_m():
     assert work.successors == 1910
 
 
+def test_the_exact_count_listing_pins_its_work():
+    # The D4 members of size 12 with exactly one 321, as `avoid --exactly 1
+    # --list` walks them: a change to pruning moves these counts, a change
+    # in speed does not.
+    work = patterns._Work()
+    listing = next(patterns._listings(DumontKind.D4, frozenset([cp("321")]), 1, [12], work))
+    assert sum(len(tails) for _, tails in listing) == 539
+    assert (work.successors, work.moves, work.states) == (4467, 130, 1284)
+
+
 @pytest.mark.parametrize("pattern", ["2143", "3421", "123"])
 def test_a_passed_deadline_stops_the_dp(pattern):
     # 2-31 is counted on the DP; 1-2-3 has no DP form and is refused.
