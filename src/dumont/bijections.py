@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterator
 
 from .kinds import DumontKind, is_dumont
@@ -62,13 +63,7 @@ class DyckPath:
 
     def runs(self) -> list[tuple[str, int]]:
         """Maximal runs as (step, length) pairs."""
-        out: list[tuple[str, int]] = []
-        for ch in self.steps:
-            if out and out[-1][0] == ch:
-                out[-1] = (ch, out[-1][1] + 1)
-            else:
-                out.append((ch, 1))
-        return out
+        return [(ch, len(list(run))) for ch, run in groupby(self.steps)]
 
     def __str__(self) -> str:
         return self.steps

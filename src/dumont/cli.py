@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import bijections, harness
 from .gfseries import SequenceId, closed_form, d4_1423_series, solve_prst_system
 from .kinds import DumontKind, _walk
-from .patterns import AvoidanceQuery, ClassicalPattern, _avoider_blocks, count_avoiders
+from .patterns import AvoidanceQuery, ClassicalPattern, _run, count_avoiders
 from .permcore import Permutation, _block_texts, _separator, render_diagram
 
 
@@ -108,12 +108,8 @@ def _cmd_avoid(args, out) -> int:
     payload = {"kind": args.kind.value, "size": args.size, "patterns": pats,
                "exactly": args.exactly}
     if args.list:
-        return _members(args, out, payload, _avoider_blocks(query))
-    try:
-        payload["count"] = count_avoiders(query, deadline=deadline)
-    except harness.BudgetExceeded:
-        print("budget exhausted", file=sys.stderr)
-        return 3
+        return _members(args, out, payload, _run(_walk, query))
+    payload["count"] = count_avoiders(query, deadline=deadline)
     _report(args.format, out, payload, ["count"], [[payload["count"]]])
     return 0
 
@@ -174,9 +170,11 @@ def _cmd_verify(args, out) -> int:
     if args.timings and args.format != "lines":
         raise ValueError(f"--timings applies to --format lines, not {args.format}")
     if args.sanity_s3 is not None:
+        if args.suite is not None or args.max_n is not None:
+            raise ValueError("--sanity-s3 runs alone, without --suite or --max-n")
         report = harness.sanity_s3(args.sanity_s3)
     else:
-        report = harness.run_suite(args.suite, args.max_n)
+        report = harness.run_suite(args.suite or "all", 5 if args.max_n is None else args.max_n)
     _report(args.format, out, report.to_json(),
             ["theorem", "n", "enumerated", "formula", "match"],
             ([r.theorem, r.n, r.enumerated, r.formula, r.match] for r in report.rows),
@@ -185,33 +183,28 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_conjecture(args, out) -> int:
-    try:
-        if args.which == 1:
-            rows = harness.conjecture1_counts(args.n, budget=args.budget,
-                                              checkpoint_path=args.checkpoint)
-            equal = all(r.count_2143 == r.count_3421 for r in rows)
-            payload = {"conjecture": 1, "equinumerous": equal, "rows": list(map(asdict, rows))}
-            header = ["n", "avoid_2143", "avoid_3421", "reference"]
-            table = [[r.n, r.count_2143, r.count_3421,
-                      "-" if r.reference is None else r.reference] for r in rows]
-            verdict = "equinumerous over the computed range" if equal else "SEQUENCES DIFFER"
-            mismatches = harness.count_mismatches(rows)
-        else:
-            dist = harness.conjecture2_distribution(args.n, budget=args.budget,
-                                                    checkpoint_path=args.checkpoint)
-            rel = dist.pointwise_relation()
-            payload = {"conjecture": 2, "n": dist.n, "a_row": list(dist.a_row),
-                       "b_row": list(dist.b_row), "pointwise": list(rel),
-                       "cumulative": list(dist.cumulative_relation()),
-                       "verdict": dist.verdict()}
-            header = ["k", "a", "b", "rel"]
-            table = [[k, *cells] for k, cells in enumerate(zip(dist.a_row, dist.b_row, rel))]
-            verdict = json.dumps(payload["verdict"], sort_keys=True)
-            mismatches = harness.distribution_mismatches(dist)
-    except harness.BudgetExceeded:
-        print("budget exhausted" + ("; rerun with the same --checkpoint to resume"
-                                    if args.checkpoint else ""), file=sys.stderr)
-        return 3
+    if args.which == 1:
+        rows = harness.conjecture1_counts(args.n, budget=args.budget,
+                                          checkpoint_path=args.checkpoint)
+        equal = all(r.count_2143 == r.count_3421 for r in rows)
+        payload = {"conjecture": 1, "equinumerous": equal, "rows": list(map(asdict, rows))}
+        header = ["n", "avoid_2143", "avoid_3421", "reference"]
+        table = [[r.n, r.count_2143, r.count_3421,
+                  "-" if r.reference is None else r.reference] for r in rows]
+        verdict = "equinumerous over the computed range" if equal else "SEQUENCES DIFFER"
+        mismatches = harness.count_mismatches(rows)
+    else:
+        dist = harness.conjecture2_distribution(args.n, budget=args.budget,
+                                                checkpoint_path=args.checkpoint)
+        rel = dist.pointwise_relation()
+        payload = {"conjecture": 2, "n": dist.n, "a_row": list(dist.a_row),
+                   "b_row": list(dist.b_row), "pointwise": list(rel),
+                   "cumulative": list(dist.cumulative_relation()),
+                   "verdict": dist.verdict()}
+        header = ["k", "a", "b", "rel"]
+        table = [[k, *cells] for k, cells in enumerate(zip(dist.a_row, dist.b_row, rel))]
+        verdict = json.dumps(payload["verdict"], sort_keys=True)
+        mismatches = harness.distribution_mismatches(dist)
     _report(args.format, out, payload, header, table, pretty=True)
     if args.format == "lines":  # csv holds the table alone
         out.write(f"verdict: {verdict}\n")
@@ -274,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_series)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument("--suite", choices=harness.SUITES, default="all")
-    sp.add_argument("--max-n", type=int, default=5)
+    sp.add_argument("--suite", choices=harness.SUITES, default=None)
+    sp.add_argument("--max-n", type=int, default=None)
     sp.add_argument("--sanity-s3", type=int, default=None, metavar="N",
                     help="run the Catalan sanity check on S_n instead")
     sp.add_argument("--timings", action="store_true",
@@ -308,6 +301,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         if out is None:
             stream.flush()  # so that a closed pipe raises here, not at exit
         return code
+    except harness.BudgetExceeded:
+        print("budget exhausted" + ("; rerun with the same --checkpoint to resume"
+                                    if getattr(args, "checkpoint", None) else ""), file=sys.stderr)
+        return 3
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

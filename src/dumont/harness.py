@@ -6,11 +6,11 @@ patterns (or contain one exactly r times) against a closed form, set rows
 check the avoiders listed by the transition walk against a set known
 independently, and the ``d4_1423`` pair checks counts against a series and
 the series against the vendored OEIS prefix.  A builder's counts (or
-listings) of every n share one pattern transition and its memos.  The two
-conjecture experiments (2143 ~ 3421 on Dumont-1 permutations, and 2-31
-against 13-2 on the two avoider classes) are reported with machine-readable
-verdicts, never hard-asserted; a run stops on a wall-clock budget and
-resumes from a journal (:class:`_Checkpoint`).
+listings) of every n are one :func:`dumont.patterns._runs`, sharing its
+transition and memos.  The two conjecture experiments (2143 ~ 3421 on
+Dumont-1 permutations, and 2-31 against 13-2 on the two avoider classes) are
+reported with machine-readable verdicts, never hard-asserted; a run stops on
+a wall-clock budget and resumes from a journal (:class:`_Checkpoint`).
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import golden
 from .gfseries import SequenceId, catalan_number, closed_form, d4_1423_series
-from .kinds import BudgetExceeded, DumontKind  # BudgetExceeded is re-exported
-from .patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern, _counts, _listings,
-                       avoids, count_avoiders, vincular_histogram)
+from .kinds import BudgetExceeded, DumontKind, _count_layers, _walk  # BudgetExceeded is re-exported
+from .patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern, _runs, avoids,
+                       count_avoiders, vincular_histogram)
 from .permcore import Permutation, _block_texts
 
 _STAT_2_31 = VincularPattern.parse("2-31")
@@ -114,12 +114,12 @@ def _count(theorem: str, kind: DumontKind, pats: tuple[str, ...], seq: SequenceI
     """Count row: the size-2n members of ``kind`` that avoid ``pats`` (or
     contain its one pattern exactly ``target`` times) against
     ``closed_form(seq, n)``, wherever ``seq`` is valid.  The counts of every
-    n are one run of :func:`dumont.patterns._counts`."""
+    n are one :func:`dumont.patterns._runs` of the layered DP."""
     forbidden = _patterns(pats)
 
     def build(n_max: int) -> Iterator[_Rows]:
-        counts = _counts(kind, forbidden, target,
-                         [2 * n for n in range(n_max + 1) if seq.covers(n)])
+        counts = _runs(_count_layers, kind, forbidden, target,
+                       [2 * n for n in range(n_max + 1) if seq.covers(n)])
 
         def rows(n: int):
             if seq.covers(n):
@@ -133,11 +133,11 @@ _Listing = Callable[[Sequence[int]], Iterator[Iterable[str]]]
 
 
 def _avoider_texts(kind: DumontKind, pats: tuple[str, ...]) -> _Listing:
-    """The size-2n avoiders of ``pats``, listed by one run of
-    :func:`dumont.patterns._listings`."""
+    """The size-2n avoiders of ``pats``, listed by one
+    :func:`dumont.patterns._runs` of the walk."""
     def listing(ns: Sequence[int]) -> Iterator[Iterable[str]]:
         sizes = [2 * n for n in ns]
-        return map(_block_texts, _listings(kind, _patterns(pats), None, sizes), sizes)
+        return map(_block_texts, _runs(_walk, kind, _patterns(pats), None, sizes), sizes)
     return listing
 
 
@@ -164,9 +164,9 @@ def _set(theorem: str, kind: DumontKind, pats: tuple[str, ...], expected: _Listi
 def _d4_1423(n_max: int) -> Iterator[_Rows]:
     """The Dumont-4 avoiders of 1423 against the continued-fraction series,
     and the series against the vendored A343795 prefix where it reaches.
-    The counts are one :func:`dumont.patterns._counts` run, the series one call."""
-    counts = _counts(DumontKind.D4, _patterns(("1423",)), None,
-                     [2 * n for n in range(n_max + 1)])
+    The counts are one :func:`dumont.patterns._runs`, the series one call."""
+    counts = _runs(_count_layers, DumontKind.D4, _patterns(("1423",)), None,
+                   [2 * n for n in range(n_max + 1)])
     for n, (count, coeff) in enumerate(zip(counts, d4_1423_series(n_max).coeffs)):
         rows = [("d4_1423_series", count, coeff)]
         if SequenceId.A343795_D4_312.covers(n):
@@ -332,6 +332,7 @@ class DistributionTable:
         """Machine-readable observations; conjectural claims are reported,
         not asserted."""
         cum = self.cumulative_relation()
+        switch = self.sign_switch_k()
         return {
             "n": self.n,
             "total": self.total,
@@ -341,10 +342,9 @@ class DistributionTable:
             "top_cells_equal": self.a_row[-1] == self.b_row[-1] == 1,
             "a_unimodal": self._unimodal(self.a_row),
             "b_unimodal": self._unimodal(self.b_row),
-            "sign_switch_k": self.sign_switch_k(),
-            "sign_switch_near_2n_minus_5": (
-                self.sign_switch_k() is not None
-                and abs(self.sign_switch_k() - (2 * self.n - 5)) <= 1),
+            "sign_switch_k": switch,
+            "sign_switch_near_2n_minus_5": switch is not None
+                                           and abs(switch - (2 * self.n - 5)) <= 1,
         }
 
 

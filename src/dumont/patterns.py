@@ -11,13 +11,14 @@ All occurrence counting goes through one backtracking matcher,
 pattern with no adjacency; ``limit=1`` turns the count into a containment
 test.
 
-Every avoidance and exact-occurrence query plugs a transition into the walk
-or the layered DP of :mod:`dumont.kinds`: the generic
-:func:`_avoid_classical` for any classical patterns and target, or a smaller
-one for 2143 or 3421 alone in plain mode.  :func:`vincular_histogram` adds
-a length-3 statistic with one adjacency to the DP and refuses any other.
-The plain walk filtered by the matcher is the oracle the transitions are
-tested against.
+Every avoidance and exact-occurrence query takes one path to an engine,
+:func:`_runs` (:func:`_run` for one size): it plugs a transition into
+:func:`dumont.kinds._walk` to list or :func:`dumont.kinds._count_layers` to
+count, the generic :func:`_avoid_classical` for any classical patterns and
+target, or a smaller one for 2143 or 3421 alone in plain mode.
+:func:`vincular_histogram` adds a length-3 statistic with one adjacency to
+the DP and refuses any other.  The plain walk filtered by the matcher is the
+oracle the transitions are tested against.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import kinds as _kinds
 from .kinds import DumontKind
-from .permcore import Permutation
+from .permcore import Permutation, _separator
 
 _INF = 1 << 30
 
@@ -88,7 +89,7 @@ class VincularPattern:
         return cls(perm, frozenset(range(1, len(perm))) - ends)
 
     def __str__(self) -> str:
-        sep = "," if len(self.perm) > 9 else ""
+        sep = _separator(len(self.perm))
         return "".join(("" if i == 0 else sep if i in self.adjacent else "-") + str(v)
                        for i, v in enumerate(self.perm.values))
 
@@ -461,11 +462,11 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
             cap = target - count + 1
             kept = [c for c, k in found.items() for _ in range(min(k, cap))]
         else:
-            shapes: dict[int, list[int]] = {}
+            groups: dict[int, list[int]] = {}
             for c in found:
-                shapes.setdefault(c & smask, []).append(c)
+                groups.setdefault(c & smask, []).append(c)
             kept = []
-            for group in shapes.values():
+            for group in groups.values():
                 for a in group:
                     box_a = boxes[a]
                     for b in group:
@@ -565,29 +566,13 @@ def _vincular_stat(stat: VincularPattern, size: int) -> _kinds.Stat:
 # Pruned generation and counting
 
 
-def generate_avoiders(query: AvoidanceQuery) -> Iterator[Permutation]:
-    """Members of the query's set (avoiders, or exact-occurrence members),
-    lexicographically.  An odd or negative size raises here, before the
-    first member is asked for."""
-    return _kinds._permutations(_avoider_blocks(query))
-
-
-_Blocks = Iterator[tuple[list[int], _kinds._Tails]]
-
-
-def _avoider_blocks(query: AvoidanceQuery) -> _Blocks:
-    """The members of the query's set as the blocks of :func:`dumont.kinds._walk`.
-    An odd or negative size raises here, before a transition is made."""
-    return next(_listings(query.kind, query.forbidden, query.occurrence_target, [query.size]))
-
-
 def _runs(consume: Callable, kind: DumontKind, forbidden: frozenset[ClassicalPattern],
           target: Optional[int], sizes: Sequence[int], work: Optional[_Work] = None) -> Iterator:
-    """``consume(kind, size, step, state)`` for each of ``sizes`` in turn,
-    each when it is asked for, with that size's transition from one
-    :func:`_step_maker`, so the sizes share the generic transition's memos.
-    The patterns, the target and every size are checked before the first
-    transition is made."""
+    """``consume(kind, size, step, state)`` (the walk or the layered DP) for
+    each of ``sizes`` in turn, each when it is asked for, with that size's
+    transition from one :func:`_step_maker`, so the sizes share the generic
+    transition's memos.  The patterns, the target and every size are checked
+    before the first transition is made."""
     AvoidanceQuery(kind, 0, forbidden, target)  # checks the patterns and the target
     for size in sizes:
         _kinds._require_even(size)
@@ -596,10 +581,16 @@ def _runs(consume: Callable, kind: DumontKind, forbidden: frozenset[ClassicalPat
         yield consume(kind, size, *make(size))
 
 
-def _listings(kind: DumontKind, forbidden: frozenset[ClassicalPattern], target: Optional[int],
-              sizes: Sequence[int], work: Optional[_Work] = None) -> Iterator[_Blocks]:
-    """:func:`_avoider_blocks` of each of ``sizes``: a :func:`_runs` of the walk."""
-    return _runs(_kinds._walk, kind, forbidden, target, sizes, work)
+def _run(consume: Callable, query: AvoidanceQuery):
+    """``consume`` of the query at its own size: a :func:`_runs` of one size."""
+    return next(_runs(consume, query.kind, query.forbidden, query.occurrence_target, [query.size]))
+
+
+def generate_avoiders(query: AvoidanceQuery) -> Iterator[Permutation]:
+    """Members of the query's set (avoiders, or exact-occurrence members),
+    lexicographically.  An odd or negative size raises here, before the
+    first member is asked for."""
+    return _kinds._permutations(_run(_kinds._walk, query))
 
 
 def count_avoiders(query: AvoidanceQuery, *, deadline: Optional[float] = None) -> int:
@@ -609,17 +600,7 @@ def count_avoiders(query: AvoidanceQuery, *, deadline: Optional[float] = None) -
     ``deadline`` (checked by :func:`dumont.kinds._count_layers`).  An odd or
     negative size raises before a transition is made.
     """
-    return next(_counts(query.kind, query.forbidden, query.occurrence_target, [query.size],
-                        deadline=deadline))
-
-
-def _counts(kind: DumontKind, forbidden: frozenset[ClassicalPattern], target: Optional[int],
-            sizes: Sequence[int], *, deadline: Optional[float] = None,
-            work: Optional[_Work] = None) -> Iterator[int]:
-    """:func:`count_avoiders` of each of ``sizes``: a :func:`_runs` of the
-    layered DP."""
-    return _runs(partial(_kinds._count_layers, deadline=deadline),
-                 kind, forbidden, target, sizes, work)
+    return _run(partial(_kinds._count_layers, deadline=deadline), query)
 
 
 def count_exact_occurrences(kind: DumontKind, size: int, q: ClassicalPattern,
@@ -639,5 +620,5 @@ def vincular_histogram(kind: DumontKind, size: int, forbidden: ClassicalPattern,
     ``deadline`` is as for :func:`count_avoiders`.
     """
     count = partial(_kinds._count_layers, stat=_vincular_stat(stat, size), deadline=deadline)
-    packed = next(_runs(count, kind, frozenset([forbidden]), None, [size]))
+    packed = _run(count, AvoidanceQuery(kind, size, frozenset([forbidden])))
     return _kinds._unpack_histogram(packed, size)

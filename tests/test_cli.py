@@ -193,6 +193,11 @@ _SERIES_ERRORS = {
     ["avoid", "--kind", "1", "--size", "4", "--pattern", "123", "--list", "--budget", "5"],
     ["avoid", "--kind", "1", "--size", "4", "--pattern", "123", "--budget", "-1"],
     ["avoid", "--kind", "1", "--size", "4", "--pattern", "123", "--budget", "nan"],
+    # The Catalan check runs alone: a suite or an n_max given beside it is
+    # refused, not dropped, so a failing suite cannot pass as exit 0.
+    ["verify", "--sanity-s3", "3", "--suite", "d1_pairs", "--max-n", "5"],
+    ["verify", "--sanity-s3", "3", "--suite", "all"],
+    ["verify", "--sanity-s3", "3", "--max-n", "5"],
 ])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     journal = tmp_path / "journal"

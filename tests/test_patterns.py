@@ -294,14 +294,14 @@ def test_a_run_of_sizes_shares_the_generic_transition():
     for size in sizes:
         work = patterns._Work()
         # count_avoiders is this run of one size.
-        assert next(patterns._counts(DumontKind.D1, pair, None, [size], work=work)) == \
-            count_avoiders(AvoidanceQuery(DumontKind.D1, size, pair))
+        run = patterns._runs(kinds._count_layers, DumontKind.D1, pair, None, [size], work)
+        assert next(run) == count_avoiders(AvoidanceQuery(DumontKind.D1, size, pair))
         alone.append(work.successors)
     # 2,252 successor computations before the reject masks, which refuse a
     # placement that closes an occurrence before it reaches the successor.
     assert alone[-1] == 1645
     work = patterns._Work()
-    assert list(patterns._counts(DumontKind.D1, pair, None, sizes, work=work)) == \
+    assert list(patterns._runs(kinds._count_layers, DumontKind.D1, pair, None, sizes, work)) == \
         [1, 1, 3, 11, 44, 185]
     # Here the size-10 count takes every step the smaller ones take, so the
     # run computes no more than it does alone.
@@ -318,13 +318,13 @@ def test_a_single_walk_drops_the_memos_of_larger_m():
     # every memo would make 1,645.
     pair = frozenset([cp("1342"), cp("2413")])
     work = patterns._Work()
-    listing = next(patterns._listings(DumontKind.D1, pair, None, [10], work))
+    listing = next(patterns._runs(kinds._walk, DumontKind.D1, pair, None, [10], work))
     assert sum(len(tails) for _, tails in listing) == 185
     assert work.successors == 1650
     # The largest size of a run drops them too: the sizes 0..8 make 266,
     # and the size-10 walk then makes 1,644.
     work = patterns._Work()
-    listings = patterns._listings(DumontKind.D1, pair, None, range(0, 11, 2), work)
+    listings = patterns._runs(kinds._walk, DumontKind.D1, pair, None, range(0, 11, 2), work)
     assert [sum(len(tails) for _, tails in listing) for listing in listings] == \
         [1, 1, 3, 11, 44, 185]
     assert work.successors == 1910
@@ -335,7 +335,8 @@ def test_the_exact_count_listing_pins_its_work():
     # --list` walks them: a change to pruning moves these counts, a change
     # in speed does not.
     work = patterns._Work()
-    listing = next(patterns._listings(DumontKind.D4, frozenset([cp("321")]), 1, [12], work))
+    once = frozenset([cp("321")])
+    listing = next(patterns._runs(kinds._walk, DumontKind.D4, once, 1, [12], work))
     assert sum(len(tails) for _, tails in listing) == 539
     assert (work.successors, work.moves, work.states) == (4467, 130, 1284)
 

@@ -17,10 +17,10 @@ from conftest import (naive_count, naive_count_vincular, schoolbook_product,
 from dumont import kinds
 from dumont.gfseries import TruncatedSeries
 from dumont.kinds import DumontKind, _walk, generate
-from dumont.patterns import (_INF, AvoidanceQuery, ClassicalPattern, VincularPattern,
-                             _avoider_blocks, _count, _counts, _listings, _step_maker,
-                             count_avoiders, count_exact_occurrences, count_occurrences,
-                             count_vincular, generate_avoiders, vincular_histogram)
+from dumont.patterns import (_INF, AvoidanceQuery, ClassicalPattern, VincularPattern, _count,
+                             _run, _runs, _step_maker, count_avoiders, count_exact_occurrences,
+                             count_occurrences, count_vincular, generate_avoiders,
+                             vincular_histogram)
 from dumont.permcore import Permutation, _block_texts
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
@@ -237,8 +237,9 @@ def test_a_run_of_sizes_counts_each_size_alone(case):
             return not any(count_occurrences(p, q) for q in forbidden)
         return count_occurrences(p, forbidden[0]) == target
 
-    listings = _listings(kind, frozenset(forbidden), target, sizes)
-    for query, got in zip(queries, _counts(kind, frozenset(forbidden), target, sizes)):
+    listings = _runs(_walk, kind, frozenset(forbidden), target, sizes)
+    counts = _runs(kinds._count_layers, kind, frozenset(forbidden), target, sizes)
+    for query, got in zip(queries, counts):
         assert got == count_avoiders(query)
         listed = [p.values for p in kinds._permutations(next(listings))]
         assert listed == [p.values for p in generate_avoiders(query)]
@@ -355,7 +356,7 @@ def listing_queries(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(query=listing_queries(), tail=CUTS)
 def test_avoider_listing_lines_are_the_members_texts(query, tail):
-    got, want = texts_both_ways(query.size, tail, lambda: _avoider_blocks(query),
+    got, want = texts_both_ways(query.size, tail, lambda: _run(_walk, query),
                                 lambda: generate_avoiders(query))
     assert got == want
 
