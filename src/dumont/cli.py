@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated classical patterns, e.g. 1342,1423")
     sp.add_argument("--exactly", type=int, default=None,
                     help="count members with exactly this many occurrences")
-    sp.add_argument("--list", action="store_true", help="also list the members")
+    sp.add_argument("--list", action="store_true", help="list the members (json adds the count)")
     sp.add_argument("--budget", type=float, default=None, metavar="SECONDS",
                     help="stop the count after this many seconds (exit 3)")
     add_format(sp)

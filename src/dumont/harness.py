@@ -1,16 +1,18 @@
 """Verification suites tying exact counts to closed forms.
 
-A suite is a table of row builders run for n = 0..n_max: count rows check a
-layered-DP count of the Dumont permutations of size 2n that avoid some
-patterns (or contain one exactly r times) against a closed form, set rows
-check the avoiders listed by the transition walk against a set known
-independently, and the ``d4_1423`` pair checks counts against a series and
-the series against the vendored OEIS prefix.  A builder's counts (or
-listings) of every n are one :func:`dumont.patterns._runs`, sharing its
-transition and memos.  The two conjecture experiments (2143 ~ 3421 on
-Dumont-1 permutations, and 2-31 against 13-2 on the two avoider classes) are
-reported with machine-readable verdicts, never hard-asserted; a run stops on
-a wall-clock budget and resumes from a journal (:class:`_Checkpoint`).
+A suite is a table of row builders.  Given n_max, a builder hands out
+``(n, rows)`` for each n <= n_max it checks, in increasing n, and computes an
+n's rows when that pair is asked for.  Count rows check a layered-DP count of
+the Dumont permutations of size 2n that avoid some patterns (or contain one
+exactly r times) against a closed form, set rows check the avoiders listed by
+the transition walk against a set known independently, and the ``d4_1423``
+pair checks counts against a series and the series against the vendored OEIS
+prefix.  A builder's counts (or listings) of every n are one
+:func:`dumont.patterns._runs`, sharing its transition and memos.  The two
+conjecture experiments (2143 ~ 3421 on Dumont-1 permutations, and 2-31 against
+13-2 on the two avoider classes) are reported with machine-readable verdicts,
+never hard-asserted; a run stops on a wall-clock budget and resumes from a
+journal (:class:`_Checkpoint`).
 """
 
 from __future__ import annotations
@@ -91,21 +93,21 @@ def _perm_set_text(texts: Iterable[str]) -> str:
 
 # One theorem's rows at one n, each (theorem, enumerated, formula).
 _Rows = Iterable[tuple[str, object, object]]
-# A row builder maps n_max to the rows of n = 0..n_max, in turn; the rows of
-# an n are computed as they are read.
-_RowBuilder = Callable[[int], Iterator[_Rows]]
+# A row builder maps n_max to the pairs (n, rows) of the n <= n_max it
+# checks, in increasing n; the rows of an n are computed as they are read.
+_RowBuilder = Callable[[int], Iterator[tuple[int, _Rows]]]
 
 
-def _timed(n_max: int, build: _RowBuilder) -> list[list[ReportRow]]:
-    """The rows of ``build(n_max)`` per n, each with the time its n took."""
-    out = []
-    per_n = build(n_max)
-    for n in range(n_max + 1):
-        t0 = time.perf_counter()
-        checked = list(next(per_n))
+def _timed(n_max: int, build: _RowBuilder) -> dict[int, list[ReportRow]]:
+    """The rows of ``build(n_max)`` by n.  The rows of an n share one
+    ``elapsed``, from the end of the previous n to the end of their own."""
+    out, t0 = {}, time.perf_counter()
+    for n, rows in build(n_max):
+        checked = list(rows)
         elapsed = time.perf_counter() - t0
-        out.append([ReportRow(theorem, n, str(got), str(want), elapsed)
-                    for theorem, got, want in checked])
+        out[n] = [ReportRow(theorem, n, str(got), str(want), elapsed)
+                  for theorem, got, want in checked]
+        t0 = time.perf_counter()
     return out
 
 
@@ -115,16 +117,10 @@ def _count(theorem: str, kind: DumontKind, pats: tuple[str, ...], seq: SequenceI
     contain its one pattern exactly ``target`` times) against
     ``closed_form(seq, n)``, wherever ``seq`` is valid.  The counts of every
     n are one :func:`dumont.patterns._runs` of the layered DP."""
-    forbidden = _patterns(pats)
-
-    def build(n_max: int) -> Iterator[_Rows]:
-        counts = _runs(_count_layers, kind, forbidden, target,
-                       [2 * n for n in range(n_max + 1) if seq.covers(n)])
-
-        def rows(n: int):
-            if seq.covers(n):
-                yield theorem, next(counts), closed_form(seq, n)
-        return map(rows, range(n_max + 1))
+    def build(n_max: int) -> Iterator[tuple[int, _Rows]]:
+        ns = [n for n in range(n_max + 1) if seq.covers(n)]
+        counts = _runs(_count_layers, kind, _patterns(pats), target, [2 * n for n in ns])
+        return ((n, [(theorem, count, closed_form(seq, n))]) for n, count in zip(ns, counts))
     return build
 
 
@@ -150,18 +146,14 @@ def _set(theorem: str, kind: DumontKind, pats: tuple[str, ...], expected: _Listi
          n_min: int = 0, n_top: Optional[int] = None) -> _RowBuilder:
     """Set row: the size-2n avoiders of ``pats``, listed, against the
     ``expected`` listing, for n_min <= n <= n_top."""
-    def build(n_max: int) -> Iterator[_Rows]:
+    def build(n_max: int) -> Iterator[tuple[int, _Rows]]:
         ns = range(n_min, (n_max if n_top is None else min(n_max, n_top)) + 1)
-        got, want = _avoider_texts(kind, pats)(ns), expected(ns)
-
-        def rows(n: int):
-            if n in ns:
-                yield theorem, _perm_set_text(next(got)), _perm_set_text(next(want))
-        return map(rows, range(n_max + 1))
+        return ((n, [(theorem, _perm_set_text(got), _perm_set_text(want))])
+                for n, got, want in zip(ns, _avoider_texts(kind, pats)(ns), expected(ns)))
     return build
 
 
-def _d4_1423(n_max: int) -> Iterator[_Rows]:
+def _d4_1423(n_max: int) -> Iterator[tuple[int, _Rows]]:
     """The Dumont-4 avoiders of 1423 against the continued-fraction series,
     and the series against the vendored A343795 prefix where it reaches.
     The counts are one :func:`dumont.patterns._runs`, the series one call."""
@@ -171,7 +163,7 @@ def _d4_1423(n_max: int) -> Iterator[_Rows]:
         rows = [("d4_1423_series", count, coeff)]
         if SequenceId.A343795_D4_312.covers(n):
             rows.append(("d4_1423_reference", coeff, closed_form(SequenceId.A343795_D4_312, n)))
-        yield rows
+        yield n, rows
 
 
 @_texts
@@ -243,9 +235,9 @@ SUITES = (*_SUITE_TABLE, "all")
 def run_suite(suite: str, n_max: int) -> VerificationReport:
     """Run one verification suite (or all of them) up to the given n.
 
-    A pass computes its builders one after another, each for n = 0..n_max,
-    and reports their rows n-major: every builder's rows at n = 0, then at
-    n = 1, and so on.  A row's ``elapsed`` times its builder at its n only.
+    A pass computes its builders one after another, each up to n_max, and
+    reports their rows n-major: every builder's rows at n = 0, then at n = 1,
+    and so on.  A row's ``elapsed`` times its builder at its n only.
     """
     if n_max < 0:
         raise ValueError(f"max n must be >= 0, got {n_max}")
@@ -253,8 +245,8 @@ def run_suite(suite: str, n_max: int) -> VerificationReport:
         raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}")
     rows = [row for name in (_SUITE_TABLE if suite == "all" else (suite,))
             for builders in _SUITE_TABLE[name]  # the passes of one suite
-            for at_n in zip(*(_timed(n_max, build) for build in builders))
-            for n_rows in at_n for row in n_rows]
+            for by_n in [[_timed(n_max, build) for build in builders]]
+            for n in range(n_max + 1) for at_n in by_n for row in at_n.get(n, ())]
     return VerificationReport(suite, rows)
 
 
@@ -266,14 +258,15 @@ def sanity_s3(n_max: int) -> VerificationReport:
         raise ValueError("sanity check is capped at n = 9")
     pats = [ClassicalPattern(Permutation(p)) for p in _all_perms((1, 2, 3))]
 
-    def rows(n: int):
-        counts = dict.fromkeys(pats, 0)
-        for p in map(Permutation, _all_perms(range(1, n + 1))):
-            for q in pats:
-                counts[q] += avoids(p, q)
-        return [(f"s3_{q}", got, catalan_number(n)) for q, got in counts.items()]
-    per_n = _timed(n_max, lambda n_max: map(rows, range(n_max + 1)))
-    return VerificationReport("s3_sanity", [row for n_rows in per_n for row in n_rows])
+    def build(n_max: int) -> Iterator[tuple[int, _Rows]]:
+        for n in range(n_max + 1):
+            counts = dict.fromkeys(pats, 0)
+            for p in map(Permutation, _all_perms(range(1, n + 1))):
+                for q in pats:
+                    counts[q] += avoids(p, q)
+            yield n, [(f"s3_{q}", got, catalan_number(n)) for q, got in counts.items()]
+    rows = [row for n_rows in _timed(n_max, build).values() for row in n_rows]
+    return VerificationReport("s3_sanity", rows)
 
 
 # ---------------------------------------------------------------------------

@@ -198,18 +198,18 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
     ``tails``, in order.
 
     ``state`` is the transition's summary of the empty prefix; None yields
-    nothing.  Each key (used values, last value, state) is expanded by
-    :func:`_candidates` once.  A key with more than ``_TAIL`` positions
-    left stores the mask of its next values that reached a leaf and, when
-    it comes up again, walks that mask in place of the candidates.  A key
-    with at most ``_TAIL`` positions left stores the tuple of its suffixes
-    (each the tuple of values that completes it to a member), and when it
-    comes up again the walk yields the key's prefix with that tuple as one
-    block.  A leaf is the block ``(member, _LEAF)``.  The same stored tuple
-    comes back for every prefix that replays its key, so a consumer may
-    cache what it derives from a ``tails`` by identity while the walk runs.
-    The yielded prefix is the walk's own list: read or copy it before
-    advancing the iterator.
+    nothing.  Each key (the used values, the state and, on kinds 1 and 3
+    alone, the last value) is expanded by :func:`_candidates` once.  A key
+    with more than ``_TAIL`` positions left stores the mask of its next
+    values that reached a leaf and, when it comes up again, walks that mask
+    in place of the candidates.  A key with at most ``_TAIL`` positions left
+    stores the tuple of its suffixes (each the tuple of values that
+    completes it to a member), and when it comes up again the walk yields
+    the key's prefix with that tuple as one block.  A leaf is the block
+    ``(member, _LEAF)``.  The same stored tuple comes back for every prefix
+    that replays its key, so a consumer may cache what it derives from a
+    ``tails`` by identity while the walk runs.  The yielded prefix is the
+    walk's own list: read or copy it before advancing the iterator.
     """
     _require_even(size)
     kind_id = kind.value

@@ -385,7 +385,10 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
     def rejecting(count: int, codes: list[int]) -> int:
         """The reject mask of the state of ``count`` and the nonempty
         occurrences ``codes``: bit r is set when placing the value of rank r
-        completes more occurrences than the target still allows."""
+        completes more occurrences than the target still allows (never when
+        the state holds no more occurrences than that)."""
+        if target - count >= len(empties) + len(codes):
+            return 0
         # closed[i]: the ranks where more than i of the occurrences close.
         closed = [0] * (target - count + 1)
         for code in empties + codes:

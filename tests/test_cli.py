@@ -144,6 +144,17 @@ def test_avoid_exactly():
     assert payload["exactly"] == 1
 
 
+@pytest.mark.parametrize("target", ["1000000", "99999999999999999999"])
+def test_avoid_exactly_beyond_every_member_prints_0(target):
+    # No member of size 8 holds that many 321s: the count is 0 at once, with
+    # no work or memory per unit of the target.
+    t0 = time.perf_counter()
+    code, out = run_cli("avoid", "--kind", "4", "--size", "8", "--pattern", "321",
+                        "--exactly", target)
+    assert time.perf_counter() - t0 < 2
+    assert (code, out) == (0, "0\n")
+
+
 def test_avoid_exactly_list_comes_from_the_pruned_walk():
     # Only the identity has no inversion; a filter over all 28,820,619
     # members of size 16 would not finish in time.

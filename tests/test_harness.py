@@ -51,6 +51,20 @@ def test_report_serialization_is_deterministic():
     assert a.to_text(include_timing=True) != a.to_text()
 
 
+def test_rows_of_one_builder_at_one_n_share_one_elapsed():
+    # A builder hands out all its rows of an n at once, timed as one.
+    rows = [r for r in run_suite("d4_avoid", 3).rows if r.theorem.startswith("d4_1423_")]
+    for n in range(4):
+        at_n = [r for r in rows if r.n == n]
+        assert {r.theorem for r in at_n} == {"d4_1423_series", "d4_1423_reference"}
+        assert len({r.elapsed for r in at_n}) == 1
+    s3 = sanity_s3(4).rows
+    for n in range(5):
+        at_n = [r for r in s3 if r.n == n]
+        assert len(at_n) == 6 and all(r.theorem.startswith("s3_") for r in at_n)
+        assert len({r.elapsed for r in at_n}) == 1
+
+
 def test_sanity_s3():
     report = sanity_s3(6)
     assert report.overall

@@ -408,6 +408,8 @@ def test_count_exact_occurrences_examples(small_dumont_sets):
     (DumontKind.D4, "321", 1), (DumontKind.D4, "321", 2),
     (DumontKind.D1, "231", 1), (DumontKind.D2, "2143", 1),
     (DumontKind.D2, "3142", 0), (DumontKind.D1, "213", 3),
+    # Targets no member reaches, which once cost work (or memory) per unit.
+    (DumontKind.D4, "321", 10**6), (DumontKind.D4, "321", 10**20),
 ])
 def test_exact_count_matches_filtering(kind, pattern, r, small_dumont_sets):
     pat = tuple(int(c) for c in pattern)
