@@ -4,15 +4,15 @@ A suite is a table of row builders.  Given n_max, a builder hands out
 ``(n, rows)`` for each n <= n_max it checks, in increasing n, and computes an
 n's rows when that pair is asked for.  Count rows check a layered-DP count of
 the Dumont permutations of size 2n that avoid some patterns (or contain one
-exactly r times) against a closed form, set rows check the avoiders listed by
-the transition walk against a set known independently, and the ``d4_1423``
-pair checks counts against a series and the series against the vendored OEIS
-prefix.  A builder's counts (or listings) of every n are one
-:func:`dumont.patterns._runs`, sharing its transition and memos.  The two
-conjecture experiments (2143 ~ 3421 on Dumont-1 permutations, and 2-31 against
-13-2 on the two avoider classes) are reported with machine-readable verdicts,
-never hard-asserted; a run stops on a wall-clock budget and resumes from a
-journal (:class:`_Checkpoint`).
+exactly r times) against a closed form, and the ``d4_1423`` pair checks counts
+against a series and the series against the vendored OEIS prefix; the counts of
+every n of such a builder are one :func:`dumont.patterns._runs`, sharing its
+transition and memos.  A set row compares two member lists at each n: the
+avoiders from :func:`dumont.patterns.generate_avoiders` and a set known
+independently.  The two conjecture experiments (2143 ~ 3421 on Dumont-1
+permutations, and 2-31 against 13-2 on the two avoider classes) are reported
+with machine-readable verdicts, never hard-asserted; a run stops on a
+wall-clock budget and resumes from a journal (:class:`_Checkpoint`).
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import golden
 from .gfseries import SequenceId, catalan_number, closed_form, d4_1423_series
-from .kinds import BudgetExceeded, DumontKind, _count_layers, _walk  # BudgetExceeded is re-exported
+from .kinds import BudgetExceeded, DumontKind, _count_layers  # BudgetExceeded is re-exported
 from .patterns import (AvoidanceQuery, ClassicalPattern, VincularPattern, _runs, avoids,
-                       count_avoiders, vincular_histogram)
-from .permcore import Permutation, _block_texts
+                       count_avoiders, generate_avoiders, vincular_histogram)
+from .permcore import Permutation
 
 _STAT_2_31 = VincularPattern.parse("2-31")
 _STAT_13_2 = VincularPattern.parse("13-2")
@@ -87,8 +87,8 @@ def _patterns(texts: Iterable[str]) -> frozenset[ClassicalPattern]:
     return frozenset(map(ClassicalPattern.parse, texts))
 
 
-def _perm_set_text(texts: Iterable[str]) -> str:
-    return "{" + ",".join(sorted(texts)) + "}"
+def _perm_set_text(perms: Iterable[Permutation]) -> str:
+    return "{" + ",".join(sorted(map(Permutation.to_text, perms))) + "}"
 
 
 # One theorem's rows at one n, each (theorem, enumerated, formula).
@@ -124,32 +124,21 @@ def _count(theorem: str, kind: DumontKind, pats: tuple[str, ...], seq: SequenceI
     return build
 
 
-# ``listing(ns)``: the texts of the members of each n of ``ns``, in turn.
-_Listing = Callable[[Sequence[int]], Iterator[Iterable[str]]]
+def _avoiders(kind: DumontKind, pats: tuple[str, ...]) -> Callable[[int], Iterator[Permutation]]:
+    """The size-2n avoiders of ``pats`` at n, by :func:`dumont.patterns.generate_avoiders`."""
+    return lambda n: generate_avoiders(AvoidanceQuery(kind, 2 * n, _patterns(pats)))
 
 
-def _avoider_texts(kind: DumontKind, pats: tuple[str, ...]) -> _Listing:
-    """The size-2n avoiders of ``pats``, listed by one
-    :func:`dumont.patterns._runs` of the walk."""
-    def listing(ns: Sequence[int]) -> Iterator[Iterable[str]]:
-        sizes = [2 * n for n in ns]
-        return map(_block_texts, _runs(_walk, kind, _patterns(pats), None, sizes), sizes)
-    return listing
-
-
-def _texts(members: Callable[[int], Iterable[Permutation]]) -> _Listing:
-    """The listing of ``members(n)``, one n at a time."""
-    return lambda ns: (map(Permutation.to_text, members(n)) for n in ns)
-
-
-def _set(theorem: str, kind: DumontKind, pats: tuple[str, ...], expected: _Listing,
+def _set(theorem: str, kind: DumontKind, pats: tuple[str, ...],
+         expected: Callable[[int], Iterable[Permutation]],
          n_min: int = 0, n_top: Optional[int] = None) -> _RowBuilder:
-    """Set row: the size-2n avoiders of ``pats``, listed, against the
-    ``expected`` listing, for n_min <= n <= n_top."""
+    """Set row: the members ``_avoiders(kind, pats)(n)`` against ``expected(n)``,
+    for n_min <= n <= n_top.  Each n is listed on its own."""
+    sides = (_avoiders(kind, pats), expected)
+
     def build(n_max: int) -> Iterator[tuple[int, _Rows]]:
         ns = range(n_min, (n_max if n_top is None else min(n_max, n_top)) + 1)
-        return ((n, [(theorem, _perm_set_text(got), _perm_set_text(want))])
-                for n, got, want in zip(ns, _avoider_texts(kind, pats)(ns), expected(ns)))
+        return ((n, [(theorem, *(_perm_set_text(side(n)) for side in sides))]) for n in ns)
     return build
 
 
@@ -166,20 +155,17 @@ def _d4_1423(n_max: int) -> Iterator[tuple[int, _Rows]]:
         yield n, rows
 
 
-@_texts
 def _pair_staircase(n: int) -> list[Permutation]:
     """The one permutation 2 1 4 3 ... 2n 2n-1."""
     return [Permutation([v for j in range(1, n + 1) for v in (2 * j, 2 * j - 1)])]
 
 
-@_texts
 def _d1_123_expected(n: int) -> list[Permutation]:
     prefix = [v for j in range(n, 3, -1) for v in (2 * j - 1, 2 * j)]
     return [Permutation(prefix + list(Permutation.from_text(s).values))
             for s in golden.d1_123_size6_set()]
 
 
-@_texts
 def _d4_1234_expected(n: int) -> list[Permutation]:
     """The 1234 avoiders, known explicitly through size 6 (n = 3)."""
     known = map(Permutation.from_text, golden.d4_1234_avoiders_upto_size6())
@@ -204,8 +190,7 @@ _SUITE_TABLE: dict[str, tuple[tuple[_RowBuilder, ...], ...]] = {
         *(_count(f"d2_{p}", DumontKind.D2, (p,), SequenceId[f"D2_{p}"])
           for p in ("3142", "4132", "2143")),
         # The 4132 avoiders are not merely as many as the 321 avoiders: they are the same.
-        _set("d2_4132_set_eq_321", DumontKind.D2, ("4132",),
-             _avoider_texts(DumontKind.D2, ("321",))),
+        _set("d2_4132_set_eq_321", DumontKind.D2, ("4132",), _avoiders(DumontKind.D2, ("321",))),
     ),),
     "d1_pairs": ((
         *(_count(f"d1_pair_{a}_{b}", DumontKind.D1, (a, b), SequenceId[f"D1_PAIR_{a}_{b}"])

@@ -155,7 +155,7 @@ def test_composition_parse_and_text():
     comp = Composition.parse("3+1")
     assert comp.parts == (3, 1)
     assert comp.total == 4
-    assert comp.to_text() == "3+1"
+    assert comp.to_text() == str(comp) == "3+1"
     assert Composition.parse("").parts == ()
     with pytest.raises(ValueError):
         Composition((0, 2))

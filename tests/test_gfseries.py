@@ -27,6 +27,9 @@ def test_series_arith_geometric_identity():
     one_minus_z = TruncatedSeries([1, -1], order)
     assert one_minus_z * geometric(order) == TruncatedSeries.one(order)
     assert TruncatedSeries.one(order) / one_minus_z == geometric(order)
+    assert -one_minus_z == TruncatedSeries([-1, 1], order)
+    assert hash(one_minus_z) == hash(TruncatedSeries([1, -1, 0], order))
+    assert repr(TruncatedSeries([1, -1], 2)) == "TruncatedSeries([1, -1, 0])"
 
 
 def test_series_functional_equations():
@@ -392,5 +395,5 @@ def test_gf_identities_check_requires_order_8():
 
 
 def test_catalan_number_sanity():
-    assert [catalan_number(n) for n in range(9)] == \
-        [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+    assert [catalan_number(n) for n in range(-1, 9)] == \
+        [0, 1, 1, 2, 5, 14, 42, 132, 429, 1430]

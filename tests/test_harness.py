@@ -86,6 +86,8 @@ def test_conjecture1_small():
 def test_conjecture2_table_n5_matches_reference():
     table = conjecture2_distribution(5)
     ref = golden.vincular_distribution(5)
+    with pytest.raises(KeyError, match="no reference distribution for n=4"):
+        golden.vincular_distribution(4)
     assert list(table.a_row) == ref["a"]
     assert list(table.b_row) == ref["b"]
     assert table.total == 239

@@ -10,6 +10,11 @@ def test_permutation_accepts_known_member():
     p = Permutation([4, 3, 5, 6, 2, 1])
     assert p.to_text() == "435621"
     assert len(p) == 6
+    # Python-level indexing and slicing are 0-based, as the module docstring says.
+    assert (p[0], p[-1], p[1:3]) == (4, 1, (3, 5))
+    assert repr(p) == "Permutation([4, 3, 5, 6, 2, 1])"
+    assert p <= p and Permutation([1, 2]) <= Permutation([2, 1])
+    assert not Permutation([2, 1]) <= Permutation([1, 2])
 
 
 def test_empty_permutation_is_valid():

@@ -1,6 +1,7 @@
 """The package's public names, its docstring examples and the README's
-worked examples all run."""
+worked examples all run, and each module reads every name it imports."""
 
+import ast
 import doctest
 import io
 import pkgutil
@@ -63,6 +64,27 @@ def test_docstring_references_resolve():
             for ref in _REFERENCE.findall(Path(import_module(name).__file__).read_text("utf-8"))]
     assert len(refs) > 40
     assert [(name, ref) for name, ref in refs if not _resolves(import_module(name), ref)] == []
+
+
+# Imports a module keeps for others to read through it.
+_REEXPORTS = {"dumont.harness": {"BudgetExceeded"}}
+
+
+def _unused_imports(source):
+    """The names the imports of ``source`` bind that it never reads."""
+    tree = ast.parse(source)
+    bound = {(alias.asname or alias.name).partition(".")[0]
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__" for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_import_is_used():
+    # The package's __init__ imports only to re-export, so it is not in MODULES.
+    assert _unused_imports("import os.path, sys\nfrom a import b as c\nc(sys)") == {"os"}
+    unused = {name: _unused_imports(Path(import_module(name).__file__).read_text("utf-8"))
+              - _REEXPORTS.get(name, set()) for name in MODULES}
+    assert {name: names for name, names in unused.items() if names} == {}
 
 
 def readme_claims():
