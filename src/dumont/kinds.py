@@ -23,7 +23,10 @@ whose subtree they can see is dead.  Generation is one walk,
 keys hold the placed values or, for kinds 1 and 3, their ranks
 (:func:`_count_ranks`).  :mod:`dumont.patterns` plugs its transitions into
 both, and the plain walk filtered by a matcher is the oracle they are
-tested against.
+tested against.  Every transition there reads ranks alone, so every
+pattern count of kinds 1 and 3 folds its keys; so does a histogram of a
+statistic that counts unused values (13-2), while one that counts placed
+values (2-31) keeps value keys.
 """
 
 from __future__ import annotations
@@ -166,7 +169,9 @@ def _rank_candidates(kind_id: int, word: int, j: int, odd: int) -> int:
 # same answer for the unused value of rank r among m, which lets the DP of
 # kinds 1 and 3 fold its keys (:func:`_count_ranks`).
 # An occurrence statistic ``add(used, prev, w) -> int`` gives the number of
-# occurrences that placing w right after prev adds to the final count.
+# occurrences that placing w right after prev adds to the final count; one
+# that reads only ranks carries ``add.by_rank(j, r, m) -> int`` for prev
+# with j unused values below it, which the first value never asks.
 Step = Callable[[int, int, int], Optional[int]]
 Stat = Callable[[int, int, int], int]
 
@@ -206,7 +211,8 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
     stores the tuple of its suffixes (each the tuple of values that
     completes it to a member), and when it comes up again the walk yields
     the key's prefix with that tuple as one block.  A leaf is the block
-    ``(member, _LEAF)``.  The same stored tuple comes back for every prefix
+    ``(member, _LEAF)``.  A transition's rank form, when it has one, is
+    called directly.  The same stored tuple comes back for every prefix
     that replays its key, so a consumer may cache what it derives from a
     ``tails`` by identity while the walk runs.  The yielded prefix is the
     walk's own list: read or copy it before advancing the iterator.
@@ -225,6 +231,8 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
     # marks a key with no member below), or, from depth ``cut`` on, to the
     # tuple of its suffixes (empty for no member).
     keep_prev, p_shift, s_shift = _key_layout(kind_id, size)
+    by_rank = getattr(step, "by_rank", None)
+    full = (2 << size) - 2
     cut = size - _TAIL
     live: dict[int, int | _Tails] = {}
     new = 0
@@ -245,7 +253,8 @@ def _walk(kind: DumontKind, size: int, step: Optional[Step] = None,
             todo ^= bit
             w = bit.bit_length() - 1
             if step is not None:
-                new = step(state, w, used)
+                new = (step(state, w, used) if by_rank is None else
+                       by_rank(state, (~used & full & bit - 1).bit_count(), size - len(h)))
                 if new is None:
                     continue
             h.append(w)
@@ -359,18 +368,25 @@ def _count_layers(kind: DumontKind, size: int, step: Optional[Step] = None,
     ``_coefficient_bits(size) * k``, so adding two histograms is ``+`` and
     adding a occurrences to all of one is a shift.  ``state`` is the summary
     of the empty prefix; None counts nothing.  ``deadline`` is checked by
-    :func:`_chunks` before each ``_CHUNK`` keys of a layer."""
+    :func:`_chunks` before each ``_CHUNK`` keys of a layer.
+
+    Kinds 1 and 3 fold their keys (:func:`_count_ranks`) when ``step`` and
+    ``stat`` are each None or carry their rank form ``by_rank``.  Otherwise
+    a key holds the used values, and a transition's rank form is called with
+    r and m counted from them, m once per key."""
     _require_even(size)
     kind_id = kind.value
     if state is None:
         return 0
     by_rank = getattr(step, "by_rank", None)
-    if kind_id % 2 and stat is None and (step is None or by_rank is not None):
-        return _count_ranks(kind_id, size, by_rank, state, deadline)
+    stat_by_rank = getattr(stat, "by_rank", None)
+    if kind_id % 2 and (step is None or by_rank) and (stat is None or stat_by_rank):
+        return _count_ranks(kind_id, size, by_rank, state, deadline, stat_by_rank)
     width = _coefficient_bits(size)
     keep_prev, p_shift, s_shift = _key_layout(kind_id, size, stat)
     used_mask = (1 << p_shift) - 1
     prev_mask = (1 << size.bit_length()) - 1
+    full = (2 << size) - 2
     layer = {state << s_shift: 1}
     for pos in range(1, size + 1):
         nxt: dict[int, int] = {}
@@ -380,6 +396,8 @@ def _count_layers(kind: DumontKind, size: int, step: Optional[Step] = None,
                 used = key & used_mask
                 prev = key >> p_shift & prev_mask
                 state = key >> s_shift
+                free = ~used & full
+                m = free.bit_count()
                 todo = _candidates(kind_id, pos, size, prev, used)
                 while todo:
                     bit = todo & -todo
@@ -388,7 +406,8 @@ def _count_layers(kind: DumontKind, size: int, step: Optional[Step] = None,
                     if step is None:
                         new = 0
                     else:
-                        new = step(state, w, used)
+                        new = (step(state, w, used) if by_rank is None
+                               else by_rank(state, (free & bit - 1).bit_count(), m))
                         if new is None:
                             continue
                     out = weight
@@ -401,9 +420,10 @@ def _count_layers(kind: DumontKind, size: int, step: Optional[Step] = None,
 
 
 def _count_ranks(kind_id: int, size: int, by_rank: Optional[Step], state: int,
-                 deadline: Optional[float]) -> int:
+                 deadline: Optional[float], stat: Optional[Stat] = None) -> int:
     """:func:`_count_layers` of kind 1 or 3 on folded keys, with the rank
-    form ``by_rank(state, r, m)`` of a transition or None.
+    forms ``by_rank(state, r, m)`` of a transition and ``stat(j, r, m)`` of
+    a statistic, each or both None.
 
     A key holds the word of :func:`_rank_candidates` (the parities of the
     unused values in increasing order below a sentinel bit) in bits
@@ -419,7 +439,8 @@ def _count_ranks(kind_id: int, size: int, by_rank: Optional[Step], state: int,
     # The empty prefix: the values 1..size, odd at the even ranks, and no
     # last value, which reads as odd with j = 0.
     layer = {1 << size | ((1 << size) - 1) // 3 | 1 << j_shift | state << s_shift: 1}
-    for _ in range(size):
+    width = _coefficient_bits(size)
+    for pos in range(size):
         nxt: dict[int, int] = {}
         get = nxt.get
         for chunk in _chunks(layer, deadline):
@@ -439,8 +460,11 @@ def _count_ranks(kind_id: int, size: int, by_rank: Optional[Step], state: int,
                         new = by_rank(state, r, m)
                         if new is None:
                             continue
+                    out = weight
+                    if stat is not None and pos:
+                        out <<= width * stat(last >> 1, r, m)
                     k = ((word & bit - 1 | word >> r + 1 << r) | (r << 1 | word >> r & 1) << j_shift
                          | new << s_shift)
-                    nxt[k] = get(k, 0) + weight
+                    nxt[k] = get(k, 0) + out
         layer = nxt
     return sum(layer.values())

@@ -15,10 +15,11 @@ Every avoidance and exact-occurrence query takes one path to an engine,
 :func:`_runs` (:func:`_run` for one size): it plugs a transition into
 :func:`dumont.kinds._walk` to list or :func:`dumont.kinds._count_layers` to
 count, the generic :func:`_avoid_classical` for any classical patterns and
-target, or a smaller one for 2143 or 3421 alone in plain mode.
-:func:`vincular_histogram` adds a length-3 statistic with one adjacency to
-the DP and refuses any other.  The plain walk filtered by the matcher is the
-oracle the transitions are tested against.
+target, or a smaller one for 2143 or 3421 alone in plain mode.  Each is
+written on ranks among the unused values, with :func:`_by_value` as its
+value form.  :func:`vincular_histogram` adds a length-3 statistic with one
+adjacency to the DP and refuses any other.  The plain walk filtered by the
+matcher is the oracle the transitions are tested against.
 """
 
 from __future__ import annotations
@@ -194,62 +195,95 @@ def count_vincular(p: Permutation, vq: VincularPattern) -> int:
 # Transitions
 
 
+def _by_value(by_rank: _kinds.Step, size: int) -> _kinds.Step:
+    """The value form ``step(state, w, used)`` of the rank form
+    ``by_rank(state, r, m)`` of a transition at ``size``, carrying it as
+    ``step.by_rank``: w is the unused value of rank r among the m unused."""
+    full = (2 << size) - 2
+
+    def step(state: int, w: int, used: int) -> Optional[int]:
+        free = ~used & full
+        return by_rank(state, (free & (1 << w) - 1).bit_count(), free.bit_count())
+
+    step.by_rank = by_rank  # type: ignore[attr-defined]
+    return step
+
+
+# The hand-written transitions read a placed value by its gap, the number
+# of unused values below it: the placed values below the unused value of
+# rank r fill gaps 0..r, those above it gaps r + 1 up.  Placing rank r
+# merges gaps r and r + 1 into gap r, where the placed value lands too.
+
+
 def _avoid_2143(size: int) -> tuple[_kinds.Step, int]:
     """Transition that rejects the value completing a 2143.
 
     Appending u completes 2143 exactly when an earlier value c > u follows an
     inversion whose top lies below u.  So placing c forbids every unused
-    value strictly between c and the minimum inversion top seen before c,
-    and the state is that minimum top (``size + 1`` while there is no
-    inversion) beside the mask of the forbidden unused values.
+    value strictly between c and the least inversion top seen before c.  The
+    state is the mask of the forbidden ranks, the gap T of that least top
+    (m, the number of unused values, while no top has an unused value above
+    it) and the mask of the nonempty gaps below T: only the least placed
+    value above the new one can lower the top.  Every forbidden rank is at
+    least T, so a rank r >= T leaves T and the gaps as they are, and a rank
+    r < T shifts every forbidden rank down by one.
     """
-    shift = size + 1
-    mask = (1 << shift) - 1
+    t_shift = size
+    g_shift = size + size.bit_length()
+    f_mask = (1 << t_shift) - 1
+    t_mask = (1 << g_shift - t_shift) - 1
 
-    def step(state: int, u: int, used: int) -> Optional[int]:
-        if state >> u & 1:
+    def by_rank(state: int, r: int, m: int) -> Optional[int]:
+        top = state >> t_shift & t_mask
+        if top > r:
+            gaps = state >> g_shift
+            above = gaps >> r + 1
+            if above:
+                # The least placed value above r tops a new inversion.
+                top = r + (above & -above).bit_length()
+            top -= 1
+            gaps = (gaps & (1 << r) - 1 | 1 << r) & (1 << top) - 1
+            return (state & f_mask) >> 1 | top << t_shift | gaps << g_shift
+        if state >> r & 1:
             return None
-        forbid = state & mask
-        top = state >> shift
-        if top < u - 1:
-            forbid |= ((1 << u) - (2 << top)) & ~used
-        above = used >> (u + 1)
-        if above:
-            # The smallest placed value above u tops a new inversion.
-            low = u + (above & -above).bit_length()
-            if low < top:
-                top = low
-        return forbid | top << shift
+        forbid = state & f_mask | (1 << r) - (1 << top)
+        return state >> t_shift << t_shift | forbid & (1 << r) - 1 | forbid >> r + 1 << r
 
-    return step, (size + 1) << shift
+    return _by_value(by_rank, size), size << t_shift
 
 
 def _avoid_3421(size: int) -> tuple[_kinds.Step, int]:
     """Transition that rejects the value completing a 3421.
 
     The new element plays the final 1, so a completion needs an earlier 342
-    (pattern 231) whose smallest value is above it.  The state holds
-    ``mv3``, the maximum of that smallest value over the 231 occurrences so
-    far, and ``bpl``, the maximum lower value of an ascending pair, which is
-    what a new 231 occurrence needs above its own bottom.
+    (pattern 231) whose smallest value is above it.  The state holds the
+    gaps of ``mv3``, the maximum of that smallest value over the 231
+    occurrences so far, and of ``bpl``, the maximum lower value of an
+    ascending pair, which is what a new 231 occurrence needs above its own
+    bottom, beside the mask of the nonempty gaps above ``bpl``'s: only the
+    greatest placed value below the new one can raise ``bpl``.  A gap of 0
+    stands for no such value too, since nothing unused lies below either.
     """
     shift = size.bit_length()
+    g_shift = 2 * shift
     mask = (1 << shift) - 1
 
-    def step(state: int, u: int, used: int) -> Optional[int]:
+    def by_rank(state: int, r: int, m: int) -> Optional[int]:
         mv3 = state & mask
-        if mv3 > u:
+        if r < mv3:
             return None
-        bpl = state >> shift
-        if bpl > u:
-            mv3 = u
-        # The largest placed value below u is the lower end of a new ascent.
-        pred = (used & ((1 << u) - 1)).bit_length() - 1
-        if pred > bpl:
-            bpl = pred
-        return mv3 | bpl << shift
+        bpl = state >> shift & mask
+        gaps = state >> g_shift
+        if r < bpl:
+            # The new value ends a 231 below bpl; every nonempty gap is above r + 1.
+            return r | bpl - 1 << shift | gaps >> 1 << g_shift
+        # The greatest placed value below r is the lower end of a new ascent.
+        below = gaps & (2 << r) - 1
+        if below:
+            bpl = below.bit_length() - 1
+        return mv3 | bpl << shift | ((gaps >> r + 2 << r + 1 | 1 << r) & -(2 << bpl)) << g_shift
 
-    return step, 0
+    return _by_value(by_rank, size), 0
 
 
 @dataclass(slots=True)
@@ -490,7 +524,6 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
         return new
 
     def make(size: int) -> tuple[_kinds.Step, Optional[int]]:
-        full = (1 << (size + 1)) - 2
         low = size + 1 if size == top else 0  # the least m stepped at, if this size drops
 
         def by_rank(state: int, r: int, m: int) -> Optional[int]:
@@ -509,12 +542,7 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
                 new = memo[key] = successor(state, r, m)
             return new if new >= 0 else None
 
-        def step(state: int, w: int, used: int) -> Optional[int]:
-            free = ~used & full
-            return by_rank(state, (free & ((1 << w) - 1)).bit_count(), free.bit_count())
-
-        step.by_rank = by_rank  # type: ignore[attr-defined]
-        return step, None if target and not size else 0
+        return _by_value(by_rank, size), None if target and not size else 0
 
     return make
 
@@ -542,7 +570,11 @@ def _vincular_stat(stat: VincularPattern, size: int) -> _kinds.Stat:
     earlier, so placing w completes one occurrence per placed value in the
     free letter's range; for ``xy-z`` it comes later, and every unused value
     in its range will complete one, so they are all counted when the pair
-    forms.  Any other statistic raises ``ValueError``.
+    forms.  Those are counted by ranks alone, so an ``xy-z`` statistic
+    carries the rank form ``add.by_rank(j, r, m)`` for prev in gap j (j
+    unused values below it) and w of rank r among the m unused values; the
+    caller adds nothing for the first value.  Any other statistic raises
+    ``ValueError``.
     """
     if len(stat.perm) != 3 or len(stat.adjacent) != 1:
         raise ValueError(f"statistic {stat} has no DP form: it needs length 3 "
@@ -562,6 +594,14 @@ def _vincular_stat(stat: VincularPattern, size: int) -> _kinds.Stat:
         bounds = (0, prev, w, top) if prev < w else (0, w, prev, top)
         return ((used ^ flip) & ((1 << bounds[rank + 1]) - (2 << bounds[rank]))).bit_count()
 
+    def by_rank(j: int, r: int, m: int) -> int:
+        # The unused values below, between and above the pair, w left out.
+        if (r >= j) != ascent:
+            return 0
+        return (j, r - j, m - 1 - r)[rank] if ascent else (r, j - 1 - r, m - j)[rank]
+
+    if flip:  # xy-z: its pool, the unused values, is counted by ranks alone
+        add.by_rank = by_rank  # type: ignore[attr-defined]
     return add
 
 

@@ -282,8 +282,9 @@ def test_stored_suffixes_skip_the_transition(monkeypatch):
     query = AvoidanceQuery(DumontKind.D1, 12, frozenset({cp("2143")}))
     assert sum(1 for _ in generate_avoiders(query)) == 1892
     # 34,994 step calls when every key replays a mask of next values;
-    # 27,638 when keys near the leaves replay their stored suffixes.  The
-    # lower bound fails a wrapper that the walk goes around.
+    # 24,845 when keys near the leaves replay their stored suffixes, and
+    # 24,111 once the transition's state holds ranks, which merges more
+    # keys.  The lower bound fails a wrapper that the walk goes around.
     assert 20000 < calls < 31000
 
 
@@ -377,6 +378,19 @@ def test_fast_guards_agree_with_generic_detector(pattern):
         brute = [p.values for p in generate(DumontKind.D1, 2 * n)
                  if not naive_contains(p.values, tuple(int(c) for c in pattern))]
         assert fast == brute
+
+
+@pytest.mark.parametrize("kind", [DumontKind.D2, DumontKind.D3, DumontKind.D4])
+@pytest.mark.parametrize("pattern", ["2143", "3421"])
+def test_rank_form_guards_on_other_kinds(kind, pattern):
+    # The 2143 and 3421 transitions read ranks; on D2 and D4 the DP and the
+    # walk hand them ranks from value keys, on D3 the DP folds its keys.
+    q = cp(pattern)
+    for size in (0, 2, 4, 6, 8):
+        query = AvoidanceQuery(kind, size, frozenset({q}))
+        walked = [p.values for p in generate(kind, size) if avoids(p, q)]
+        assert [p.values for p in generate_avoiders(query)] == walked
+        assert count_avoiders(query) == len(walked)
 
 
 @pytest.mark.parametrize("kind, pattern", [
