@@ -160,10 +160,12 @@ def _rank_candidates(kind_id: int, word: int, j: int, odd: int) -> int:
 
 
 # A transition ``step(state, w, used) -> state | None`` summarises a prefix
-# in a small non-negative int and rejects (None) a placement that the
-# summary rules out; ``used`` is the mask of the values placed before w.
-# The state of the empty prefix is None when the transition rejects even
-# that (an exact occurrence count above 0 at size 0).
+# in a small non-negative int and rejects (None) a placement that leaves a
+# dead prefix: one that, or an unused value placed next, completes too many
+# occurrences, so neither the walk nor the DP expands it; ``used`` is the
+# mask of the values placed before w.  The state of the empty prefix is
+# None when the transition rejects even that (an exact occurrence count
+# above 0 at size 0, or a length-1 pattern avoided at a size above 0).
 # A transition that reads only ranks among the unused values carries its
 # rank form as the attribute ``by_rank(state, r, m) -> state | None``: the
 # same answer for the unused value of rank r among m, which lets the DP of

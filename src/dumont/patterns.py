@@ -216,72 +216,64 @@ def _by_value(by_rank: _kinds.Step, size: int) -> _kinds.Step:
 
 
 def _avoid_2143(size: int) -> tuple[_kinds.Step, int]:
-    """Transition that rejects the value completing a 2143.
+    """Transition that refuses a prefix no 2143-avoider extends.
 
     Appending u completes 2143 exactly when an earlier value c > u follows an
-    inversion whose top lies below u.  So placing c forbids every unused
-    value strictly between c and the least inversion top seen before c.  The
-    state is the mask of the forbidden ranks, the gap T of that least top
-    (m, the number of unused values, while no top has an unused value above
-    it) and the mask of the nonempty gaps below T: only the least placed
-    value above the new one can lower the top.  Every forbidden rank is at
-    least T, so a rank r >= T leaves T and the gaps as they are, and a rank
-    r < T shifts every forbidden rank down by one.
+    inversion whose top lies below u.  So placing c above an unused value
+    that lies above the least inversion top seen before c leaves that value
+    nothing but a 2143 to close, and is refused.  The state is the gap T of
+    that least top (m, the number of unused values, while no top has an
+    unused value above it) and, above it, the mask of the nonempty gaps
+    below T: only the least placed value above the new one can lower the
+    top.  A rank r > T is refused, r = T leaves the state as it is, and a
+    rank r < T may lower the top.
     """
-    t_shift = size
-    g_shift = size + size.bit_length()
-    f_mask = (1 << t_shift) - 1
-    t_mask = (1 << g_shift - t_shift) - 1
+    g_shift = size.bit_length()
+    t_mask = (1 << g_shift) - 1
 
     def by_rank(state: int, r: int, m: int) -> Optional[int]:
-        top = state >> t_shift & t_mask
-        if top > r:
-            gaps = state >> g_shift
-            above = gaps >> r + 1
-            if above:
-                # The least placed value above r tops a new inversion.
-                top = r + (above & -above).bit_length()
-            top -= 1
-            gaps = (gaps & (1 << r) - 1 | 1 << r) & (1 << top) - 1
-            return (state & f_mask) >> 1 | top << t_shift | gaps << g_shift
-        if state >> r & 1:
-            return None
-        forbid = state & f_mask | (1 << r) - (1 << top)
-        return state >> t_shift << t_shift | forbid & (1 << r) - 1 | forbid >> r + 1 << r
+        top = state & t_mask
+        if r >= top:
+            return None if r > top else state
+        gaps = state >> g_shift
+        above = gaps >> r + 1
+        if above:
+            # The least placed value above r tops a new inversion.
+            top = r + (above & -above).bit_length()
+        top -= 1
+        gaps = (gaps & (1 << r) - 1 | 1 << r) & (1 << top) - 1
+        return top | gaps << g_shift
 
-    return _by_value(by_rank, size), size << t_shift
+    return _by_value(by_rank, size), size
 
 
 def _avoid_3421(size: int) -> tuple[_kinds.Step, int]:
-    """Transition that rejects the value completing a 3421.
+    """Transition that refuses a prefix no 3421-avoider extends.
 
     The new element plays the final 1, so a completion needs an earlier 342
-    (pattern 231) whose smallest value is above it.  The state holds the
-    gaps of ``mv3``, the maximum of that smallest value over the 231
-    occurrences so far, and of ``bpl``, the maximum lower value of an
-    ascending pair, which is what a new 231 occurrence needs above its own
-    bottom, beside the mask of the nonempty gaps above ``bpl``'s: only the
-    greatest placed value below the new one can raise ``bpl``.  A gap of 0
-    stands for no such value too, since nothing unused lies below either.
+    (pattern 231) whose smallest value is above it.  So a new 231 whose
+    bottom has an unused value below it is refused: that value has nothing
+    but a 3421 to close.  The state holds the gap of ``bpl``, the maximum
+    lower value of an ascending pair, which is what a new 231 occurrence
+    needs above its own bottom, and above it the mask of the nonempty gaps
+    above ``bpl``'s: only the greatest placed value below the new one can
+    raise ``bpl``.  A gap of 0 stands for no such value too, since nothing
+    unused lies below either.
     """
     shift = size.bit_length()
-    g_shift = 2 * shift
     mask = (1 << shift) - 1
 
     def by_rank(state: int, r: int, m: int) -> Optional[int]:
-        mv3 = state & mask
-        if r < mv3:
-            return None
-        bpl = state >> shift & mask
-        gaps = state >> g_shift
+        bpl = state & mask
+        gaps = state >> shift
         if r < bpl:
             # The new value ends a 231 below bpl; every nonempty gap is above r + 1.
-            return r | bpl - 1 << shift | gaps >> 1 << g_shift
+            return None if r else bpl - 1 | gaps >> 1 << shift
         # The greatest placed value below r is the lower end of a new ascent.
         below = gaps & (2 << r) - 1
         if below:
             bpl = below.bit_length() - 1
-        return mv3 | bpl << shift | ((gaps >> r + 2 << r + 1 | 1 << r) & -(2 << bpl)) << g_shift
+        return bpl | ((gaps >> r + 2 << r + 1 | 1 << r) & -(2 << bpl)) << shift
 
     return _by_value(by_rank, size), 0
 
@@ -306,9 +298,9 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
                      target: int = 0, work: Optional[_Work] = None) -> _StepMaker:
     """``make``, whose ``make(size)`` for a size up to ``top`` is the
     transition that accepts a word with exactly ``target`` occurrences of
-    ``pats`` in all; with the default target 0 it rejects the value that
-    completes an occurrence of any of them.  ``work`` (if given) counts what
-    the transitions compute.
+    ``pats`` in all; with the default target 0 it refuses a prefix that an
+    unused value would complete to an occurrence of any of them.  ``work``
+    (if given) counts what the transitions compute.
 
     The state holds the number of occurrences so far and the live partial
     occurrences: the first j letters of a pattern matched by placed values,
@@ -325,8 +317,9 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
     occurrence is also dropped when another one of the same pattern and j
     has every such gap containing its own (it is dominated).  The canonical
     multiset that remains is interned as a small int.  The last placement
-    is rejected unless the count has reached the target, and so is the
-    empty word of size 0 (its state is None) when the target is above 0.
+    is rejected unless the count has reached the target, and leaves state 0,
+    since nothing follows it; the empty word of size 0 is rejected (its
+    state is None) when the target is above 0.
 
     Zeroing the ranks that bound no such gap does two jobs: it merges states
     that differ only there, and it makes an occurrence a function of its
@@ -336,18 +329,22 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
     on the second job: two distinct occurrences with equal boxes would each
     dominate the other, and both would be dropped.
 
-    An occurrence one letter short completes when the placed value falls in
-    the gap its last letter must take, an interval of ranks; so whether a
-    placement completes too many occurrences depends only on the state and
-    the rank r of the value.  Each state is interned with its reject mask,
-    the ranks where more than the allowed number of occurrences close
-    (counted with multiplicity), and the step refuses those ranks before
-    anything else.  The move of one occurrence depends on its code and r
-    alone: the number m of unused values only decides whether the top gap
-    can still take its letters, so the move memo, one on (occurrence, r)
-    for every m and size, keeps beside each occurrence it yields its floor,
-    the least m that leaves room for them, and the successor drops the
-    ones whose floor is above m before the dominance pruning.
+    An occurrence one letter short completes when a value of the gap its
+    last letter must take is placed, an interval of ranks, and every unused
+    value stays in that gap until it is placed.  So once some unused value
+    would complete more occurrences than the target allows (counted with
+    multiplicity), it would complete at least as many later, and the prefix
+    is dead.  Each occurrence kept has an unused value in every gap it must
+    fill, so the ranks where too many close, when there are any, include an
+    unused one: a successor with such ranks is dead (-1) and is never
+    interned, nor is the empty prefix of a size above 0 (its state is None),
+    and no step completes too many.  The move of one occurrence depends on
+    its code and r alone: the number m of unused values only decides whether
+    the top gap can still take its letters, so the move memo, one on
+    (occurrence, r) for every m and size, keeps beside each occurrence it
+    yields its floor, the least m that leaves room for them, and the
+    successor drops the ones whose floor is above m before the dominance
+    pruning.
 
     The step reads only the state, r and m, never the size, so one step
     memo on (state, r) per m serves every size, and each step carries that
@@ -355,8 +352,8 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
     ``top`` keep every memo, since a larger size asks for them all again.
     The step of size ``top`` drops the memos of every m above the least it
     has stepped at: a layered DP, whose m only falls, never asks for them
-    again.  The memos, the interned states and their reject masks live as
-    long as ``make`` or any step it made.
+    again.  The memos and the interned states live as long as ``make`` or
+    any step it made.
     """
     # A shape is a (pattern, j) pair with j < len(pattern), recorded as
     # (j, the gap the next letter falls in, the shape after placing it or
@@ -417,10 +414,10 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
         return mask, floor
 
     def rejecting(count: int, codes: list[int]) -> int:
-        """The reject mask of the state of ``count`` and the nonempty
-        occurrences ``codes``: bit r is set when placing the value of rank r
-        completes more occurrences than the target still allows (never when
-        the state holds no more occurrences than that)."""
+        """The ranks (bit r for rank r) whose value completes more
+        occurrences than the target still allows at the state of ``count``
+        and the nonempty occurrences ``codes``; none when the state holds no
+        more occurrences than that."""
         if target - count >= len(empties) + len(codes):
             return 0
         # closed[i]: the ranks where more than i of the occurrences close.
@@ -438,7 +435,6 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
         boxes[code] = box(code, [])[0]
     ids: dict[int, int] = {0: 0}
     states: list[int] = [0]
-    rejects: list[int] = [rejecting(0, [])]
 
     def move(code: int, r: int) -> tuple[tuple[int, int], ...]:
         """The occurrences one occurrence leaves after placing the unused
@@ -472,8 +468,8 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
 
     def successor(state: int, r: int, m: int) -> int:
         """Interned state after placing the unused value of rank r among m,
-        which the state's reject mask allows, or -1 when the word ends short
-        of the target."""
+        or -1 when the prefix is dead or the word ends short of the
+        target."""
         work.successors += 1
         packed = states[state]
         count = packed & nmask
@@ -493,8 +489,8 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
                     count += 1
                 elif floor <= m:
                     found[c] = found.get(c, 0) + 1
-        if m == 1 and count < target:
-            return -1
+        if m == 1:
+            return 0 if count == target else -1  # the word is whole
         if count < target:
             cap = target - count + 1
             kept = [c for c, k in found.items() for _ in range(min(k, cap))]
@@ -517,10 +513,10 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
         key = key << nbits | count
         new = ids.get(key)
         if new is None:
-            new = ids[key] = len(states)
-            states.append(key)
-            rejects.append(rejecting(count, kept))
-            work.states += 1
+            new = ids[key] = -1 if rejecting(count, kept) else len(states)
+            if new > 0:
+                states.append(key)
+                work.states += 1
         return new
 
     def make(size: int) -> tuple[_kinds.Step, Optional[int]]:
@@ -528,8 +524,6 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
 
         def by_rank(state: int, r: int, m: int) -> Optional[int]:
             nonlocal low
-            if rejects[state] >> r & 1:
-                return None
             if m < low:
                 memos[m + 1:] = [None] * (top - m)
                 low = m
@@ -542,7 +536,8 @@ def _avoid_classical(top: int, pats: Sequence[tuple[int, ...]],
                 new = memo[key] = successor(state, r, m)
             return new if new >= 0 else None
 
-        return _by_value(by_rank, size), None if target and not size else 0
+        dead = target and not size or size and rejecting(0, [])
+        return _by_value(by_rank, size), None if dead else 0
 
     return make
 

@@ -5,7 +5,8 @@ import pytest
 from dumont import golden, harness, kinds, patterns
 from dumont.harness import (BudgetExceeded, conjecture1_counts,
                             conjecture2_distribution, run_suite, sanity_s3)
-from dumont.patterns import ClassicalPattern
+from dumont.kinds import DumontKind
+from dumont.patterns import AvoidanceQuery, ClassicalPattern, count_avoiders
 from dumont.permcore import Permutation, render_diagram
 
 SLOW = os.environ.get("DUMONT_SLOW") == "1"
@@ -262,7 +263,19 @@ def test_conjecture_routes_agree_to_n7(monkeypatch, route):
 @pytest.mark.parametrize("route", ["hand", "generic"])
 def test_conjecture_routes_agree_at_n10(monkeypatch, route):
     # The n = 10 counts alone, a fresh process each on a 2-vCPU Xeon: hand
-    # 3421 1.9 s, hand 2143 6.1 s, generic 3421 12.2 s, generic 2143 33.2 s.
+    # 3421 0.8 s, hand 2143 0.6 s, generic 3421 7.4 s, generic 2143 5.0 s.
     take_route(monkeypatch, route, 10)
     row = conjecture1_counts(10)[10]
     assert row.count_2143 == row.count_3421 == row.reference == 20409644
+
+
+@pytest.mark.skipif(not SLOW, reason="opt-in: set DUMONT_SLOW=1")
+def test_hand_routes_agree_at_n12(monkeypatch):
+    # Past the vendored table: the term both generic routes give at n = 12
+    # (README, Long runs), from both hand-written transitions, 6.5 s for
+    # 3421 and 5.9 s for 2143 as above.
+    folded = take_route(monkeypatch, "hand", 12)
+    for pattern in ("2143", "3421"):
+        query = AvoidanceQuery(DumontKind.D1, 24, frozenset([ClassicalPattern.parse(pattern)]))
+        assert count_avoiders(query) == 3022143791
+    assert folded == ["_avoid_2143", "_avoid_3421"]

@@ -18,7 +18,7 @@ from dumont import kinds
 from dumont.gfseries import TruncatedSeries
 from dumont.kinds import DumontKind, _walk, generate
 from dumont.patterns import (_INF, AvoidanceQuery, ClassicalPattern, VincularPattern, _count,
-                             _run, _runs, _step_maker, _vincular_stat, count_avoiders,
+                             _run, _runs, _step_maker, _vincular_stat, avoids, count_avoiders,
                              count_exact_occurrences, count_occurrences, count_vincular,
                              generate_avoiders, vincular_histogram)
 from dumont.permcore import Permutation, _block_texts
@@ -97,12 +97,23 @@ def test_transitions_reject_exactly_when_the_prefix_would_match(case):
 
 def replay(case):
     """Place ``values`` in turn, each after popping its number of ``pops``
-    from the accepted prefix, and check every answer against the oracle."""
-    # A full-length prefix is a leaf: in exact mode the transition also
-    # rejects one that misses the target, and at size 0 the empty word.
+    from the accepted prefix, and check every answer against the oracle.
+
+    A prefix h is refused exactly when h exceeds the target, or some unused
+    v in 1..size makes h + [v] exceed it: v must still be placed, and it
+    would close at least as many occurrences later.  In exact mode a
+    full-length prefix is also refused when it misses the target, and so is
+    the empty word at size 0.
+    """
     size, (step, state), rejects, leaf, values, pops = case
-    if leaf is not None and size == 0:
-        assert (state is not None) == leaf([])
+
+    def ok(h):
+        if rejects(h) or any(rejects(h + [v]) for v in range(1, size + 1) if v not in h):
+            return False
+        return leaf is None or len(h) < size or leaf(h)
+
+    assert (state is not None) == ok([])
+    if state is None:
         return
     accepted: list[int] = []
     saved = [(state, 0)]  # (state, used mask) after each accepted prefix
@@ -113,26 +124,32 @@ def replay(case):
         state, used = saved[-1]
         new = step(state, w, used)
         h = accepted + [w]
-        ok = not rejects(h) and (leaf is None or len(h) < size or leaf(h))
-        assert (new is not None) == ok
-        if ok:
+        assert (new is not None) == ok(h)
+        if new is not None:
             accepted.append(w)
             saved.append((new, used | 1 << w))
 
 
-# Placements chosen to reach states whose reject mask is easy to get wrong:
+# Placements chosen to reach states that are easy to get wrong:
 # (pattern, target, size, values, pops).
 CHOSEN_PLACEMENTS = {
     # The empty occurrence of a length-1 pattern closes at every rank, so
-    # the third value is refused wherever it falls.
+    # with a target of 2 the second value is refused wherever it falls,
+    # since four values would still be unused.
     "length_1": ((1,), 2, 6, [3, 1, 5, 2, 4, 6], [0, 0, 0, 1, 0, 0]),
-    # After 3 and 2 the two copies of one partial 12 close at every rank
-    # above them, where one copy alone would be allowed.
-    "two_copies": ((1, 2), 1, 6, [3, 2, 4, 1, 5, 4], [0, 0, 0, 0, 0, 2]),
-    # The 1 of a 12 closes in the top gap.  The partial occurrence of 1 is
-    # first interned with two unused values above it, then met again with
-    # five, where the rank of 6 is 4.
-    "top_gap": ((1, 2), 0, 6, [6, 5, 4, 1, 1, 6], [0, 0, 0, 0, 4, 0]),
+    # With a target of 0 it refuses the empty prefix itself.
+    "length_1_empty": ((1,), 0, 4, [1, 2, 3, 4], [0, 0, 0, 0]),
+    # After 6, 5 and 3, placing 2 leaves two copies of one partial 12 (each
+    # with the single unused value 1 below it), and both close at 4, where
+    # one copy alone would be allowed.  Then 3 and 4 make the one allowed
+    # 12, and 1 is refused, since 2 would close a second one above it.
+    "two_copies": ((1, 2), 1, 6, [6, 5, 3, 2, 4, 1], [0, 0, 0, 0, 0, 0]),
+    # The 12 of a 123 closes in the top gap, whose box runs past the unused
+    # values.  After 1 then 6, and again after 5, the new partial 12 has no
+    # unused value above it and must be dropped, or its box would refuse the
+    # prefix.  Back at 1, placing 2 or 5 leaves a partial 12 with 6 unused
+    # above it, refused at once.
+    "top_gap": ((1, 2, 3), 0, 6, [1, 6, 5, 2, 5, 6], [0, 0, 0, 2, 0, 1]),
 }
 
 
@@ -207,12 +224,13 @@ def test_generic_dp_agrees_with_the_walk(case, stat, small_dumont_sets):
 @st.composite
 def run_cases(draw):
     """A kind, increasing even sizes up to 10, one or two classical patterns
-    of length 3 or 4 and a target (None, or 0..2 with the first pattern
-    alone)."""
+    of length 1..4 (mostly 3 or 4) and a target (None, or 0..2 with the
+    first pattern alone)."""
     kind = draw(st.sampled_from(list(DumontKind)))
     sizes = sorted(draw(st.sets(st.sampled_from(range(0, 11, 2)), min_size=1)))
-    pats = {tuple(draw(st.sampled_from((3, 4)).flatmap(
-        lambda k: st.permutations(range(1, k + 1))))) for _ in range(draw(st.integers(1, 2)))}
+    lengths = st.sampled_from((3, 4, 3, 4, 3, 4, 2, 1))
+    pats = {tuple(draw(lengths.flatmap(lambda k: st.permutations(range(1, k + 1)))))
+            for _ in range(draw(st.integers(1, 2)))}
     target = draw(st.sampled_from((None, 0, 1, 2)))
     pats = sorted(pats)[:1] if target is not None else sorted(pats)
     return kind, sizes, pats, target
@@ -222,18 +240,25 @@ def run_cases(draw):
 @given(case=run_cases())
 @example(case=(DumontKind.D1, list(range(0, 11, 2)), [(1, 3, 4, 2), (2, 4, 1, 3)], None))
 @example(case=(DumontKind.D4, list(range(0, 11, 2)), [(3, 2, 1)], 2))
+@example(case=(DumontKind.D2, [0, 2, 6], [(1,), (2, 1, 3)], None))
+@example(case=(DumontKind.D3, [2, 4, 6], [(1,)], 2))
+@example(case=(DumontKind.D1, [6, 8, 10], [(2, 1, 4, 3)], None))
+@example(case=(DumontKind.D2, [6, 8, 10], [(3, 4, 2, 1)], None))
 def test_a_run_of_sizes_counts_each_size_alone(case):
     # A run shares one transition across its sizes; each size must count
-    # and list what a fresh single-size query does, and up to size 8 what
-    # the walk filtered by the matcher gives.
+    # and list what a fresh single-size query does, and what the walk
+    # filtered by the matcher gives, which shares no code with the
+    # transitions, the hand-written 2143 and 3421 ones among them.  A
+    # length-1 pattern refuses the empty prefix of every size above 0, or
+    # with a target of 2 every prefix of two values short of the size.
     kind, sizes, pats, target = case
     forbidden = [ClassicalPattern(Permutation(p)) for p in pats]
     queries = [AvoidanceQuery(kind, size, frozenset(forbidden), target) for size in sizes]
 
     def member(p):
         if target is None:
-            return not any(count_occurrences(p, q) for q in forbidden)
-        return count_occurrences(p, forbidden[0]) == target
+            return all(avoids(p, q) for q in forbidden)
+        return _count(p.values, pats[0], limit=target + 1) == target
 
     listings = _runs(_walk, kind, frozenset(forbidden), target, sizes)
     counts = _runs(kinds._count_layers, kind, frozenset(forbidden), target, sizes)
@@ -241,8 +266,7 @@ def test_a_run_of_sizes_counts_each_size_alone(case):
         assert got == count_avoiders(query)
         listed = [p.values for p in kinds._permutations(next(listings))]
         assert listed == [p.values for p in generate_avoiders(query)]
-        if query.size <= 8:
-            assert listed == [p.values for p in generate(kind, query.size) if member(p)]
+        assert listed == [p.values for p in generate(kind, query.size) if member(p)]
     assert next(listings, None) is None
 
 
@@ -323,6 +347,7 @@ def exact_cases(draw):
 @example(case=(DumontKind.D4, 0, (2, 1), 0))
 @example(case=(DumontKind.D2, 6, (3, 2, 1), 1))
 @example(case=(DumontKind.D4, 8, (1, 3, 4, 2), 1))
+@example(case=(DumontKind.D3, 6, (1,), 0))
 def test_exact_queries_agree_with_filtering(case, small_dumont_sets):
     kind, size, pat, target = case
     q = ClassicalPattern(Permutation(pat))
